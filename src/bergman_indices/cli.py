@@ -28,13 +28,15 @@ from . import duality_projection as dp
 from . import index_sets as ix
 from . import kernel as kn
 from . import verify as vf
-from .errors import (ChainViolation, IllConditionedGram, Inconclusive,
-                     NotIntegrable, ParseError, WindowTooSmall)
+from .errors import (ChainViolation, DimensionMismatch, IllConditionedGram,
+                     Inconclusive, NotIntegrable, ParseError, WindowTooSmall)
 from .exact import format_fraction, parse_fraction
 from .quadrature import QuadConfig
 
 SCHEMA_ID = "bergman-indices/1"
 DEFAULT_SEED = 20240901
+THREADS_HELP = ("accepted and ignored, kept for argv compatibility "
+                "(evaluation is single-threaded)")
 
 
 def _quad_config(args) -> QuadConfig:
@@ -43,6 +45,18 @@ def _quad_config(args) -> QuadConfig:
                       corner_cutoff=args.cutoff,
                       refinement_levels=args.refine,
                       rel_tol=args.tol)
+
+
+def _parse_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{name}: expected an integer, got {text!r}") from None
+
+
+def _parse_ints(text: str, name: str) -> tuple:
+    """A comma-separated integer list (multi-indices, point counts)."""
+    return tuple(_parse_int(part, name) for part in text.split(","))
 
 
 def _parse_point(text: str, dim: int):
@@ -149,7 +163,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_density(args) -> int:
     d = dm.parse_domain(args.domain)
-    alpha = tuple(int(a) for a in args.alpha.split(","))
+    alpha = _parse_ints(args.alpha, "--alpha")
     if args.points:
         pts = [tuple(complex(c[0], c[1]) for c in point)
                for point in json.loads(args.points)]
@@ -160,7 +174,10 @@ def cmd_density(args) -> int:
                              "pass --points for higher dimensions")
         import numpy as np
         rows = []
-        for k in (int(x) for x in args.ks.split(",")):
+        ks = _parse_ints(args.ks, "--ks")
+        if min(ks) < 1:
+            raise ParseError(f"--ks point counts must be >= 1, got {args.ks!r}")
+        for k in ks:
             pts = [(args.radius * np.exp(2j * np.pi * j / k),)
                    for j in range(k)]
             rows.append((k, kn.density_residual(d, alpha, pts)))
@@ -184,10 +201,13 @@ def _load_terms(text: str):
             payload = handle.read()
     else:
         payload = text
-    terms = json.loads(payload)
-    return dp.MixedMonomialSum.make(
-        [(complex(t["c"][0], t["c"][1]), tuple(t["alpha"]),
-          tuple(t.get("gamma", [0] * len(t["alpha"])))) for t in terms])
+    try:
+        terms = [(complex(t["c"][0], t["c"][1]), tuple(t["alpha"]),
+                  tuple(t.get("gamma", [0] * len(t["alpha"]))))
+                 for t in json.loads(payload)]
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed --terms: {exc!r}") from None
+    return dp.MixedMonomialSum.make(terms)
 
 
 def cmd_project(args) -> int:
@@ -203,10 +223,12 @@ def cmd_project(args) -> int:
 
 def cmd_probe(args) -> int:
     d = dm.parse_domain(args.domain)
-    alpha = tuple(int(a) for a in args.alpha.split(","))
-    gamma = tuple(int(g) for g in args.gamma.split(","))
+    alpha = _parse_ints(args.alpha, "--alpha")
+    gamma = _parse_ints(args.gamma, "--gamma")
     p_lo, p_hi = parse_fraction(args.plo), parse_fraction(args.phi)
     steps = args.steps
+    if steps < 1:
+        raise ParseError(f"--steps must be >= 1, got {steps}")
     rows = []
     for j in range(steps + 1):
         p = p_lo + (p_hi - p_lo) * Fraction(j, steps)
@@ -275,11 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="polydisc:<n> | ball:<n> | hartogs:<m>/<n>")
         sp.add_argument("--format", choices=("json", "csv", "table"),
                         default=None)
-        sp.add_argument("--seed", type=int,
-                        default=int(os.environ.get("BERGMAN_SEED", DEFAULT_SEED)))
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker-pool cap (evaluation is deterministic "
-                             "regardless)")
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
         sp.add_argument("--radial-nodes", type=int, default=64)
         sp.add_argument("--angular-nodes", type=int, default=None)
         sp.add_argument("--cutoff", type=float, default=0.0)
@@ -349,12 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="bootstrap oracle and invariant suites")
     sp.add_argument("domains", nargs="*",
                     help="domain specs (default: polydisc:1 ball:2 hartogs:1/1)")
-    sp.add_argument("--quick", action="store_true", default=True)
     sp.add_argument("--full", action="store_true")
     sp.add_argument("--format", choices=("json", "csv", "table"), default=None)
-    sp.add_argument("--seed", type=int,
-                    default=int(os.environ.get("BERGMAN_SEED", DEFAULT_SEED)))
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sp.set_defaults(fn=cmd_verify, default_format="table")
 
     return parser
@@ -372,15 +389,16 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     if args.format is None:
         args.format = args.default_format
-    if "BERGMAN_SEED" in os.environ:  # the environment wins over --seed
-        args.seed = int(os.environ["BERGMAN_SEED"])
     started = time.perf_counter()
     try:
+        if "BERGMAN_SEED" in os.environ:  # the environment wins over --seed
+            args.seed = _parse_int(os.environ["BERGMAN_SEED"], "BERGMAN_SEED")
         code = args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}\n{GRAMMAR_HINT}", file=sys.stderr)
         return 2
-    except (NotIntegrable, WindowTooSmall, IllConditionedGram) as exc:
+    except (NotIntegrable, WindowTooSmall, IllConditionedGram,
+            DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Inconclusive as exc:

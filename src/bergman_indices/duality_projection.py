@@ -33,7 +33,7 @@ from .domains import (DomainSpec, MultiIndex, check_exponent,
                       conjugate_exponent, holomorphy_ok, moment, radial_moment)
 from .errors import NotIntegrable, ParseError
 from .exact import ExactMix, ExactValue, QComplex, as_fraction
-from .index_sets import member, _window_box
+from .index_sets import critical_table, member
 from .quadrature import QuadConfig, lp_norm, lp_norms_shared
 
 
@@ -346,7 +346,6 @@ def injectivity_witness_scan(d: DomainSpec, p, radius: int) -> Optional[MultiInd
     if p < 2:
         raise ParseError("scan is defined for p >= 2")
     q = Fraction(2) if p == 2 else conjugate_exponent(p)
-    for gamma in sorted(_window_box(d.dim, radius)):
-        if member(d, gamma, q) and not member(d, gamma, p):
-            return gamma
-    return None
+    # gamma is a member at q and not at p exactly when its flip lies in (q, p]
+    return min((gamma for t, gamma in critical_table(d, radius) if q < t <= p),
+               default=None)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from .errors import ParseError
+
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and floats to an exact Fraction."""
@@ -38,15 +40,18 @@ def as_fraction(x) -> Fraction:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse '<int>' or '<int>/<uint>' (the CLI rational grammar)."""
-    parts = text.strip().split("/")
+    try:
+        parts = [int(part) for part in text.strip().split("/")]
+    except ValueError:
+        raise ParseError(f"malformed rational {text!r}") from None
     if len(parts) == 1:
-        return Fraction(int(parts[0]))
+        return Fraction(parts[0])
     if len(parts) == 2:
-        num, den = int(parts[0]), int(parts[1])
+        num, den = parts
         if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
+            raise ParseError(f"denominator must be positive in {text!r}")
         return Fraction(num, den)
-    raise ValueError(f"malformed rational {text!r}")
+    raise ParseError(f"malformed rational {text!r}")
 
 
 def format_fraction(q: Fraction) -> str:
@@ -289,18 +294,6 @@ class ExactMix:
             scale = float(make_exact(1, pi_half, gnum, gden))
             total += complex(q) * scale
         return total
-
-    def as_dict(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "coeff_re": format_fraction(q.re),
-                    "coeff_im": format_fraction(q.im),
-                    "pi_power": format_fraction(Fraction(pi_half, 2)),
-                }
-                for (pi_half, _gn, _gd), q in self.items()
-            ]
-        }
 
     def __repr__(self):
         return f"ExactMix({self.items()!r})"

@@ -24,6 +24,13 @@ alpha_1 >= 0 and p * (n*alpha_1 + m*alpha_2) > -2(m+n), so every threshold is
 2(m+n)/(m+n-1), 2(m+n)/(m+n-1).  The polydisc and ball admit no negative
 exponents at all, which is the structural proof behind the unbounded verdicts.
 
+Every flip exponent comes from one table per (domain, window), built by
+``critical_table`` in a single pass over the integer slopes; thresholds, the
+three indices and the injectivity witness scan all read it.  The soundness
+check on a reported threshold is the witness's own flip, decided through the
+moment-based ``member``; the full window comparison (``sets_equal``) is left
+to the threshold-completeness check of ``verify``.
+
 All predicates in this module are exact rational comparisons.
 """
 
@@ -71,25 +78,32 @@ def member(d: DomainSpec, alpha: MultiIndex, p) -> bool:
     return holomorphy_ok(d, alpha) and moment(d, alpha, p).is_finite
 
 
-def critical_exponent(d: DomainSpec, alpha: MultiIndex) -> Optional[Fraction]:
-    """The p where the membership of alpha flips (member iff p below it).
+def check_radius(radius: int, least: int = 1) -> None:
+    """Validate a lattice window radius (the box max|alpha_i| <= radius)."""
+    if radius < least:
+        raise ParseError(f"window radius must be >= {least}, got {radius}")
 
-    None means membership is p-independent: always a member if holomorphy
-    holds, never one otherwise.  Only the triangle has finite thresholds,
-    at 2(m+n)/k for k = -(n*alpha_1 + m*alpha_2) > 0.
+
+def critical_table(d: DomainSpec, radius: int) -> Tuple[Tuple[Fraction, MultiIndex], ...]:
+    """Every finite membership-flip exponent realized in the window.
+
+    Returns (value, witness) pairs in ascending value, the witness being the
+    lex-smallest window index that is a member for p below the value and not
+    at it.  Only the triangle has finite flips, at 2(m+n)/k for the integer
+    slope -k = n*alpha_1 + m*alpha_2 < 0 of a holomorphic index (alpha_1 >= 0),
+    so one lex-order walk over the holomorphic half of the window keeps the
+    first index of each slope; other domains return () without scanning.
     """
-    if not holomorphy_ok(d, alpha):
-        return None
+    check_radius(radius)
     if d.family is not Family.HARTOGS:
-        return None
-    slope = d.n * alpha[0] + d.m * alpha[1]
-    if slope >= 0:
-        return None
-    return Fraction(2 * (d.m + d.n), -slope)
-
-
-def _window_box(dim: int, radius: int):
-    return itertools.product(range(-radius, radius + 1), repeat=dim)
+        return ()
+    first: dict = {}
+    for alpha in itertools.product(range(radius + 1), range(-radius, radius + 1)):
+        slope = d.n * alpha[0] + d.m * alpha[1]
+        if slope < 0:
+            first.setdefault(slope, alpha)
+    return tuple(sorted((Fraction(2 * (d.m + d.n), -slope), alpha)
+                        for slope, alpha in first.items()))
 
 
 @dataclass(frozen=True)
@@ -101,24 +115,23 @@ class IndexSetWindow:
     radius: int
     members: Tuple[MultiIndex, ...]  # sorted lexicographically
 
-    def __contains__(self, alpha) -> bool:
-        return tuple(alpha) in self._member_set
-
-    @property
-    def _member_set(self):
-        return frozenset(self.members)
-
     def __len__(self):
         return len(self.members)
 
 
 def index_set_window(d: DomainSpec, p, radius: int) -> IndexSetWindow:
-    """Exhaustive exact scan of the (2*radius+1)^n lattice box."""
-    if radius < 1:
-        raise ParseError(f"window radius must be >= 1, got {radius}")
+    """Exact lattice window of S(p), sorted lexicographically.
+
+    Where membership is p-independent it is the non-negative orthant of the
+    box; otherwise every box index is decided by its exact moment.
+    """
+    check_radius(radius)
     p = check_exponent(p)
-    members = tuple(alpha for alpha in _window_box(d.dim, radius)
-                    if member(d, alpha, p))
+    if structurally_p_independent(d):
+        members = tuple(itertools.product(range(radius + 1), repeat=d.dim))
+    else:
+        box = itertools.product(range(-radius, radius + 1), repeat=d.dim)
+        members = tuple(alpha for alpha in box if member(d, alpha, p))
     return IndexSetWindow(d, p, radius, members)
 
 
@@ -148,25 +161,18 @@ class Threshold:
 def thresholds(d: DomainSpec, p_lo, p_hi, radius: int) -> list:
     """All membership-flip exponents in [p_lo, p_hi] realized in the window.
 
-    Every reported value is re-verified by an exact window comparison at
-    value -/+ 1/1000 (an internal soundness check, not a numerical one).
+    Every reported witness is re-checked through its exact moment: a member
+    just below the value and not a member at it (an internal soundness
+    check, not a numerical one).
     """
     p_lo, p_hi = check_exponent(p_lo), check_exponent(p_hi)
     if p_lo >= p_hi:
         raise ParseError("need p_lo < p_hi")
-    found: dict = {}
-    for alpha in _window_box(d.dim, radius):
-        crit = critical_exponent(d, alpha)
-        if crit is None or not p_lo <= crit <= p_hi:
-            continue
-        if crit not in found or alpha < found[crit]:
-            found[crit] = alpha
-    out = [Threshold(value, witness) for value, witness in sorted(found.items())]
-    eps = Fraction(1, 1000)
+    out = [Threshold(value, witness) for value, witness in critical_table(d, radius)
+           if p_lo <= value <= p_hi]
     for t in out:
-        lo = max(t.value - eps, t.value / 2)
-        if (sets_equal(d, lo, t.value, radius).equal
-                and sets_equal(d, t.value, t.value + eps, radius).equal):
+        below = max(t.value - Fraction(1, 1000), t.value / 2)
+        if not member(d, t.witness, below) or member(d, t.witness, t.value):
             raise RuntimeError(
                 f"internal: threshold {t.value} reported without a membership flip")
     return out
@@ -237,28 +243,18 @@ def duality_bound(d: DomainSpec, radius: int, p_cap) -> Tuple[IndexValue, list]:
     p_cap = check_exponent(p_cap)
     if p_cap <= 2:
         raise ParseError("p_cap must exceed 2")
-    if radius < 2:
-        raise ParseError("window radius must be >= 2")
+    check_radius(radius, 2)
     if structurally_p_independent(d):
         return IndexValue.unbounded(), []
-    crits: dict = {}
-    for alpha in _window_box(d.dim, radius):
-        crit = critical_exponent(d, alpha)
-        if crit is not None and (crit not in crits or alpha < crits[crit]):
-            crits[crit] = alpha
-    if not crits:
-        return IndexValue.at_least(p_cap), []
+    crits = dict(critical_table(d, radius))  # ascending in the exponent
     two = Fraction(2)
     if two in crits:
         return IndexValue.exact(2), [(crits[two], "enters_below_2")]
-    above = sorted(t for t in crits if two < t <= p_cap)
-    below = sorted((t for t in crits if 1 < t < two), reverse=True)
-    candidates = []
-    if above:
-        candidates.append((above[0], crits[above[0]], "threshold_above_2"))
-    if below:
-        candidates.append((conjugate_exponent(below[0]), crits[below[0]],
-                           "conjugate_threshold_below_2"))
+    above = [t for t in crits if two < t <= p_cap][:1]
+    below = [t for t in crits if 1 < t < two][-1:]
+    candidates = ([(t, crits[t], "threshold_above_2") for t in above]
+                  + [(conjugate_exponent(t), crits[t], "conjugate_threshold_below_2")
+                     for t in below])
     if not candidates:
         return IndexValue.at_least(p_cap), []
     bound, witness, role = min(candidates, key=lambda c: c[0])
@@ -267,28 +263,25 @@ def duality_bound(d: DomainSpec, radius: int, p_cap) -> Tuple[IndexValue, list]:
     return IndexValue.exact(bound), [(witness, role)]
 
 
+def _first_flip_above_two(d: DomainSpec, radius: int) -> Optional[Tuple[Fraction, MultiIndex]]:
+    """Smallest flip exponent above 2 with its witness, an index allowable at 2."""
+    return next(((t, alpha) for t, alpha in critical_table(d, radius) if t > 2),
+                None)
+
+
 def regularity_probe(d: DomainSpec, radius: int) -> Tuple[IndexValue, Optional[tuple]]:
     """Critical exponent of the worst projection witness in the window.
 
-    Scans allowable-at-2 indices delta with a divergence direction and takes
-    the smallest exponent where their moment turns divergent; the returned
-    mixed-monomial witness (alpha, gamma) with gamma = (0, max(0, -delta_2))
-    and alpha = delta + gamma is bounded in every L^p while its projection is
-    proportional to z^delta, so the projection cannot be bounded past the
-    critical exponent.
+    Takes the allowable-at-2 index delta whose moment turns divergent at the
+    smallest exponent; the returned mixed-monomial witness (alpha, gamma)
+    with gamma = (0, max(0, -delta_2)) and alpha = delta + gamma is bounded
+    in every L^p while its projection is proportional to z^delta, so the
+    projection cannot be bounded past the critical exponent.
     """
-    if radius < 2:
-        raise ParseError("window radius must be >= 2")
+    check_radius(radius, 2)
     if structurally_p_independent(d):
         return IndexValue.unbounded(), None
-    best: Optional[Tuple[Fraction, MultiIndex]] = None
-    two = Fraction(2)
-    for delta in _window_box(d.dim, radius):
-        crit = critical_exponent(d, delta)
-        if crit is None or crit <= two:
-            continue  # need delta allowable at p = 2 with a finite flip
-        if best is None or crit < best[0] or (crit == best[0] and delta < best[1]):
-            best = (crit, delta)
+    best = _first_flip_above_two(d, radius)
     if best is None:
         raise WindowTooSmall(
             f"no divergence-direction index allowable at 2 within radius "
@@ -311,18 +304,10 @@ def beta_upper(d: DomainSpec, radius: int, p_cap) -> Tuple[IndexValue, Optional[
     monomial expansion is supported on the whole allowable-at-2 set.
     """
     p_cap = check_exponent(p_cap)
-    if radius < 2:
-        raise ParseError("window radius must be >= 2")
+    check_radius(radius, 2)
     if structurally_p_independent(d):
         return IndexValue.unbounded(), None
-    best: Optional[Tuple[Fraction, MultiIndex]] = None
-    two = Fraction(2)
-    for alpha in _window_box(d.dim, radius):
-        crit = critical_exponent(d, alpha)
-        if crit is None or crit <= two:
-            continue
-        if best is None or crit < best[0] or (crit == best[0] and alpha < best[1]):
-            best = (crit, alpha)
+    best = _first_flip_above_two(d, radius)
     if best is None or best[0] > p_cap:
         return IndexValue.at_least(p_cap), None
     return IndexValue.exact(best[0]), best[1]

@@ -164,6 +164,32 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe", "hartogs:1/1", "--alpha", "0", "--gamma", "0"],
+    ["probe", "hartogs:1/1", "--alpha", "0,0", "--gamma", "0,1", "--steps", "0"],
+    ["index-set", "hartogs:1/1", "--p", "1e3"],
+    ["density", "polydisc:1", "--alpha", "x"],
+    ["density", "polydisc:1", "--ks", "0"],
+    ["thresholds", "hartogs:1/1", "--window", "0"],
+    ["project", "hartogs:1/1", "--terms", "notjson"],
+    ["project", "hartogs:1/1", "--terms", '[{"c": [1, 0]}]'],
+])
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_bad_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("BERGMAN_SEED", "abc")
+    code = cli.run(["info", "ball:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+
+
 def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BERGMAN_SEED", "123")
     code, out = run_json(capsys, ["info", "ball:1"])

@@ -1,6 +1,7 @@
 """Index-set windows, thresholds, and the three indices."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,141 @@ def test_preconditions():
         ix.duality_bound(H11, 6, 2)
     with pytest.raises(ParseError):
         ix.duality_bound(H11, 1, 20)
+
+
+# ---------------------------------------------------------------------------
+# brute-force agreement: every lattice query against box scans through member
+# ---------------------------------------------------------------------------
+
+AGREEMENT_RADII = range(1, 8)
+AGREEMENT_DOMAINS = (
+    [dm.hartogs(m, n) for m in range(1, 9) for n in range(1, 10 - m)
+     if math.gcd(m, n) == 1]
+    + [dm.polydisc(k) for k in (1, 2, 3)] + [dm.ball(k) for k in (1, 2, 3)])
+INJECTIVITY_PS = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4))
+WINDOW_PS = (Fraction(1), Fraction(2), Fraction(7, 2))
+
+
+def flip_candidates(d, radius):
+    """Exponents where p * slope can meet -2(m+n) for a window slope."""
+    if d.family is not dm.Family.HARTOGS:
+        return []
+    return sorted(Fraction(2 * (d.m + d.n), k)
+                  for k in range(1, (d.m + d.n) * radius + 1))
+
+
+def reference_flip(d, alpha, candidates):
+    """The exponent where alpha stops being a member, by bisection on member.
+
+    None when membership does not change over the candidate range, or over
+    [1/2, 9] (which holds the thresholds range) on domains without
+    candidates.  Asserts that alpha is a member just below the flip and not
+    at it.
+    """
+    low = candidates[0] / 2 if candidates else Fraction(1, 2)
+    high = candidates[-1] if candidates else Fraction(9)
+    if not ix.member(d, alpha, low) or ix.member(d, alpha, high):
+        assert ix.member(d, alpha, low) == ix.member(d, alpha, high), alpha
+        return None
+    assert candidates, f"{alpha} flips on a domain without candidates"
+    lo, hi = -1, len(candidates) - 1  # member at candidates[lo], not at [hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ix.member(d, alpha, candidates[mid]):
+            lo = mid
+        else:
+            hi = mid
+    below = candidates[lo] if lo >= 0 else low
+    assert ix.member(d, alpha, (below + candidates[hi]) / 2), alpha
+    return candidates[hi]
+
+
+def reference_lattice(d, radius):
+    """(box in lex order, membership at every probed p, flip of each index)."""
+    box = list(itertools.product(range(-radius, radius + 1), repeat=d.dim))
+    ps = set(WINDOW_PS) | set(INJECTIVITY_PS) | {
+        dm.conjugate_exponent(p) for p in INJECTIVITY_PS if p > 2}
+    inside = {p: {a for a in box if ix.member(d, a, p)} for p in ps}
+    candidates = flip_candidates(d, radius)
+    flips = {a: reference_flip(d, a, candidates) for a in box}
+    return box, inside, flips
+
+
+def reference_thresholds(box, flips, p_lo, p_hi):
+    found = {}
+    for alpha in box:
+        v = flips[alpha]
+        if v is not None and p_lo <= v <= p_hi:
+            found.setdefault(v, alpha)
+    return [(v, found[v]) for v in sorted(found)]
+
+
+def reference_indices(d, box, flips, radius, p_cap):
+    """The three indices, computed from the reference flips by definition."""
+    if ix.structurally_p_independent(d):
+        unbounded = ix.IndexValue.unbounded()
+        return (unbounded, []), (unbounded, None), (unbounded, None)
+    crits = dict(reference_thresholds(box, flips, 0, math.inf))
+    two = Fraction(2)
+    candidates = []
+    if two in crits:
+        dual = (ix.IndexValue.exact(2), [(crits[two], "enters_below_2")])
+    else:
+        above = [t for t in crits if two < t <= p_cap]
+        below = [t for t in crits if 1 < t < two]
+        if above:
+            candidates.append((min(above), crits[min(above)], "threshold_above_2"))
+        if below:
+            candidates.append((dm.conjugate_exponent(max(below)), crits[max(below)],
+                               "conjugate_threshold_below_2"))
+        bound = min(candidates, key=lambda c: c[0]) if candidates else None
+        if bound is None or bound[0] > p_cap:
+            dual = (ix.IndexValue.at_least(p_cap), [])
+        else:
+            dual = (ix.IndexValue.exact(bound[0]), [(bound[1], bound[2])])
+    above_two = [t for t in crits if t > two]
+    first = (min(above_two), crits[min(above_two)]) if above_two else None
+    if first is None or first[0] != ix.hartogs_regularity_formula(d.m, d.n):
+        reg = WindowTooSmall
+    else:
+        delta = first[1]
+        gamma = (0, max(0, -delta[1]))
+        reg = (ix.IndexValue.exact(first[0]),
+               (tuple(x + g for x, g in zip(delta, gamma)), gamma))
+    if first is None or first[0] > p_cap:
+        beta = (ix.IndexValue.at_least(p_cap), None)
+    else:
+        beta = (ix.IndexValue.exact(first[0]), first[1])
+    return dual, reg, beta
+
+
+@pytest.mark.parametrize("d", AGREEMENT_DOMAINS, ids=str)
+def test_lattice_queries_match_member_scans(d):
+    from bergman_indices import duality_projection as dp
+
+    full_box, full_inside, full_flips = reference_lattice(d, max(AGREEMENT_RADII))
+    for radius in AGREEMENT_RADII:
+        # windows nest, so each radius reads the largest box restricted to it
+        box = [a for a in full_box if max(map(abs, a)) <= radius]
+        flips = {a: full_flips[a] for a in box}
+        got = [(t.value, t.witness) for t in ix.thresholds(d, 1, 9, radius)]
+        assert got == reference_thresholds(box, flips, 1, 9), (str(d), radius)
+        for p in WINDOW_PS:
+            want = tuple(a for a in box if a in full_inside[p])
+            assert ix.index_set_window(d, p, radius).members == want, (str(d), p, radius)
+        for p in INJECTIVITY_PS:
+            q = Fraction(2) if p == 2 else dm.conjugate_exponent(p)
+            want = next((a for a in box if a in full_inside[q]
+                         and a not in full_inside[p]), None)
+            assert dp.injectivity_witness_scan(d, p, radius) == want, (str(d), p, radius)
+        if radius < 2:
+            continue
+        for p_cap in (Fraction(5, 2), Fraction(64)):
+            dual, reg, beta = reference_indices(d, box, flips, radius, p_cap)
+            assert ix.duality_bound(d, radius, p_cap) == dual, (str(d), radius, p_cap)
+            assert ix.beta_upper(d, radius, p_cap) == beta, (str(d), radius, p_cap)
+        if reg is WindowTooSmall:
+            with pytest.raises(WindowTooSmall):
+                ix.regularity_probe(d, radius)
+        else:
+            assert ix.regularity_probe(d, radius) == reg, (str(d), radius)
