@@ -145,12 +145,9 @@ def cmd_kernel(args) -> int:
         "window": args.window,
         "value": {"re": value.real, "im": value.imag},
     }
-    try:
-        closed = kn.kernel_closed_form(d, z, w)
-        result["closed_form"] = {"re": closed.real, "im": closed.imag}
-        result["abs_diff"] = abs(value - closed)
-    except ParseError:
-        result["closed_form"] = None
+    closed = kn.kernel_closed_form(d, z, w)
+    result["closed_form"] = {"re": closed.real, "im": closed.imag}
+    result["abs_diff"] = abs(value - closed)
     if args.pnorm is not None:
         p = parse_fraction(args.pnorm)
         est = kn.kernel_pnorm_estimate(d, z, p, args.window, _quad_config(args))
@@ -165,8 +162,11 @@ def cmd_density(args) -> int:
     d = dm.parse_domain(args.domain)
     alpha = _parse_ints(args.alpha, "--alpha")
     if args.points:
-        pts = [tuple(complex(c[0], c[1]) for c in point)
-               for point in json.loads(args.points)]
+        try:
+            pts = [tuple(complex(c[0], c[1]) for c in point)
+                   for point in json.loads(args.points)]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ParseError(f"malformed --points: {exc!r}") from None
         rows = [(len(pts), kn.density_residual(d, alpha, pts))]
     else:
         if d.dim != 1:
@@ -193,6 +193,13 @@ def cmd_density(args) -> int:
     return 0
 
 
+def _exponents(values) -> tuple:
+    """A JSON exponent list as a tuple; anything but integers is a TypeError."""
+    if not all(type(e) is int for e in values):
+        raise TypeError(f"exponents must be integers, got {values!r}")
+    return tuple(values)
+
+
 def _load_terms(text: str):
     if text == "-":
         payload = sys.stdin.read()
@@ -202,8 +209,8 @@ def _load_terms(text: str):
     else:
         payload = text
     try:
-        terms = [(complex(t["c"][0], t["c"][1]), tuple(t["alpha"]),
-                  tuple(t.get("gamma", [0] * len(t["alpha"]))))
+        terms = [(complex(t["c"][0], t["c"][1]), _exponents(t["alpha"]),
+                  _exponents(t.get("gamma", [0] * len(t["alpha"]))))
                  for t in json.loads(payload)]
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed --terms: {exc!r}") from None

@@ -21,6 +21,11 @@ class Inconclusive(RuntimeError):
     """A numerical probe exhausted its budget without a verdict (exit code 3)."""
 
 
+class NaNOnGrid(Inconclusive, ValueError):
+    """An integrand gave NaN on a quadrature grid, as when its values leave
+    the floating-point range; still a ValueError for library callers."""
+
+
 class ChainViolation(RuntimeError):
     """Internal consistency failure: the index chain ordering broke."""
 

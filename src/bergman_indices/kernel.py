@@ -5,16 +5,22 @@ The kernel of a Reinhardt domain expands over the allowable-at-2 monomials,
     K(w, z) = sum over alpha in S(2) of  w^alpha * conj(z)^alpha / ||z^alpha||^2,
 
 and this module evaluates the window truncation of that series (exact inverse
-norms, fixed lexicographic summation order) next to resummed closed forms:
+norms, fixed lexicographic summation order) next to its resummation, a
+rational function of the products x_i = w_i conj(z_i):
 
-  polydisc   prod_i 1 / (pi * (1 - w_i conj(z_i))^2)
-  ball       n! / pi^n * (1 - <w, z>)^(-(n+1))
-  H(1, 1)    y / (pi^2 * (1 - y)^2 * (y - x)^2),  x = w_1 conj(z_1),
-                                                  y = w_2 conj(z_2)
+  polydisc   prod_i 1 / (pi * (1 - x_i)^2)
+  ball       n! / pi^n * (1 - sum_i x_i)^(-(n+1))
+  H(m, n)    sum_{r=0}^{m-1}  x^r y^(-c_r) ((r+1) + (m-r-1) t) (k_r + (m-k_r) y)
+                              / (pi^2 m (1-t)^2 (1-y)^2),
+             x = x_1, y = x_2, t = x^m / y^n,
+             c_r = ceil(n (r+1) / m),  k_r = n (r+1) + m (1 - c_r)
 
-(The kernel is Hermitian, K(w, z) = conj(K(z, w)); the closed forms follow the
-series convention, analytic in w.)  Reproduction of monomials is checked by
-the exact orthogonality collapse of the pairing, the span-density proxy is the
+The triangle form splits alpha_1 = m q + r and alpha_2 = -n q - c_r + j
+(q, j >= 0); each residue class r then sums two geometric-type series, in t
+and in y.  For m = n = 1 it is y / (pi^2 (1-y)^2 (y-x)^2).  (The kernel is
+Hermitian, K(w, z) = conj(K(z, w)); the closed forms follow the series
+convention, analytic in w.)  Reproduction of monomials is checked by the
+exact orthogonality collapse of the pairing, the span-density proxy is the
 exact Gram least-squares residual, and kernel p-norms are estimated by the
 quadrature module with corner-cutoff divergence probing.
 """
@@ -29,8 +35,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domains import (DomainSpec, Family, MultiIndex, moment, point_in_domain)
-from .errors import IllConditionedGram, Inconclusive, ParseError
+from .domains import (DomainSpec, Family, MultiIndex, check_exponent, moment,
+                      point_in_domain)
+from .errors import IllConditionedGram, ParseError
 from .exact import EXACT_ONE, ExactValue
 from .index_sets import index_set_window
 from .quadrature import (BlackBoxIntegrand, ProbeResult, QuadConfig,
@@ -84,28 +91,69 @@ def kernel_truncated(d: DomainSpec, z, w, radius: int) -> complex:
     return total
 
 
-def kernel_closed_form(d: DomainSpec, z, w) -> complex:
-    """Resummed kernel; available on the polydisc, the ball, and H(1, 1)."""
-    z = _require_inside(d, z, "z")
-    w = _require_inside(d, w, "w")
+def _power(v, e: int):
+    """v^e by products (numpy's complex power is slow); v itself for e = 1."""
+    return v if e == 1 else math.prod([v] * e)
+
+
+def _closed_form(d: DomainSpec, xs):
+    """Resummed kernel on the products x_i = w_i conj(z_i) (module docstring).
+
+    Complex numbers or arrays that broadcast.  On the triangle at most two
+    and a half blocks of the full shape are alive at once: factors in y alone
+    keep the shape of y, and the numerator and denominator are built in
+    place.
+    """
     if d.family is Family.POLYDISC:
-        value = 1.0 + 0j
-        for zi, wi in zip(z, w):
-            value *= 1.0 / (math.pi * (1.0 - wi * zi.conjugate()) ** 2)
+        value = 1.0
+        for x in xs:
+            value = value / (math.pi * (1.0 - x) ** 2)
         return value
     if d.family is Family.BALL:
-        inner = sum(wi * zi.conjugate() for zi, wi in zip(z, w))
         return (math.factorial(d.dim) / math.pi ** d.dim
-                * (1.0 - inner) ** (-(d.dim + 1)))
-    if (d.m, d.n) != (1, 1):
-        raise ParseError(
-            f"no closed form for {d}; use the truncated series")
-    x = w[0] * z[0].conjugate()
-    y = w[1] * z[1].conjugate()
-    den = (1.0 - y) ** 2 * (y - x) ** 2
-    if abs(y - x) < 1e-12 or abs(1.0 - y) < 1e-12:
+                * (1.0 - sum(xs)) ** (-(d.dim + 1)))
+    m, n = d.m, d.n
+    x, y = xs
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    y_n, x_m = _power(y, n), _power(x, m)
+
+    def coefficient(r):
+        """B_r ((r+1) y^n + (m-r-1) x^m) for r < m-1, as a new full block."""
+        c = -(-n * (r + 1) // m)
+        k = n * (r + 1) + m * (1 - c)
+        b = _power(y, n - c) * (k + (m - k) * y)
+        out = np.multiply(y_n, r + 1, out=np.empty(shape, dtype=complex))
+        out += (m - r - 1) * x_m
+        out *= b
+        return out
+
+    # times y^(2n), the numerator is  sum_r x^r B_r ((r+1) y^n + (m-r-1) x^m)
+    # with B_r = y^(n-c_r) (k_r + (m-k_r) y), where B_(m-1) = m, and the
+    # denominator is  pi^2 m (1-y)^2 (y^n - x^m)^2.  Horner in x, in place
+    # once the sum has the full shape.
+    total = m * m * y_n
+    for r in reversed(range(m - 1)):
+        if np.shape(total) == shape:
+            total *= x
+        else:
+            total = total * x
+        total += coefficient(r)
+    den = math.pi ** 2 * m * (1.0 - y) ** 2
+    s = np.asarray(y_n - x_m)
+    s *= s
+    s *= den
+    return np.divide(total, s, out=s)
+
+
+def kernel_closed_form(d: DomainSpec, z, w) -> complex:
+    """Resummed kernel K(w, z); every supported domain has one."""
+    z = _require_inside(d, z, "z")
+    w = _require_inside(d, w, "w")
+    xs = [wi * zi.conjugate() for zi, wi in zip(z, w)]
+    if d.family is Family.HARTOGS and min(
+            abs(1.0 - xs[0] ** d.m / xs[1] ** d.n), abs(1.0 - xs[1])) < 1e-12:
         warnings.warn(f"kernel denominator nearly singular at z={z}, w={w}")
-    return y / (math.pi ** 2 * den)
+    return complex(_closed_form(d, xs))
 
 
 def reproduce_check(d: DomainSpec, alpha, z, radius: int) -> float:
@@ -131,14 +179,7 @@ def reproduce_check(d: DomainSpec, alpha, z, radius: int) -> float:
     return abs(float(collapse) * monomial - monomial)
 
 
-def _gram_kernel(d: DomainSpec, zi, zj, radius: int) -> complex:
-    try:
-        return kernel_closed_form(d, zj, zi)  # K(z_i, z_j): analytic slot = z_i
-    except ParseError:
-        return kernel_truncated(d, zj, zi, radius)
-
-
-def density_residual(d: DomainSpec, alpha, points: Sequence, radius: int = 40,
+def density_residual(d: DomainSpec, alpha, points: Sequence,
                      cond_limit: float = 1e12) -> float:
     """Squared distance from e_alpha to the span of kernel sections.
 
@@ -159,7 +200,7 @@ def density_residual(d: DomainSpec, alpha, points: Sequence, radius: int = 40,
     gram = np.empty((k, k), dtype=complex)
     for i in range(k):
         for j in range(k):
-            gram[i, j] = _gram_kernel(d, pts[i], pts[j], radius)
+            gram[i, j] = kernel_closed_form(d, pts[j], pts[i])  # K(z_i, z_j)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedGram(
@@ -183,69 +224,21 @@ class PNormEstimate:
     sequence: Tuple[float, ...]
 
 
-def _kernel_integrand(d: DomainSpec, z, radius: int,
-                      cfg: QuadConfig) -> BlackBoxIntegrand:
+def _kernel_integrand(d: DomainSpec, z) -> BlackBoxIntegrand:
     """Kernel section w -> K(w, z) as a quadrature integrand with decay hints."""
+    zbar = [complex(zi).conjugate() for zi in z]
     # axes with z_i = 0 drop out of every product w_i * conj(z_i): the kernel
-    # section is angle-free there, which collapses that angular axis
+    # section is angle-free there, which collapses that angular axis.  The
+    # products stay full arrays, since the angular weights assume full shape.
     band = tuple(0 if zi == 0 else None for zi in z)
-    closed = (d.family in (Family.POLYDISC, Family.BALL)
-              or (d.m, d.n) == (1, 1))
-    if closed:
-        if d.family is Family.POLYDISC:
-            def fn(*ws):
-                value = 1.0
-                for wi, zi in zip(ws, z):
-                    value = value / (math.pi * (1.0 - wi * complex(zi).conjugate()) ** 2)
-                return value
-            decay = (0,) * d.dim
-        elif d.family is Family.BALL:
-            def fn(*ws):
-                inner = sum(wi * complex(zi).conjugate() for wi, zi in zip(ws, z))
-                return (math.factorial(d.dim) / math.pi ** d.dim
-                        * (1.0 - inner) ** (-(d.dim + 1)))
-            decay = (0,) * d.dim
-        else:
-            zb1, zb2 = complex(z[0]).conjugate(), complex(z[1]).conjugate()
-
-            def fn(w1, w2):
-                x = w1 * zb1
-                y = w2 * zb2
-                return y / (math.pi ** 2 * (1.0 - y) ** 2 * (y - x) ** 2)
-            decay = (0, -1)
-        return BlackBoxIntegrand(fn, d.dim, angular_bandwidth=band,
-                                 modulus_exponents=decay)
-
-    # verify the window tail is negligible at a deterministic probe point
-    probe = tuple(0.5 * zi / max(abs(zi), 0.5) if abs(zi) else 0.0 for zi in z)
-    v1 = kernel_truncated(d, z, probe, radius)
-    v2 = kernel_truncated(d, z, probe, radius + 4)
-    if abs(v1 - v2) > 100 * cfg.rel_tol * max(abs(v2), 1e-30):
-        raise Inconclusive(
-            f"series tail at radius {radius} not below tolerance; raise N")
-    zconj = [complex(zi).conjugate() for zi in z]
-    coeffs = []
-    for alpha, inv in kernel_series(d, radius).terms:
-        scale = float(inv) + 0j
-        for zc, a in zip(zconj, alpha):
-            if a:
-                scale *= zc ** a
-        if scale != 0:
-            coeffs.append((scale, alpha))
-    min_expo = tuple(min(a[i] for _c, a in coeffs) for i in range(d.dim))
+    # on the triangle the worst term per axis is x^0 and y^(-c_(m-1)) = y^(-n)
+    decay = (0, -d.n) if d.family is Family.HARTOGS else (0,) * d.dim
 
     def fn(*ws):
-        total = None
-        for cval, alpha in coeffs:
-            term = cval * np.ones_like(ws[0])
-            for wi, a in zip(ws, alpha):
-                if a:
-                    term = term * wi ** a
-            total = term if total is None else total + term
-        return total
+        return _closed_form(d, [wi * zb for wi, zb in zip(ws, zbar)])
 
     return BlackBoxIntegrand(fn, d.dim, angular_bandwidth=band,
-                             modulus_exponents=min_expo)
+                             modulus_exponents=decay)
 
 
 def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
@@ -253,12 +246,15 @@ def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
     """Quadrature estimate of ||K(., z)||_p with divergence detection.
 
     Runs the corner-cutoff refinement ladder of the quadrature module on the
-    kernel section; a diverging verdict reports the last (growing) estimate.
+    closed-form kernel section; a diverging verdict reports the last (growing)
+    estimate.  ``radius`` is ignored: it is kept so that positional callers
+    written for the former series integrand still work.
     """
+    p = check_exponent(p)
     z = _require_inside(d, z, "z")
     if cfg is None:
         cfg = QuadConfig(radial_nodes=24, angular_nodes=32, rel_tol=1e-9)
-    integrand = _kernel_integrand(d, z, radius, cfg)
+    integrand = _kernel_integrand(d, z)
     # classification tolerates ~1e-3 per level; keep the ladder cheap
     probe_cfg = replace(cfg, radial_nodes=16, angular_nodes=16,
                         rel_tol=max(cfg.rel_tol, 1e-4))

@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import DomainSpec, Family
-from .errors import Inconclusive
+from .errors import Inconclusive, NaNOnGrid
 from .exact import as_fraction
 
 TWO_PI = 2.0 * math.pi
@@ -167,10 +167,11 @@ class AbsPowerIntegrand:
         self.dim = base.dim
 
     def eval_polar(self, radii, thetas):
-        vals = self.base.eval_polar(radii, thetas)
+        # in place: the complex block is freed before the power is taken
+        vals = np.abs(self.base.eval_polar(radii, thetas))
         # divergent probes may overflow to inf; the ladder reads that as growth
         with np.errstate(over="ignore"):
-            return np.abs(vals) ** float(self.p)
+            return np.power(vals, float(self.p), out=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -273,33 +274,19 @@ def _integrate_axis(e: Fraction, b: Fraction, cfg: QuadConfig, cutoff: float):
 
 def _separable_moment(d: DomainSpec, c: Sequence[Fraction], cfg: QuadConfig,
                       cutoff: float):
-    """Quadrature of prod |z_i|^(c_i) dV by per-axis one-dimensional rules."""
-    c = [as_fraction(ci) for ci in c]
-    if d.family is Family.POLYDISC:
-        value, rel_err = 1.0, 0.0
-        for ci in c:
-            v, e = _integrate_axis(ci + 1, Fraction(0), cfg, cutoff)
-            value *= v
-            rel_err += e / abs(v) if v else math.inf
-        value *= TWO_PI ** d.dim
-        return value, rel_err * abs(value)
-    if d.family is Family.HARTOGS:
-        c1, c2 = c
-        vu, eu = _integrate_axis(c1 + 1, Fraction(0), cfg, cutoff)
-        ev = Fraction(d.n, d.m) * (c1 + 2) + c2 + 1
-        vv, evv = _integrate_axis(ev, Fraction(0), cfg, cutoff)
-        value = TWO_PI ** 2 * vu * vv
-        rel = (eu / abs(vu) if vu else math.inf) + (evv / abs(vv) if vv else math.inf)
-        return value, rel * abs(value)
-    # ball: sequential simplex coordinates factor per axis
-    a = [ci / 2 for ci in c]
+    """Quadrature of prod |z_i|^(c_i) dV by per-axis one-dimensional rules.
+
+    The box axes factor: each integrates u^e0 (1-u)^e1 with the exponents
+    of ``_box_axis_hints``; the torus gives 2 pi per axis (pi per axis on
+    the ball, whose simplex map carries a factor 1/2 per axis).
+    """
+    hints = _box_axis_hints(d, [as_fraction(ci) for ci in c])
     value, rel_err = 1.0, 0.0
-    for j in range(d.dim):
-        tail = sum((a[i] + 1 for i in range(j + 1, d.dim)), Fraction(0))
-        v, e = _integrate_axis(a[j], tail, cfg, cutoff)
+    for e0, e1 in hints:
+        v, e = _integrate_axis(e0, e1, cfg, cutoff)
         value *= v
         rel_err += e / abs(v) if v else math.inf
-    value *= math.pi ** d.dim
+    value *= (math.pi if d.family is Family.BALL else TWO_PI) ** d.dim
     return value, rel_err * abs(value)
 
 
@@ -503,7 +490,7 @@ def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()) -> IntegralResul
         if err <= cfg.rel_tol * max(abs(value), 1e-300):
             break
     if value != value:  # NaN (real or complex)
-        raise ValueError("integrand produced NaN on the quadrature grid")
+        raise NaNOnGrid("integrand produced NaN on the quadrature grid")
     if abs(value.imag) <= 1e-12 * max(abs(value), 1.0):
         value = value.real
     return IntegralResult(value, err)

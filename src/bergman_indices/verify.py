@@ -331,8 +331,11 @@ def _sample_point(d: DomainSpec, rng: np.random.Generator,
                   max_mod: float = 0.7) -> tuple:
     """Random interior point with componentwise modulus below max_mod.
 
-    On the triangle, moduli keep |z1| <= 0.6^(n/m) |z2|^(n/m) so kernel series
-    retain a geometric tail.
+    On the triangle, moduli keep |z1| <= 0.6^max(1, n/m) |z2|^(n/m).  For two
+    such points the kernel window of radius R then leaves a tail of order
+    0.6^(2R) on every triangle: the ratio |x| / |y|^(n/m) of x = w1 conj(z1)
+    and y = w2 conj(z2) is at most 0.6^(2 max(1, n/m)), and the window keeps
+    its powers up to about R min(1, m/n).
     """
     phases = np.exp(2j * math.pi * rng.random(d.dim))
     if d.family is Family.POLYDISC:
@@ -343,7 +346,7 @@ def _sample_point(d: DomainSpec, rng: np.random.Generator,
         radii = raw * 0.999
     else:
         r2 = 0.2 + (max_mod - 0.2) * rng.random()
-        r1 = 0.6 ** (d.n / d.m) * r2 ** (d.n / d.m) * rng.random()
+        r1 = 0.6 ** max(1, d.n / d.m) * r2 ** (d.n / d.m) * rng.random()
         radii = np.array([r1, r2])
     return tuple(radii * phases)
 
@@ -359,8 +362,6 @@ def kernel_checks(doms: Sequence[DomainSpec], rng: np.random.Generator,
         where = None
         max_mod = 0.7 if level == "full" else 0.6  # radius-30 tail needs margin
         for d in doms:
-            if d.family is Family.HARTOGS and (d.m, d.n) != (1, 1):
-                continue
             for _ in range(n_pairs):
                 z = _sample_point(d, rng, max_mod)
                 w = _sample_point(d, rng, max_mod)

@@ -69,6 +69,17 @@ def test_kernel_subcommand(capsys):
     assert result["closed_form"]["re"] > 0
 
 
+def test_kernel_closed_form_on_general_triangle(capsys):
+    code, out = run_json(capsys, ["kernel", "hartogs:2/1", "--z", "0.1,0.5",
+                                  "--w", "0,0.5", "--window", "20"])
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload)
+    result = payload["result"]
+    assert result["closed_form"] is not None
+    assert result["abs_diff"] < 1e-9 * result["closed_form"]["re"]
+
+
 def test_kernel_pnorm_flag(capsys):
     code, out = run_json(capsys, ["kernel", "hartogs:1/1", "--z", "0,0.5",
                                   "--w", "0,0.5", "--pnorm", "5"])
@@ -173,6 +184,11 @@ def test_usage_errors_exit_2(capsys):
     ["thresholds", "hartogs:1/1", "--window", "0"],
     ["project", "hartogs:1/1", "--terms", "notjson"],
     ["project", "hartogs:1/1", "--terms", '[{"c": [1, 0]}]'],
+    ["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "0"],
+    ["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "-1"],
+    ["density", "polydisc:1", "--points", "x"],
+    ["project", "hartogs:1/1", "--terms", '[{"c": [1, 0], "alpha": ["a", 0]}]'],
+    ["project", "hartogs:1/1", "--terms", '[{"c": [1, 0], "alpha": [0.5, 0]}]'],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.run(argv)

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bergman_indices import domains as dm
 from bergman_indices import index_sets as ix
 from bergman_indices import kernel as kn
-from bergman_indices.errors import IllConditionedGram, ParseError
+from bergman_indices.errors import IllConditionedGram, Inconclusive, ParseError
+from bergman_indices.verify import _sample_point
 
 H11 = dm.hartogs(1, 1)
 PI = math.pi
@@ -75,9 +77,20 @@ def test_points_outside_domain_rejected():
         kn.kernel_closed_form(dm.ball(2), (0.9, 0.9), (0, 0))
 
 
-def test_no_closed_form_for_general_triangle():
-    with pytest.raises(ParseError):
-        kn.kernel_closed_form(dm.hartogs(1, 2), (0, 0.5), (0, 0.5))
+def test_closed_form_matches_series_on_every_small_triangle():
+    rng = np.random.default_rng(3)
+    triangles = [(m, n) for m in range(1, 8) for n in range(1, 8)
+                 if m + n <= 8 and math.gcd(m, n) == 1]
+    assert len(triangles) == 21
+    for m, n in triangles:
+        d = dm.hartogs(m, n)
+        for _ in range(5):
+            z, w = _sample_point(d, rng), _sample_point(d, rng)
+            c = kn.kernel_closed_form(d, z, w)
+            s = kn.kernel_truncated(d, z, w, 40)
+            assert abs(s - c) <= 1e-10 * abs(c), (str(d), z, w)
+            assert kn.kernel_closed_form(d, w, z) == \
+                pytest.approx(c.conjugate(), rel=1e-14), str(d)
 
 
 def test_reproduce_exact_zero():
@@ -137,6 +150,17 @@ def test_pnorm_constant_kernel_polydisc():
         assert est.value == pytest.approx(PI ** (1 / float(p)) / PI, rel=1e-9)
 
 
-def test_pnorm_series_fallback():
-    est = kn.kernel_pnorm_estimate(dm.hartogs(1, 2), (0, 0.5), 2, radius=12)
-    assert not est.diverging and est.value > 0
+def test_pnorm_closed_form_general_triangle():
+    # ||K(., z)||_2^2 = K(z, z) by the reproducing property
+    d, z = dm.hartogs(1, 2), (0, 0.5)
+    est = kn.kernel_pnorm_estimate(d, z, 2)
+    assert not est.diverging
+    assert est.value == pytest.approx(
+        math.sqrt(kn.kernel_closed_form(d, z, z).real), rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pnorm_beyond_float_range_is_inconclusive():
+    # |K(w, z)|^2 ~ |w2|^-50 on H(1, 25) leaves the float range on the ladder
+    with pytest.raises(Inconclusive):
+        kn.kernel_pnorm_estimate(dm.hartogs(1, 25), (0, 0.5), 2)
