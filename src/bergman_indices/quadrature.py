@@ -26,7 +26,13 @@ profile on (cutoff, 1).
 
 The angular rule is the uniform trapezoid, exact for trigonometric
 polynomials below the node count; monomial sums declare their bandwidth.
-All reductions run in a fixed order, so results are bit-stable.
+|sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
+differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
+basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
+theta -> B theta of T^dim onto T^k gives  int h(B theta) dtheta =
+(2 pi)^(dim-k) int_{T^k} h(psi) dpsi,  so the mesh carries k angular axes
+(none when all terms share one frequency).  All sums run in a fixed
+order, so results are bit-stable.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import DomainSpec, Family
-from .errors import Inconclusive, NaNOnGrid
+from .errors import Inconclusive, NaNOnGrid, ParseError
 from .exact import as_fraction
 
 TWO_PI = 2.0 * math.pi
@@ -48,7 +54,12 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature budgets and probe controls."""
+    """Quadrature budgets and probe controls.
+
+    ``integrate`` runs the base rule and then up to ``max_doublings + 1``
+    doubled rules, stopping once two successive ones agree to ``rel_tol``;
+    so ``max_doublings=0`` still doubles once.  Budgets out of range raise
+    ``ParseError``, a ``ValueError``."""
 
     radial_nodes: int = 64
     angular_nodes: Optional[int] = None  # None: derived from bandwidth (min 32)
@@ -60,11 +71,13 @@ class QuadConfig:
 
     def __post_init__(self):
         if self.radial_nodes < 4:
-            raise ValueError("radial_nodes must be >= 4")
+            raise ParseError("radial_nodes must be >= 4")
         if self.angular_nodes is not None and self.angular_nodes < 4:
-            raise ValueError("angular_nodes must be >= 4")
+            raise ParseError("angular_nodes must be >= 4")
         if not 0.0 <= self.corner_cutoff < 0.5:
-            raise ValueError("corner_cutoff must lie in [0, 1/2)")
+            raise ParseError("corner_cutoff must lie in [0, 1/2)")
+        if self.refinement_levels < 2:
+            raise ParseError("refinement_levels must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -108,30 +121,37 @@ class MonomialSumIntegrand:
                 for _c, alpha, gamma in self.terms]
 
     def bandwidth(self) -> Tuple[int, ...]:
-        freqs = self.frequencies()
-        return tuple(max(f[i] for f in freqs) - min(f[i] for f in freqs)
-                     for i in range(self.dim))
+        return tuple(max(col) - min(col) for col in zip(*self.frequencies()))
 
     def eval_polar(self, radii, thetas):
         shape = np.broadcast_shapes(
             *(np.shape(r) for r in radii), *(np.shape(t) for t in thetas))
         out = np.zeros(shape, dtype=complex)
-        for c, alpha, gamma in self.terms:
-            term = None
-            for i in range(self.dim):
-                e = alpha[i] + gamma[i]
-                f = alpha[i] - gamma[i]
+        for (c, _a, _g), expo, freq in zip(self.terms, self.radial_exponents(),
+                                           self.frequencies()):
+            term = c  # radial factors first: they are small blocks
+            for r, e in zip(radii, expo):
                 if e:
-                    fac = radii[i] ** e
-                    term = fac if term is None else term * fac
+                    term = term * r ** e
+            for t, f in zip(thetas, freq):
                 if f:
-                    fac = np.exp(1j * f * thetas[i])
-                    term = fac if term is None else term * fac
-            if term is None:
-                out += c
-            else:
-                out += c * term
+                    term = term * np.exp(1j * f * t)
+            out += term
         return out
+
+
+class _ReducedSum(MonomialSumIntegrand):
+    """A monomial sum on its rank-k torus (module docstring): term t has
+    frequency c_t, its coordinates in the lattice basis of f_t - f_0."""
+
+    def __init__(self, base: MonomialSumIntegrand):
+        self.terms, self.dim = base.terms, base.dim
+        freqs = base.frequencies()
+        _basis, self._coords = lattice_basis(
+            [[a - b for a, b in zip(f, freqs[0])] for f in freqs])
+
+    def frequencies(self) -> list:
+        return self._coords
 
 
 class BlackBoxIntegrand:
@@ -312,26 +332,13 @@ def _angular_bandwidths(g) -> list:
     if isinstance(g, MonomialSumIntegrand):
         return list(g.bandwidth())
     if isinstance(g, BlackBoxIntegrand):
-        if g.angular_bandwidth is None:
-            return [None] * g.dim
-        return list(g.angular_bandwidth)
+        return list(g.angular_bandwidth or [None] * g.dim)
     if isinstance(g, AbsPowerIntegrand):
-        base = _angular_bandwidths(g.base)
         p = g.p
-        if (isinstance(g.base, MonomialSumIntegrand)
-                and len(g.base.terms) == 1):
-            return [0] * g.dim  # |monomial|^p is angle-free
-        out = []
-        for b in base:
-            if b == 0:
-                out.append(0)
-            elif b is None:
-                out.append(None)
-            elif p.denominator == 1 and p.numerator % 2 == 0:
-                out.append(b * (p.numerator // 2))
-            else:
-                out.append(None)  # fractional power of a trig polynomial
-        return out
+        even = p.denominator == 1 and p.numerator % 2 == 0
+        # a non-even power of a trigonometric polynomial is not one
+        return [None if b is None or (b and not even) else b * (p.numerator // 2)
+                for b in _angular_bandwidths(g.base)]
     raise TypeError(f"unsupported integrand {type(g).__name__}")
 
 
@@ -339,16 +346,10 @@ def _angular_counts(g, cfg: QuadConfig) -> Tuple[list, list]:
     """Per-axis trapezoid node counts plus per-axis exactness flags."""
     bands = _angular_bandwidths(g)
     default = 32 if g.dim <= 2 else 12  # tensor cost grows fast past C^2
-    counts, exact = [], []
-    for b in bands:
-        if b is None:
-            counts.append(cfg.angular_nodes if cfg.angular_nodes is not None
-                          else default)
-            exact.append(False)
-        else:
-            counts.append(max(1, b + 2))
-            exact.append(True)
-    return counts, exact
+    if cfg.angular_nodes is not None:
+        default = cfg.angular_nodes
+    return ([default if b is None else max(1, b + 2) for b in bands],
+            [b is not None for b in bands])
 
 
 def _box_axis_hints(d: DomainSpec, profile) -> list:
@@ -412,58 +413,97 @@ def _radial_mesh(d: DomainSpec, hints, n: int, cutoff: float):
     return radii, weight
 
 
-def _tensor_integrate(d: DomainSpec, g, cfg: QuadConfig, n_radial: int,
-                      ang_counts, cutoff: float) -> complex:
+def lattice_basis(vectors) -> Tuple[list, list]:
+    """(basis, coords): the k = rank rows of the Hermite normal form of the
+    integer ``vectors`` and, per vector v, the integers c with v = c . basis."""
+    rows, basis, pivots = [list(v) for v in vectors], [], []
+    for col in range(len(rows[0])):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:  # Euclid down the column
+            live.sort(key=lambda r: abs(r[col]))
+            for r in live[1:]:
+                q = r[col] // live[0][col]
+                r[:] = [a - q * b for a, b in zip(r, live[0])]
+            live = [r for r in live if r[col]]
+        if live:
+            rows = [r for r in rows if r is not live[0]]
+            piv = live[0] if live[0][col] > 0 else [-a for a in live[0]]
+            for b in basis:
+                q = b[col] // piv[col]
+                b[:] = [a - q * x for a, x in zip(b, piv)]
+            basis.append(piv)
+            pivots.append(col)
+    coords = []
+    for v in vectors:
+        res, c = list(v), []
+        for b, col in zip(basis, pivots):  # echelon: solve pivot by pivot
+            c.append(res[col] // b[col])
+            res = [a - c[-1] * x for a, x in zip(res, b)]
+        assert not any(res), "vector outside the lattice"
+        coords.append(tuple(c))
+    return [tuple(b) for b in basis], coords
+
+
+def _reduce_torus(g):
+    """|monomial sum|^p on its rank-k torus; any other integrand unchanged."""
+    if (isinstance(g, AbsPowerIntegrand)
+            and isinstance(g.base, MonomialSumIntegrand)):
+        return AbsPowerIntegrand(_ReducedSum(g.base), g.p)
+    return g
+
+
+def _mesh_blocks(d: DomainSpec, g, n_radial: int, ang_counts, cutoff: float):
+    """Blocks (radii, angles, radial weight) of the mesh: dim radial axes,
+    then one angular axis per entry of ``ang_counts``.  Blocks split the
+    first radial axis, and the first angular axis when one row is too
+    large, to stay near 2M points."""
     hints = _box_axis_hints(d, _radial_profile(g))
     radii, wrad = _radial_mesh(d, hints, n_radial, cutoff)
-    dim = d.dim
-    thetas, ang_w = [], 1.0
-    for i, m_i in enumerate(ang_counts):
-        shape = [1] * (2 * dim)
-        shape[dim + i] = -1
-        grid = np.arange(m_i) * (TWO_PI / m_i)
-        thetas.append(grid.reshape(shape))
-        ang_w *= TWO_PI / m_i
-    radii = [np.asarray(r).reshape(np.shape(r) + (1,) * dim) for r in radii]
-    wrad_b = np.asarray(wrad).reshape(np.shape(wrad) + (1,) * dim)
-
-    # chunk along the first radial axis so each block stays ~2M points;
-    # when a single row is still too large, chunk the first angular axis too
+    k = len(ang_counts)
+    thetas = [(np.arange(m) * (TWO_PI / m)).reshape((-1,) + (1,) * (k - 1 - i))
+              for i, m in enumerate(ang_counts)]  # trailing axes broadcast
+    radii = [np.asarray(r).reshape(np.shape(r) + (1,) * k) for r in radii]
+    wrad = np.asarray(wrad).reshape(np.shape(wrad) + (1,) * k)
     budget = 2_000_000
-    n_rows = max(r.shape[0] for r in radii)
-    points_per_row = (math.prod(max(r.shape[i] for r in radii)
-                                for i in range(1, dim)) or 1)
-    points_per_row *= math.prod(ang_counts)
-    block = max(1, min(n_rows, budget // max(points_per_row, 1)))
-    t_len = ang_counts[0]
-    t_block = t_len
-    if points_per_row > budget and t_len > 1:
-        t_block = max(1, int(budget // max(points_per_row // t_len, 1)))
-    theta0_axis = dim  # position of the first angular axis in the mesh shape
-    total = 0.0 + 0.0j
+    n_rows, *rest = np.broadcast_shapes(*(r.shape for r in radii))
+    points_per_row = math.prod(rest) * math.prod(ang_counts)
+    block = max(1, min(n_rows, budget // points_per_row))
+    angle_blocks = [thetas]
+    if points_per_row > budget and k and ang_counts[0] > 1:
+        t_block = max(1, budget // max(points_per_row // ang_counts[0], 1))
+        angle_blocks = [[thetas[0][t:t + t_block]] + thetas[1:]
+                        for t in range(0, ang_counts[0], t_block)]
     for start in range(0, n_rows, block):
         sl = slice(start, start + block)
         r_slice = [r[sl] if r.shape[0] > 1 else r for r in radii]
-        w_slice = wrad_b[sl] if wrad_b.shape[0] > 1 else wrad_b
-        for t_start in range(0, t_len, t_block):
-            if t_block == t_len:
-                theta_parts = thetas
-            else:
-                idx = [slice(None)] * (2 * dim)
-                idx[theta0_axis] = slice(t_start, t_start + t_block)
-                theta_parts = [thetas[0][tuple(idx)]] + thetas[1:]
-            vals = g.eval_polar(r_slice, theta_parts)
-            total += complex(np.sum(w_slice * vals))
-    return total * ang_w
+        w_slice = wrad[sl] if wrad.shape[0] > 1 else wrad
+        for angles in angle_blocks:
+            yield r_slice, angles, w_slice
+
+
+def _angular_weight(dim: int, ang_counts) -> float:
+    """Trapezoid weight of the angular mesh, times 2 pi per unseen angle."""
+    return (math.prod(TWO_PI / m_i for m_i in ang_counts)
+            * TWO_PI ** (dim - len(ang_counts)))
+
+
+def _tensor_integrate(d: DomainSpec, g, n_radial: int, ang_counts,
+                      cutoff: float) -> complex:
+    total = 0.0 + 0.0j
+    for radii, angles, weight in _mesh_blocks(d, g, n_radial, ang_counts,
+                                              cutoff):
+        total += complex(np.sum(weight * g.eval_polar(radii, angles)))
+    return total * _angular_weight(d.dim, ang_counts)
 
 
 def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
     """Tensor quadrature of an integrand over the domain.
 
-    The error estimate is the difference between the base rule and the rule
-    with doubled radial nodes (and doubled angular nodes when the angular rule
-    is not already exact); node counts double up to ``cfg.max_doublings`` times
-    while the estimate exceeds ``cfg.rel_tol`` in relative terms.
+    After the base rule, up to ``cfg.max_doublings + 1`` refinements double
+    the radial nodes and the inexact angular ones, until two successive
+    rules agree to ``cfg.rel_tol`` (``max_doublings=0`` still doubles once);
+    the error estimate is their last difference.  |monomial sum|^p runs on
+    its rank-k torus (module docstring).
     """
     cutoff = cfg.corner_cutoff
     # single-term |monomial|^p: per-axis separable rule
@@ -476,15 +516,16 @@ def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()) -> IntegralResul
         value, err = _separable_moment(d, c, cfg, cutoff)
         return IntegralResult(scale * value, scale * err)
 
+    g = _reduce_torus(g)
     ang_counts, ang_exact = _angular_counts(g, cfg)
     ang_cap = 256 if d.dim <= 2 else 48
     n = cfg.radial_nodes
-    value = _tensor_integrate(d, g, cfg, n, ang_counts, cutoff)
+    value = _tensor_integrate(d, g, n, ang_counts, cutoff)
     for _attempt in range(cfg.max_doublings + 1):
         n *= 2
         ang_counts = [m if exact else min(2 * m, ang_cap)
                       for m, exact in zip(ang_counts, ang_exact)]
-        fine = _tensor_integrate(d, g, cfg, n, ang_counts, cutoff)
+        fine = _tensor_integrate(d, g, n, ang_counts, cutoff)
         err = abs(fine - value)
         value = fine
         if err <= cfg.rel_tol * max(abs(value), 1e-300):
@@ -518,33 +559,15 @@ def lp_norms_shared(d: DomainSpec, f, ps: Sequence,
     ps = [as_fraction(p) for p in ps]
     if any(p <= 0 for p in ps):
         raise ValueError("exponents must be positive")
-    pmax = max(ps)
-    hints = _box_axis_hints(d, _radial_profile(AbsPowerIntegrand(f, pmax)))
-    ang_counts, _ = _angular_counts(AbsPowerIntegrand(f, pmax), cfg)
-    dim = d.dim
-    n = 2 * cfg.radial_nodes
-    radii, wrad = _radial_mesh(d, hints, n, cfg.corner_cutoff)
-    thetas, ang_w = [], 1.0
-    for i, m_i in enumerate(ang_counts):
-        shape = [1] * (2 * dim)
-        shape[dim + i] = -1
-        thetas.append((np.arange(m_i) * (TWO_PI / m_i)).reshape(shape))
-        ang_w *= TWO_PI / m_i
-    radii = [np.asarray(r).reshape(np.shape(r) + (1,) * dim) for r in radii]
-    wrad_b = np.asarray(wrad).reshape(np.shape(wrad) + (1,) * dim)
+    g = _reduce_torus(AbsPowerIntegrand(f, max(ps)))
+    ang_counts, _ = _angular_counts(g, cfg)
     totals = [0.0] * len(ps)
-    n_rows = max(r.shape[0] for r in radii)
-    points_per_row = (math.prod(max(r.shape[i] for r in radii)
-                                for i in range(1, dim)) or 1)
-    points_per_row *= math.prod(ang_counts)
-    block = max(1, min(n_rows, 2_000_000 // max(points_per_row, 1)))
-    for start in range(0, n_rows, block):
-        sl = slice(start, start + block)
-        r_slice = [r[sl] if r.shape[0] > 1 else r for r in radii]
-        w_slice = wrad_b[sl] if wrad_b.shape[0] > 1 else wrad_b
-        absf = np.abs(f.eval_polar(r_slice, thetas))
+    for radii, angles, weight in _mesh_blocks(d, g, 2 * cfg.radial_nodes,
+                                              ang_counts, cfg.corner_cutoff):
+        absf = np.abs(g.base.eval_polar(radii, angles))
         for i, p in enumerate(ps):
-            totals[i] += float(np.sum(w_slice * absf ** float(p)))
+            totals[i] += float(np.sum(weight * absf ** float(p)))
+    ang_w = _angular_weight(d.dim, ang_counts)
     return [(t * ang_w) ** (1.0 / float(p)) for t, p in zip(totals, ps)]
 
 
@@ -557,8 +580,6 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     increments under monotone growth mean the mass below the cutoff does not
     run out (diverging).  Anything else raises Inconclusive.
     """
-    if cfg.refinement_levels < 2:
-        raise ValueError("refinement_levels must be >= 2")
     p = as_fraction(p)
     # the ladder classification needs ~1e-3 accuracy per level, not rel_tol
     probe_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6),

@@ -189,6 +189,10 @@ def test_usage_errors_exit_2(capsys):
     ["density", "polydisc:1", "--points", "x"],
     ["project", "hartogs:1/1", "--terms", '[{"c": [1, 0], "alpha": ["a", 0]}]'],
     ["project", "hartogs:1/1", "--terms", '[{"c": [1, 0], "alpha": [0.5, 0]}]'],
+    *(["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "3",
+       flag, value]
+      for flag, value in [("--refine", "1"), ("--radial-nodes", "2"),
+                          ("--angular-nodes", "2"), ("--cutoff", "0.7")]),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.run(argv)

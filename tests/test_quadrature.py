@@ -1,8 +1,10 @@
 """Quadrature oracle accuracy, angular exactness, and divergence probing."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bergman_indices import domains as dm
@@ -126,8 +128,6 @@ def test_shared_mesh_norms_satisfy_discrete_convexity():
 
 
 def test_nan_rejected():
-    import numpy as np
-
     def bad(w1, w2):
         with np.errstate(invalid="ignore"):
             return (w1 - w1) / (w1 - w1)  # NaN everywhere
@@ -140,8 +140,6 @@ def test_nan_rejected():
 
 def test_random_moment_probes_quarter_grid():
     """Random windows over the quarter-integer exponent grid vs the oracle."""
-    import numpy as np
-
     rng = np.random.default_rng(31)
     doms = [dm.polydisc(2), dm.ball(2), H11, dm.hartogs(2, 3)]
     p_grid = [Fraction(k, 4) for k in range(4, 25)]
@@ -166,3 +164,100 @@ def test_config_validation():
     with pytest.raises(ValueError):
         qd.divergence_probe(H11, _monomial((0, 0), 2), 2,
                             qd.QuadConfig(refinement_levels=1))
+
+
+def _exact_even_norm(d, terms, p):
+    """||f||_p at even p = 2k of a sum of c z^alpha zbar^gamma terms, exactly.
+
+    |f|^(2k) = f^k conj(f)^k expands over index tuples (s_1..s_k, u_1..u_k);
+    the torus kills every product except those with f_s1 + .. + f_sk =
+    f_u1 + .. + f_uk, and each survivor is a radial moment.
+    """
+    parts = [(complex(c), [a + g for a, g in zip(al, ga)],
+              [a - g for a, g in zip(al, ga)]) for c, al, ga in terms]
+
+    def total(ts, which):
+        return [sum(col) for col in zip(*(t[which] for t in ts))]
+
+    value = 0j
+    for left in itertools.product(parts, repeat=p // 2):
+        for right in itertools.product(parts, repeat=p // 2):
+            if total(left, 2) == total(right, 2):
+                m = dm.radial_moment(d, total(left + right, 1))
+                assert m.is_finite
+                coeff = (math.prod(t[0] for t in left)
+                         * math.prod(t[0].conjugate() for t in right))
+                value += coeff * float(m)
+    return value.real ** (1.0 / p)
+
+
+def test_lattice_basis_random_frequency_sets():
+    rng = np.random.default_rng(2405)
+    for _ in range(400):
+        dim, n_terms = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        freqs = [tuple(int(x) for x in rng.integers(-4, 5, dim))
+                 for _ in range(n_terms)]
+        diffs = [tuple(a - b for a, b in zip(f, freqs[0])) for f in freqs]
+        basis, coords = qd.lattice_basis(diffs)
+        k = len(basis)
+        assert k == np.linalg.matrix_rank(np.array(diffs, dtype=float))
+        if k:
+            assert np.linalg.matrix_rank(np.array(basis, dtype=float)) == k
+        # Hermite form: pivots strictly right-moving and positive, the
+        # entries above each pivot reduced modulo it
+        pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+        assert pivots == sorted(set(pivots))
+        for j, (b, col) in enumerate(zip(basis, pivots)):
+            assert b[col] > 0
+            assert all(0 <= basis[i][col] < b[col] for i in range(j))
+        for v, c in zip(diffs, coords):
+            assert len(c) == k
+            assert tuple(sum(ci * b[j] for ci, b in zip(c, basis))
+                         for j in range(dim)) == v
+        if k:  # the coordinates generate Z^k: B spans the differences' lattice
+            minors = [round(np.linalg.det(np.array(rows, dtype=float)))
+                      for rows in itertools.combinations(coords, k)]
+            assert math.gcd(*minors) == 1
+
+
+def test_torus_reduction_with_gcd_above_one():
+    assert qd.lattice_basis([(0, 0), (2, 2)]) == ([(2, 2)], [(0,), (1,)])
+    assert qd.lattice_basis([(0, 0), (0, -2)]) == ([(0, 2)], [(0,), (-1,)])
+    cases = [(dm.polydisc(2), [(1.0, (0, 0), (0, 0)), (0.5j, (2, 2), (0, 0))]),
+             (H11, [(1.0, (1, 0), (0, 0)), (0.75 - 0.5j, (3, 2), (0, 0))]),
+             (dm.ball(2), [(1.0, (1, 1), (0, 0)), (-0.5, (1, 3), (0, 0))])]
+    for d, terms in cases:
+        f = qd.MonomialSumIntegrand(terms)
+        for p in (2, 4):
+            assert qd.lp_norm(d, f, p, CFG) == pytest.approx(
+                _exact_even_norm(d, terms, p), rel=1e-10), (str(d), p)
+
+
+def test_even_p_norms_match_exact_expansion():
+    cases = [(dm.polydisc(2), [(1.0, (1, 0), (0, 0)), (0.5j, (0, 2), (0, 0))]),
+             (dm.ball(2), [(0.25 + 1j, (2, 1), (0, 0)), (0.75, (0, 1), (0, 0))]),
+             (H11, [(1.0, (0, 0), (0, 0)), (-0.5 + 0.5j, (1, -1), (0, 0))]),
+             (H11, [(0.5, (2, 1), (0, 0)), (1j, (0, 1), (1, 0))]),
+             # k = 0: mixed terms sharing the frequency (1, 0)
+             (dm.polydisc(2), [(1.0, (1, 0), (0, 0)), (0.5, (1, 1), (0, 1))])]
+    for d, terms in cases:
+        est = qd.lp_norm(d, qd.MonomialSumIntegrand(terms), 4, CFG)
+        assert est == pytest.approx(_exact_even_norm(d, terms, 4),
+                                    rel=1e-10), str(d)
+    # the shared mesh takes the same reduction; its radial rules are exact
+    # for these polynomial profiles on the polydisc
+    for d, terms in (cases[0], cases[-1]):
+        shared = qd.lp_norms_shared(d, qd.MonomialSumIntegrand(terms), [4, 2],
+                                    qd.QuadConfig(radial_nodes=12,
+                                                  angular_nodes=16))
+        assert shared == pytest.approx(
+            [_exact_even_norm(d, terms, p) for p in (4, 2)], rel=1e-10)
+    # rank 2 on polydisc:3: differences (-1, 1, 1) and (1, 0, 1); the
+    # profile is polynomial, so 8 radial nodes per axis are already exact
+    terms = [(1.0, (1, 0, 0), (0, 0, 0)), (0.5j, (0, 1, 1), (0, 0, 0)),
+             (-0.75, (2, 0, 1), (0, 0, 0))]
+    f = qd.MonomialSumIntegrand(terms)
+    assert len(qd.lattice_basis([(0, 0, 0), (-1, 1, 1), (1, 0, 1)])[0]) == 2
+    est = qd.lp_norm(dm.polydisc(3), f, 4, qd.QuadConfig(radial_nodes=8))
+    assert est == pytest.approx(_exact_even_norm(dm.polydisc(3), terms, 4),
+                                rel=1e-10)
