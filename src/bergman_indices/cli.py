@@ -1,16 +1,20 @@
 """Command-line front end.
 
 Subcommands: info, index-set, thresholds, indices, kernel, density, project,
-probe, verify.  Machine output is a JSON report with the envelope
+probe, verify.  Each takes --seed and --threads plus only the flags its
+handler reads (README "CLI" has the table); --format exists only for
+density and probe (csv | json) and verify (table | json), and everything
+else prints a JSON report under the envelope
 
     {"schema": "bergman-indices/1", "version": ..., "command": ...,
      "seed": ..., "domain": ..., "result": {...}}
 
-with exact rationals serialized as "num/den" strings and pi powers kept
-symbolic.  density and probe default to CSV.  Reports carry no timestamps or
-thread counts, so identical arguments and seed give byte-identical stdout;
-timing goes to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage/validation error, 3 inconclusive numerical verdict.
+with exact rationals as "num/den" strings and pi powers kept symbolic.
+Reports carry no timestamps or thread counts, so identical arguments and
+seed give byte-identical stdout; timing goes to stderr.  Inputs are capped
+so that no short argv runs without bound.  ``run`` is the one place errors
+become exit codes, read from the error class (``errors``); a rejected argv
+exits 2.
 """
 
 from __future__ import annotations
@@ -28,23 +32,26 @@ from . import duality_projection as dp
 from . import index_sets as ix
 from . import kernel as kn
 from . import verify as vf
-from .errors import (ChainViolation, DimensionMismatch, IllConditionedGram,
-                     Inconclusive, NotIntegrable, ParseError, WindowTooSmall)
+from .errors import BergmanError, NotIntegrable, ParseError
 from .exact import format_fraction, parse_fraction
 from .quadrature import QuadConfig
 
 SCHEMA_ID = "bergman-indices/1"
 DEFAULT_SEED = 20240901
-THREADS_HELP = ("accepted and ignored, kept for argv compatibility "
-                "(evaluation is single-threaded)")
+#: kernel --pnorm budget flags and the QuadConfig field each one sets
+QUAD_FLAGS = {"--radial-nodes": "radial_nodes", "--angular-nodes": "angular_nodes",
+              "--refine": "refinement_levels", "--tol": "rel_tol"}
+# input caps; exact moments of z^alpha at exponent p fold Gamma products of
+# size about p * |alpha|, so probe bounds both
+MAX_EXPONENT = 1000  # |alpha_i| and gamma_i of a monomial
+MAX_PROBE_P = 64
+MAX_PROBE_STEPS = 256
+MAX_DENSITY_POINTS = 256  # per Gram matrix, from --ks or --points
 
 
 def _quad_config(args) -> QuadConfig:
-    return QuadConfig(radial_nodes=args.radial_nodes,
-                      angular_nodes=args.angular_nodes,
-                      corner_cutoff=args.cutoff,
-                      refinement_levels=args.refine,
-                      rel_tol=args.tol)
+    return QuadConfig(**{field: getattr(args, field)
+                         for field in QUAD_FLAGS.values()})
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -54,9 +61,19 @@ def _parse_int(text: str, name: str) -> int:
         raise ParseError(f"{name}: expected an integer, got {text!r}") from None
 
 
-def _parse_ints(text: str, name: str) -> tuple:
-    """A comma-separated integer list (multi-indices, point counts)."""
-    return tuple(_parse_int(part, name) for part in text.split(","))
+def _exponents(values, name: str) -> tuple:
+    """Monomial exponents: integers of size at most MAX_EXPONENT."""
+    if not all(type(e) is int for e in values):
+        raise ParseError(f"{name}: exponents must be integers, got {values!r}")
+    if any(abs(e) > MAX_EXPONENT for e in values):
+        raise ParseError(f"{name}: exponents must lie in "
+                         f"[-{MAX_EXPONENT}, {MAX_EXPONENT}], got {values!r}")
+    return tuple(values)
+
+
+def _parse_exponents(text: str, name: str) -> tuple:
+    """A comma-separated multi-index."""
+    return _exponents([_parse_int(part, name) for part in text.split(",")], name)
 
 
 def _parse_point(text: str, dim: int):
@@ -79,6 +96,17 @@ def _emit(args, command: str, domain, result: dict) -> None:
         "result": result,
     }
     print(json.dumps(report, indent=2))
+
+
+def _emit_rows(args, command: str, domain, head: dict, columns, rows) -> None:
+    """A row table as a JSON report (``head`` plus "rows") or as CSV."""
+    if args.format == "json":
+        _emit(args, command, domain,
+              {**head, "rows": [dict(zip(columns, row)) for row in rows]})
+    else:
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(map(str, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,46 +186,39 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+def _point_count(k: int, name: str) -> int:
+    """Checked before any Gram matrix is built."""
+    if not 1 <= k <= MAX_DENSITY_POINTS:
+        raise ParseError(f"{name}: point counts must lie in "
+                         f"[1, {MAX_DENSITY_POINTS}], got {k}")
+    return k
+
+
 def cmd_density(args) -> int:
     d = dm.parse_domain(args.domain)
-    alpha = _parse_ints(args.alpha, "--alpha")
+    alpha = _parse_exponents(args.alpha, "--alpha")
     if args.points:
         try:
             pts = [tuple(complex(c[0], c[1]) for c in point)
                    for point in json.loads(args.points)]
         except (ValueError, LookupError, TypeError) as exc:
             raise ParseError(f"malformed --points: {exc!r}") from None
-        rows = [(len(pts), kn.density_residual(d, alpha, pts))]
+        rows = [(_point_count(len(pts), "--points"),
+                 kn.density_residual(d, alpha, pts))]
     else:
         if d.dim != 1:
             raise ParseError("--ks point sets need a one-dimensional domain; "
                              "pass --points for higher dimensions")
         import numpy as np
-        rows = []
-        ks = _parse_ints(args.ks, "--ks")
-        if min(ks) < 1:
-            raise ParseError(f"--ks point counts must be >= 1, got {args.ks!r}")
-        for k in ks:
-            pts = [(args.radius * np.exp(2j * np.pi * j / k),)
-                   for j in range(k)]
-            rows.append((k, kn.density_residual(d, alpha, pts)))
-    if args.format == "json":
-        _emit(args, "density", d, {
-            "alpha": list(alpha),
-            "rows": [{"k": k, "residual": r} for k, r in rows],
-        })
-    else:
-        print("k,residual")
-        for k, r in rows:
-            print(f"{k},{r!r}")
+        ks = [_point_count(_parse_int(part, "--ks"), "--ks")
+              for part in args.ks.split(",")]
+        rows = [(k, kn.density_residual(
+                    d, alpha, [(args.radius * np.exp(2j * np.pi * j / k),)
+                               for j in range(k)]))
+                for k in ks]
+    _emit_rows(args, "density", d, {"alpha": list(alpha)}, ("k", "residual"),
+               rows)
     return 0
-
-
-def _exponents(values) -> tuple:
-    """A JSON exponent list as a tuple; anything but integers is a TypeError."""
-    if not all(type(e) is int for e in values):
-        raise TypeError(f"exponents must be integers, got {values!r}")
-    return tuple(values)
 
 
 def _load_terms(text: str):
@@ -209,8 +230,8 @@ def _load_terms(text: str):
     else:
         payload = text
     try:
-        terms = [(complex(t["c"][0], t["c"][1]), _exponents(t["alpha"]),
-                  _exponents(t.get("gamma", [0] * len(t["alpha"]))))
+        terms = [(complex(t["c"][0], t["c"][1]), _exponents(t["alpha"], "alpha"),
+                  _exponents(t.get("gamma", [0] * len(t["alpha"])), "gamma"))
                  for t in json.loads(payload)]
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed --terms: {exc!r}") from None
@@ -230,12 +251,14 @@ def cmd_project(args) -> int:
 
 def cmd_probe(args) -> int:
     d = dm.parse_domain(args.domain)
-    alpha = _parse_ints(args.alpha, "--alpha")
-    gamma = _parse_ints(args.gamma, "--gamma")
+    alpha = _parse_exponents(args.alpha, "--alpha")
+    gamma = _parse_exponents(args.gamma, "--gamma")
     p_lo, p_hi = parse_fraction(args.plo), parse_fraction(args.phi)
+    if max(p_lo, p_hi) > MAX_PROBE_P:
+        raise ParseError(f"--plo and --phi must be at most {MAX_PROBE_P}")
     steps = args.steps
-    if steps < 1:
-        raise ParseError(f"--steps must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_PROBE_STEPS:
+        raise ParseError(f"--steps must lie in [1, {MAX_PROBE_STEPS}], got {steps}")
     rows = []
     for j in range(steps + 1):
         p = p_lo + (p_hi - p_lo) * Fraction(j, steps)
@@ -243,19 +266,12 @@ def cmd_probe(args) -> int:
             continue
         try:
             ratio = dp.projection_ratio(d, alpha, gamma, p)
+            verdict = "divergent" if ratio.divergent else repr(ratio.ratio)
         except NotIntegrable as exc:
-            rows.append((p, f"not-integrable: {exc}"))
-            continue
-        rows.append((p, "divergent" if ratio.divergent else repr(ratio.ratio)))
-    if args.format == "json":
-        _emit(args, "probe", d, {
-            "alpha": list(alpha), "gamma": list(gamma),
-            "rows": [{"p": format_fraction(p), "ratio": r} for p, r in rows],
-        })
-    else:
-        print("p,ratio")
-        for p, r in rows:
-            print(f"{format_fraction(p)},{r}")
+            verdict = f"not-integrable: {exc}"
+        rows.append((format_fraction(p), verdict))
+    _emit_rows(args, "probe", d, {"alpha": list(alpha), "gamma": list(gamma)},
+               ("p", "ratio"), rows)
     return 0
 
 
@@ -298,122 +314,89 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True):
+    def command(name, fn, summary, domain=True):
+        sp = sub.add_parser(name, help=summary)
         if domain:
-            sp.add_argument("domain",
-                            help="polydisc:<n> | ball:<n> | hartogs:<m>/<n>")
-        sp.add_argument("--format", choices=("json", "csv", "table"),
-                        default=None)
+            sp.add_argument("domain", help=dm.DOMAIN_GRAMMAR)
+        else:
+            sp.add_argument("domains", nargs="*", help="domain specs (default: "
+                            "polydisc:1 ball:2 hartogs:1/1)")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-        sp.add_argument("--radial-nodes", type=int, default=64)
-        sp.add_argument("--angular-nodes", type=int, default=None)
-        sp.add_argument("--cutoff", type=float, default=0.0)
-        sp.add_argument("--refine", type=int, default=3)
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored (evaluation is single-threaded)")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("info", help="domain facts and exact volume")
-    common(sp)
-    sp.set_defaults(fn=cmd_info, default_format="json")
+    command("info", cmd_info, "domain facts and exact volume")
 
-    sp = sub.add_parser("index-set", help="allowable indices in a window")
-    common(sp)
+    sp = command("index-set", cmd_index_set, "allowable indices in a window")
     sp.add_argument("--p", default="2", help="exponent as 'a' or 'a/b'")
     sp.add_argument("--window", type=int, default=6)
-    sp.set_defaults(fn=cmd_index_set, default_format="json")
 
-    sp = sub.add_parser("thresholds", help="index-set change exponents")
-    common(sp)
+    sp = command("thresholds", cmd_thresholds, "index-set change exponents")
     sp.add_argument("--plo", default="1")
     sp.add_argument("--phi", default="5")
     sp.add_argument("--window", type=int, default=6)
-    sp.set_defaults(fn=cmd_thresholds, default_format="json")
 
-    sp = sub.add_parser("indices",
-                        help="duality bound, regularity probe, beta upper bound")
-    common(sp)
+    sp = command("indices", cmd_indices,
+                 "duality bound, regularity probe, beta upper bound")
     sp.add_argument("--window", type=int, default=None,
                     help="lattice radius (default: family-sufficient)")
     sp.add_argument("--p-cap", default="64")
-    sp.set_defaults(fn=cmd_indices, default_format="json")
 
-    sp = sub.add_parser("kernel", help="kernel value at a point pair")
-    common(sp)
+    sp = command("kernel", cmd_kernel, "kernel value at a point pair")
     sp.add_argument("--z", required=True, help="comma-separated components, "
                     "e.g. '0.1+0.2j,0.5'")
     sp.add_argument("--w", required=True)
     sp.add_argument("--window", type=int, default=20)
     sp.add_argument("--pnorm", default=None, metavar="P",
-                    help="also probe ||K(.,z)||_P with the quadrature flags")
-    sp.set_defaults(fn=cmd_kernel, default_format="json")
+                    help="also probe ||K(.,z)||_P with the budgets below")
+    for flag, field in QUAD_FLAGS.items():
+        sp.add_argument(flag, dest=field, default=getattr(QuadConfig, field),
+                        type=float if field == "rel_tol" else int)
 
-    sp = sub.add_parser("density", help="kernel-span least-squares residuals")
-    common(sp)
+    sp = command("density", cmd_density, "kernel-span least-squares residuals")
     sp.add_argument("--alpha", default="0", help="target exponent, comma-separated")
     sp.add_argument("--ks", default="1,2,4,8,16",
                     help="scaled roots-of-unity point counts (dim-1 domains)")
     sp.add_argument("--radius", type=float, default=0.5)
     sp.add_argument("--points", default=None,
                     help="explicit JSON points [[ [re,im], ... ], ...]")
-    sp.set_defaults(fn=cmd_density, default_format="csv")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("project", help="exact projection of a term list")
-    common(sp)
+    sp = command("project", cmd_project, "exact projection of a term list")
     sp.add_argument("--terms", required=True,
                     help="JSON term list, a path to one, or '-' for stdin")
-    sp.set_defaults(fn=cmd_project, default_format="json")
 
-    sp = sub.add_parser("probe", help="projection-norm ratio over a p grid")
-    common(sp)
+    sp = command("probe", cmd_probe, "projection-norm ratio over a p grid")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--gamma", required=True)
     sp.add_argument("--plo", default="2")
     sp.add_argument("--phi", default="6")
     sp.add_argument("--steps", type=int, default=16)
-    sp.set_defaults(fn=cmd_probe, default_format="csv")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("verify", help="bootstrap oracle and invariant suites")
-    sp.add_argument("domains", nargs="*",
-                    help="domain specs (default: polydisc:1 ball:2 hartogs:1/1)")
+    sp = command("verify", cmd_verify, "bootstrap oracle and invariant suites",
+                 domain=False)
     sp.add_argument("--full", action="store_true")
-    sp.add_argument("--format", choices=("json", "csv", "table"), default=None)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    sp.set_defaults(fn=cmd_verify, default_format="table")
+    sp.add_argument("--format", choices=("table", "json"), default="table")
 
     return parser
 
 
-GRAMMAR_HINT = ("domain spec: polydisc:<n> | ball:<n> | hartogs:<m>/<n>; "
-                "rational exponents: <int> or <int>/<uint>")
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.format is None:
-        args.format = args.default_format
     started = time.perf_counter()
     try:
         if "BERGMAN_SEED" in os.environ:  # the environment wins over --seed
             args.seed = _parse_int(os.environ["BERGMAN_SEED"], "BERGMAN_SEED")
         code = args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}\n{GRAMMAR_HINT}", file=sys.stderr)
-        return 2
-    except (NotIntegrable, WindowTooSmall, IllConditionedGram,
-            DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Inconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
-    except ChainViolation as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 1
+    except BergmanError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     print(f"elapsed_ms={1000 * (time.perf_counter() - started):.1f}",
           file=sys.stderr)
     return code

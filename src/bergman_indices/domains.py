@@ -36,6 +36,9 @@ from .errors import DimensionMismatch, ParseError
 from .exact import ExactValue, as_fraction, make_exact
 
 MultiIndex = Tuple[int, ...]
+MAX_DIM = 64  # polydisc and ball dimension
+MAX_HARTOGS = 1000  # m and n of H(m, n); the closed kernel sums m pieces
+DOMAIN_GRAMMAR = "polydisc:<n> | ball:<n> | hartogs:<m>/<n>"
 
 
 class Family(enum.Enum):
@@ -58,13 +61,15 @@ class DomainSpec:
     n: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParseError(f"domain dimension must be >= 1, got {self.dim}")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ParseError(f"domain dimension must lie in [1, {MAX_DIM}], "
+                             f"got {self.dim}")
         if self.family is Family.HARTOGS:
             if self.dim != 2:
                 raise ParseError("hartogs domains live in C^2")
-            if self.m < 1 or self.n < 1:
-                raise ParseError("hartogs exponents must be positive")
+            if not (1 <= self.m <= MAX_HARTOGS and 1 <= self.n <= MAX_HARTOGS):
+                raise ParseError("hartogs exponents must lie in "
+                                 f"[1, {MAX_HARTOGS}]")
             if math.gcd(self.m, self.n) != 1:
                 raise ParseError("hartogs exponents must be coprime")
 
@@ -109,7 +114,8 @@ def parse_domain(spec: str) -> DomainSpec:
     text = spec.strip().lower()
     head, sep, tail = text.partition(":")
     if not sep or not tail:
-        raise ParseError(f"malformed domain spec {spec!r}")
+        raise ParseError(f"malformed domain spec {spec!r}, "
+                         f"expected {DOMAIN_GRAMMAR}")
     try:
         if head == "polydisc":
             return polydisc(int(tail))
@@ -122,7 +128,7 @@ def parse_domain(spec: str) -> DomainSpec:
             return hartogs(int(m_str), int(n_str))
     except ValueError as exc:
         raise ParseError(f"malformed domain spec {spec!r}: {exc}") from None
-    raise ParseError(f"unknown domain family {head!r}")
+    raise ParseError(f"unknown domain family {head!r}, expected {DOMAIN_GRAMMAR}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +262,8 @@ def shadow_contains(d: DomainSpec, r: Sequence) -> bool:
 
 
 def point_in_domain(d: DomainSpec, z: Sequence[complex]) -> bool:
-    """Membership test for a point of C^n (moduli routed through the shadow)."""
+    """Membership test for a point of C^n (moduli routed through the shadow);
+    a non-finite component is outside."""
     _check_dim(d, z)
-    return shadow_contains(d, [abs(complex(zi)) for zi in z])
+    moduli = [abs(complex(zi)) for zi in z]
+    return all(map(math.isfinite, moduli)) and shadow_contains(d, moduli)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 from . import quadrature
 from .domains import (DomainSpec, MultiIndex, check_exponent,
                       conjugate_exponent, holomorphy_ok, moment, radial_moment)
-from .errors import NotIntegrable, ParseError
+from .errors import ChainViolation, NotIntegrable, ParseError
 from .exact import ExactMix, ExactValue, QComplex, as_fraction
 from .index_sets import critical_table, member
 from .quadrature import QuadConfig, lp_norm, lp_norms_shared
@@ -100,18 +100,6 @@ class MixedMonomialSum:
         return quadrature.MonomialSumIntegrand(
             [(complex(q), alpha, gamma) for q, alpha, gamma in self.terms])
 
-    def evaluate(self, z: Sequence[complex]) -> complex:
-        total = 0j
-        for q, alpha, gamma in self.terms:
-            v = complex(q)
-            for zi, a, g in zip(z, alpha, gamma):
-                if a:
-                    v *= zi ** a
-                if g:
-                    v *= zi.conjugate() ** g
-            total += v
-        return total
-
     def as_term_dicts(self) -> list:
         from .exact import format_fraction
         return [{"c": [float(q.re), float(q.im)],
@@ -165,7 +153,7 @@ def pairing(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum) -> ExactMix
 def _rational_ratio(num: ExactValue, den: ExactValue) -> Fraction:
     ratio = num / den
     if ratio.pi_half != 0 or ratio.gamma_num or ratio.gamma_den:
-        raise RuntimeError(f"internal: projection ratio not rational: {ratio}")
+        raise ChainViolation(f"projection ratio not rational: {ratio}")
     return ratio.coeff
 
 
@@ -220,10 +208,11 @@ def projection_ratio(d: DomainSpec, alpha, gamma, p) -> ProjectionRatio:
     mdp = moment(d, delta, p)
     if not mdp.is_finite:
         return ProjectionRatio(True, None)
-    coeff = abs(complex(q))
-    pf = float(p)
-    return ProjectionRatio(
-        False, coeff * float(mdp) ** (1.0 / pf) / float(normp) ** (1.0 / pf))
+    # in logarithms: for large exponents the moments leave the float range
+    # although the ratio does not
+    log_ratio = (ExactValue(q.abs2()).log() / 2
+                 + (mdp.value.log() - normp.value.log()) / float(p))
+    return ProjectionRatio(False, math.exp(log_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +231,7 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p,
             raise NotIntegrable(f"monomial not in L^{p}")
         return abs(complex(q)) * float(m) ** (1.0 / float(p))
     if p == 2:
-        total = 0.0
-        freq: dict = {}
-        for q, alpha, gamma in f.terms:
-            freq.setdefault(tuple(a - g for a, g in zip(alpha, gamma)),
-                            []).append((q, alpha, gamma))
-        for _delta, terms in sorted(freq.items()):
-            # terms sharing an angular frequency are not orthogonal; expand
-            # the Hermitian form in exact radial moments
-            for qi, ai, gi in terms:
-                for qj, aj, gj in terms:
-                    cross = radial_moment(
-                        d, [a1 + g1 + a2 + g2 for a1, g1, a2, g2
-                            in zip(ai, gi, aj, gj)])
-                    if not cross.is_finite:
-                        raise NotIntegrable("sum not in L^2")
-                    total += complex(qi * qj.conjugate()).real * float(cross)
-        return math.sqrt(total)
+        return math.sqrt(complex(pairing(d, f, f)).real)
     cfg = cfg or QuadConfig(radial_nodes=12, angular_nodes=16,
                             rel_tol=1e-6, max_doublings=0)
     return lp_norm(d, f.as_integrand(), p, cfg)

@@ -19,6 +19,7 @@ with ``QComplex`` coefficients (the exact result type of the duality pairing).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,15 +44,12 @@ def parse_fraction(text: str) -> Fraction:
     try:
         parts = [int(part) for part in text.strip().split("/")]
     except ValueError:
-        raise ParseError(f"malformed rational {text!r}") from None
-    if len(parts) == 1:
-        return Fraction(parts[0])
-    if len(parts) == 2:
-        num, den = parts
-        if den <= 0:
-            raise ParseError(f"denominator must be positive in {text!r}")
-        return Fraction(num, den)
-    raise ParseError(f"malformed rational {text!r}")
+        parts = []
+    if len(parts) == 2 and parts[1] <= 0:
+        raise ParseError(f"denominator must be positive in {text!r}")
+    if len(parts) in (1, 2):
+        return Fraction(*parts)
+    raise ParseError(f"malformed rational {text!r}, expected <int> or <int>/<uint>")
 
 
 def format_fraction(q: Fraction) -> str:
@@ -60,18 +58,13 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _reduce_gamma_arg(a: Fraction):
-    """Shift Gamma(a) to an argument in (0, 1], returning (rational, arg).
-
-    Gamma(a) = rational * Gamma(arg).  Requires a > 0.
-    """
-    if a <= 0:
-        raise ValueError(f"Gamma argument must be positive, got {a}")
-    coeff = Fraction(1)
-    while a > 1:
-        a -= 1
-        coeff *= a
-    return coeff, a
+def _rising(a: Fraction, k: int) -> Fraction:
+    """a (a+1) ... (a+k-1), multiplied in integers with one final gcd."""
+    p, q = a.numerator, a.denominator
+    factors = range(p, p + k * q, q)
+    while len(factors) > 64:  # a balanced product tree for big factorials
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return Fraction(math.prod(factors), q ** k)
 
 
 @dataclass(frozen=True)
@@ -134,6 +127,14 @@ class ExactValue:
                           - sum(math.lgamma(float(b)) for b in self.gamma_den))
         return v
 
+    def log(self) -> float:
+        """Natural logarithm, free of the float range (math.log takes
+        integers of any size)."""
+        return (math.log(self.coeff.numerator) - math.log(self.coeff.denominator)
+                + self.pi_half * math.log(math.pi) / 2
+                + sum(math.lgamma(float(a)) for a in self.gamma_num)
+                - sum(math.lgamma(float(b)) for b in self.gamma_den))
+
     def key(self):
         """Scale-factor identity (everything but the rational coefficient)."""
         return (self.pi_half, self.gamma_num, self.gamma_den)
@@ -161,35 +162,37 @@ class ExactValue:
 def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValue:
     """Build a canonical ExactValue, folding reducible Gamma factors.
 
-    Every half-integer argument disappears into ``coeff`` and ``pi_half``;
-    identical arguments in numerator and denominator cancel.
+    Every half-integer argument disappears into ``coeff`` and ``pi_half``,
+    and numerator and denominator arguments that differ by an integer
+    cancel to a rational.
     """
+    if not (gamma_num or gamma_den):
+        return ExactValue(as_fraction(coeff), pi_half)
     coeff = as_fraction(coeff)
+    tops = [as_fraction(a) for a in gamma_num]
+    bottoms = [as_fraction(b) for b in gamma_den]
+    if any(x <= 0 for x in tops + bottoms):
+        raise ValueError("Gamma arguments must be positive")
+    # Gamma(a) / Gamma(a + k) is a product of |k| factors: cancel such pairs
+    # first, so a large shared shift never folds two factorials
+    for a in list(tops):
+        shifts = [b - a for b in bottoms if (b - a).denominator == 1]
+        if shifts:
+            k = int(min(shifts, key=abs))
+            tops.remove(a)
+            bottoms.remove(a + k)
+            coeff = coeff / _rising(a, k) if k >= 0 else coeff * _rising(a + k, -k)
     num: list[Fraction] = []
     den: list[Fraction] = []
-    for a in gamma_num:
-        c, r = _reduce_gamma_arg(as_fraction(a))
-        coeff *= c
-        if r == 1:
-            continue
-        if r == Fraction(1, 2):
-            pi_half += 1
-        else:
-            num.append(r)
-    for b in gamma_den:
-        c, r = _reduce_gamma_arg(as_fraction(b))
-        coeff /= c
-        if r == 1:
-            continue
-        if r == Fraction(1, 2):
-            pi_half -= 1
-        else:
-            den.append(r)
-    # cancel common leftover arguments
-    for a in list(num):
-        if a in den:
-            num.remove(a)
-            den.remove(a)
+    for args, kept, sign in ((tops, num, 1), (bottoms, den, -1)):
+        for a in args:  # Gamma(a) = Gamma(r) r (r+1) ... (a-1), r in (0, 1]
+            k = math.ceil(a) - 1
+            r, c = a - k, _rising(a - k, k)
+            coeff = coeff * c if sign > 0 else coeff / c
+            if r == Fraction(1, 2):
+                pi_half += sign
+            elif r != 1:
+                kept.append(r)
     return ExactValue(coeff, pi_half, tuple(sorted(num)), tuple(sorted(den)))
 
 
@@ -206,6 +209,8 @@ class QComplex:
     @staticmethod
     def from_complex(z) -> "QComplex":
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise ParseError(f"coefficient {z} is not finite")
         return QComplex(Fraction(z.real), Fraction(z.imag))
 
     def __add__(self, other: "QComplex") -> "QComplex":
@@ -249,35 +254,17 @@ class ExactMix:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self._terms: dict = {}
-        if terms:
-            for key, q in terms:
-                self._accumulate(key, q)
 
-    def _accumulate(self, key, q: QComplex):
-        cur = self._terms.get(key)
-        new = q if cur is None else cur + q
+    def add_scaled(self, coeff: QComplex, value: ExactValue) -> None:
+        """Accumulate ``coeff * value`` into the mix."""
+        key = value.key()
+        new = self._terms.get(key, QComplex()) + coeff * value.coeff
         if new.is_zero():
             self._terms.pop(key, None)
         else:
             self._terms[key] = new
-
-    def add_scaled(self, coeff: QComplex, value: ExactValue) -> None:
-        """Accumulate ``coeff * value`` into the mix."""
-        self._accumulate(value.key(), coeff * value.coeff)
-
-    def __add__(self, other: "ExactMix") -> "ExactMix":
-        out = ExactMix(self.items())
-        for key, q in other.items():
-            out._accumulate(key, q)
-        return out
-
-    def scaled(self, q: QComplex) -> "ExactMix":
-        return ExactMix((key, q * c) for key, c in self.items())
-
-    def conjugate(self) -> "ExactMix":
-        return ExactMix((key, c.conjugate()) for key, c in self.items())
 
     def items(self):
         return sorted(self._terms.items())

@@ -45,6 +45,8 @@ from .domains import (DomainSpec, Family, MultiIndex, check_exponent,
                       conjugate_exponent, holomorphy_ok, moment)
 from .errors import ChainViolation, ParseError, WindowTooSmall
 
+#: the most lattice points a window may have where it is walked
+MAX_WINDOW_POINTS = 10 ** 6
 #: caveat attached to every report; the bound need not equal the duality index
 #: on domains outside the families with a proven index-set obstruction.
 DUALITY_CAVEAT = ("duality_bound is the exact index-set upper bound for the "
@@ -78,10 +80,14 @@ def member(d: DomainSpec, alpha: MultiIndex, p) -> bool:
     return holomorphy_ok(d, alpha) and moment(d, alpha, p).is_finite
 
 
-def check_radius(radius: int, least: int = 1) -> None:
-    """Validate a lattice window radius (the box max|alpha_i| <= radius)."""
+def check_radius(radius: int, least: int = 1, dim: int = 0) -> None:
+    """Validate a lattice window radius (the box max|alpha_i| <= radius);
+    a window walked in ``dim`` coordinates has at most MAX_WINDOW_POINTS."""
     if radius < least:
         raise ParseError(f"window radius must be >= {least}, got {radius}")
+    if (2 * radius + 1) ** dim > MAX_WINDOW_POINTS:
+        raise ParseError(f"window radius {radius} in dimension {dim} exceeds "
+                         f"{MAX_WINDOW_POINTS} lattice points")
 
 
 def critical_table(d: DomainSpec, radius: int) -> Tuple[Tuple[Fraction, MultiIndex], ...]:
@@ -94,9 +100,10 @@ def critical_table(d: DomainSpec, radius: int) -> Tuple[Tuple[Fraction, MultiInd
     so one lex-order walk over the holomorphic half of the window keeps the
     first index of each slope; other domains return () without scanning.
     """
-    check_radius(radius)
     if d.family is not Family.HARTOGS:
+        check_radius(radius)
         return ()
+    check_radius(radius, dim=2)
     first: dict = {}
     for alpha in itertools.product(range(radius + 1), range(-radius, radius + 1)):
         slope = d.n * alpha[0] + d.m * alpha[1]
@@ -125,7 +132,7 @@ def index_set_window(d: DomainSpec, p, radius: int) -> IndexSetWindow:
     Where membership is p-independent it is the non-negative orthant of the
     box; otherwise every box index is decided by its exact moment.
     """
-    check_radius(radius)
+    check_radius(radius, dim=d.dim)
     p = check_exponent(p)
     if structurally_p_independent(d):
         members = tuple(itertools.product(range(radius + 1), repeat=d.dim))
@@ -173,8 +180,8 @@ def thresholds(d: DomainSpec, p_lo, p_hi, radius: int) -> list:
     for t in out:
         below = max(t.value - Fraction(1, 1000), t.value / 2)
         if not member(d, t.witness, below) or member(d, t.witness, t.value):
-            raise RuntimeError(
-                f"internal: threshold {t.value} reported without a membership flip")
+            raise ChainViolation(
+                f"threshold {t.value} reported without a membership flip")
     return out
 
 

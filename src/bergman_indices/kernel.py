@@ -27,17 +27,18 @@ quadrature module with corner-cutoff divergence probing.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .domains import (DomainSpec, Family, MultiIndex, check_exponent, moment,
                       point_in_domain)
-from .errors import IllConditionedGram, ParseError
+from .errors import IllConditionedGram, Inconclusive, ParseError
 from .exact import EXACT_ONE, ExactValue
 from .index_sets import index_set_window
 from .quadrature import (BlackBoxIntegrand, ProbeResult, QuadConfig,
@@ -60,7 +61,7 @@ class KernelSeries:
         return None
 
 
-@lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32)
 def kernel_series(d: DomainSpec, radius: int) -> KernelSeries:
     """Exact series data for the allowable-at-2 window (lex-ordered)."""
     window = index_set_window(d, 2, radius)
@@ -76,6 +77,23 @@ def _require_inside(d: DomainSpec, z, name: str) -> tuple:
     return z
 
 
+def _in_float_range(evaluate):
+    """Float overflow or underflow (negative powers of small moduli) in a
+    point evaluation ends as Inconclusive, like a NaN on a quadrature grid."""
+    @functools.wraps(evaluate)
+    def checked(*args) -> complex:
+        try:
+            value = evaluate(*args)
+        except (ZeroDivisionError, OverflowError):
+            value = cmath.nan
+        if not cmath.isfinite(value):
+            raise Inconclusive(f"{evaluate.__name__}: the value leaves the "
+                               "floating-point range")
+        return value
+    return checked
+
+
+@_in_float_range
 def kernel_truncated(d: DomainSpec, z, w, radius: int) -> complex:
     """Window truncation of K(w, z), summed in lexicographic order."""
     z = _require_inside(d, z, "z")
@@ -145,6 +163,7 @@ def _closed_form(d: DomainSpec, xs):
     return np.divide(total, s, out=s)
 
 
+@_in_float_range
 def kernel_closed_form(d: DomainSpec, z, w) -> complex:
     """Resummed kernel K(w, z); every supported domain has one."""
     z = _require_inside(d, z, "z")

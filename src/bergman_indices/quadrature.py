@@ -50,6 +50,8 @@ from .errors import Inconclusive, NaNOnGrid, ParseError
 from .exact import as_fraction
 
 TWO_PI = 2.0 * math.pi
+MAX_LADDER_LEVELS = 7  # the divergence ladder's deepest cutoff, 1e-14
+STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 
 
 @dataclass(frozen=True)
@@ -67,17 +69,19 @@ class QuadConfig:
     refinement_levels: int = 3
     rel_tol: float = 1e-9
     max_doublings: int = 3
-    stable_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.radial_nodes < 4:
-            raise ParseError("radial_nodes must be >= 4")
-        if self.angular_nodes is not None and self.angular_nodes < 4:
-            raise ParseError("angular_nodes must be >= 4")
+        if not 4 <= self.radial_nodes <= 256:
+            raise ParseError("radial_nodes must lie in [4, 256]")
+        if self.angular_nodes is not None and not 4 <= self.angular_nodes <= 256:
+            raise ParseError("angular_nodes must lie in [4, 256]")
         if not 0.0 <= self.corner_cutoff < 0.5:
             raise ParseError("corner_cutoff must lie in [0, 1/2)")
-        if self.refinement_levels < 2:
-            raise ParseError("refinement_levels must be >= 2")
+        if not 2 <= self.refinement_levels <= MAX_LADDER_LEVELS:
+            raise ParseError("refinement_levels must lie in "
+                             f"[2, {MAX_LADDER_LEVELS}]")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ParseError("rel_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -598,7 +602,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
         if math.isinf(integrals[-1]):
             return "diverging"  # mass overflowed the exponent range
         scale = max(abs(integrals[-1]), 1e-300)
-        if abs(integrals[-1] - integrals[-2]) / scale < cfg.stable_tol:
+        if abs(integrals[-1] - integrals[-2]) / scale < STABLE_TOL:
             return "stable"
         increasing = all(b >= a * (1.0 - 1e-12)
                          for a, b in zip(integrals, integrals[1:]))
@@ -622,7 +626,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
 
     extend_to(cfg.refinement_levels)
     verdict = classify()
-    while verdict is None and len(integrals) < 7:
+    while verdict is None and len(integrals) < MAX_LADDER_LEVELS:
         extend_to(len(integrals) + 1)  # deepen: product-of-axes transients
         verdict = classify()
 

@@ -192,7 +192,28 @@ def test_usage_errors_exit_2(capsys):
     *(["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "3",
        flag, value]
       for flag, value in [("--refine", "1"), ("--radial-nodes", "2"),
-                          ("--angular-nodes", "2"), ("--cutoff", "0.7")]),
+                          ("--angular-nodes", "2"), ("--cutoff", "0.7"),
+                          ("--refine", "1000000"), ("--radial-nodes", "100000"),
+                          ("--angular-nodes", "100000"), ("--tol", "nan")]),
+    # flags a subcommand does not read
+    ["info", "ball:1", "--tol", "1e-3"],
+    ["indices", "hartogs:1/1", "--format", "csv"],
+    ["density", "polydisc:1", "--format", "table"],
+    ["verify", "--format", "csv"],
+    ["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--cutoff", "0.3"],
+    # input caps
+    ["indices", "hartogs:1/1", "--window", "1000000"],
+    ["index-set", "polydisc:20", "--window", "1"],
+    ["density", "polydisc:1", "--ks", "100000"],
+    ["density", "polydisc:1", "--points", json.dumps([[[0.001 * j, 0]]
+                                                       for j in range(257)])],
+    ["probe", "hartogs:1/1", "--alpha", "0,0", "--gamma", "0,1",
+     "--steps", "100000"],
+    ["probe", "hartogs:1/1", "--alpha", "0,0", "--gamma", "0,1",
+     "--phi", "100000"],
+    ["project", "ball:2", "--terms", '[{"c": [1, 0], "alpha": [100000, 100000]}]'],
+    ["info", "ball:100000000"],
+    ["info", "hartogs:1001/1"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.run(argv)
@@ -200,6 +221,32 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "hartogs:1/31", "--z", "0,1e-10", "--w", "0,1e-10"],
+    ["kernel", "hartogs:1/31", "--z", "0,1e-10", "--w", "0,1e-10",
+     "--window", "2"],
+])
+def test_kernel_beyond_float_range_is_inconclusive(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("inconclusive: ")
+    assert "Traceback" not in captured.err
+
+
+def test_probe_ratio_of_large_exponents(capsys):
+    """The moments leave the float range; their ratio does not (the
+    monomial is holomorphic, so it is its own projection)."""
+    code = cli.run(["probe", "ball:2", "--alpha", "1000,1000", "--gamma", "0,0",
+                    "--plo", "2", "--phi", "3", "--steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = [line.split(",") for line in captured.out.strip().splitlines()[1:]]
+    assert [p for p, _r in rows] == ["2", "3"]
+    assert all(float(r) == pytest.approx(1.0, rel=1e-12) for _p, r in rows)
 
 
 def test_bad_seed_env_exits_2(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Canonical exact-value arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,46 @@ def test_gamma_quarter_stays_symbolic():
     assert v.gamma_num == (Fraction(1, 4),)
     assert v.coeff == Fraction(5, 16)
     assert abs(float(v) - math.gamma(2.25)) < 1e-14
+
+
+def _folded(coeff, gamma_num, gamma_den):
+    """Reference canonical form: fold each Gamma down to (0, 1] one step at a
+    time, then cancel equal leftovers."""
+    pi_half, left = 0, {1: [], -1: []}
+    for sign, args in ((1, gamma_num), (-1, gamma_den)):
+        for a in args:
+            while a > 1:
+                a -= 1
+                coeff = coeff * a if sign > 0 else coeff / a
+            if a == Fraction(1, 2):
+                pi_half += sign
+            elif a != 1:
+                left[sign].append(a)
+    for a in list(left[1]):
+        if a in left[-1]:
+            left[1].remove(a)
+            left[-1].remove(a)
+    return coeff, pi_half, tuple(sorted(left[1])), tuple(sorted(left[-1]))
+
+
+def test_integer_shifted_gamma_pairs_cancel_to_the_folded_form():
+    rng = random.Random(5)
+
+    def arg():
+        den = rng.choice([1, 2, 3, 4, 7])
+        return Fraction(rng.randint(1, 30 * den), den)
+
+    for _ in range(500):
+        num = [arg() for _ in range(rng.randint(0, 4))]
+        den = [arg() for _ in range(rng.randint(0, 4))]
+        # shifted copies, so that most draws hold cancelling pairs
+        den += [a + rng.randint(-3, 20) for a in num[:2] if a > 3]
+        v = make_exact(Fraction(3, 5), 0, num, den)
+        assert (v.coeff, v.pi_half, v.gamma_num, v.gamma_den) == \
+            _folded(Fraction(3, 5), num, den), (num, den)
+    # a shift of 10^5 folds as one short product
+    big = make_exact(1, 0, (Fraction(100001, 3),), (Fraction(100004, 3),))
+    assert big.coeff == Fraction(3, 100001) and not big.gamma_num
 
 
 def test_mul_div_cancellation():
