@@ -20,9 +20,9 @@ the normalized incomplete-beta polynomial u = I_x(k, l) with integer k, l
 chosen to clear the endpoint exponents, which turns the mapped integrand into
 a polynomial-times-analytic profile and restores spectral (often exact)
 convergence; plain Gauss-Legendre would converge only algebraically for
-fractional powers.  Corner-cutoff integrals for divergence probing use
-composite Gauss-Legendre in log coordinates, which is accurate for any power
-profile on (cutoff, 1).
+fractional powers.  Corner-cutoff integrals for divergence probing run
+Gauss-Legendre in log u on the log pieces [10^(-2(j+1)), 10^(-2j)] of each
+axis, accurate for any power profile; each block of pieces refines alone.
 
 The angular rule is the uniform trapezoid, exact for trigonometric
 polynomials below the node count; monomial sums declare their bandwidth.
@@ -37,6 +37,7 @@ order, so results are bit-stable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -60,7 +61,8 @@ class QuadConfig:
 
     ``integrate`` runs the base rule and then up to ``max_doublings + 1``
     doubled rules, stopping once two successive ones agree to ``rel_tol``;
-    so ``max_doublings=0`` still doubles once.  Budgets out of range raise
+    so ``max_doublings=0`` still doubles once; with a ``corner_cutoff``,
+    each block of log pieces does so on its own.  Budgets out of range raise
     ``ParseError``, a ``ValueError``."""
 
     radial_nodes: int = 64
@@ -249,26 +251,22 @@ def _pick_power(e1: Fraction, cap: int = 12) -> int:
     return min(cap, max(1, math.ceil(3 / e1)))
 
 
-def _axis_rule(n: int, e0: Fraction, e1: Fraction, cutoff: float):
-    """Nodes/weights for int_cutoff^1 phi(u) du with phi ~ u^e0 near 0, (1-u)^e1 near 1."""
-    if cutoff > 0.0:
-        # composite Gauss-Legendre in log(u); clears any power profile at 0
-        lo = math.log(cutoff)
-        n_pieces = max(1, math.ceil(-lo / math.log(100.0)))
-        bounds = np.linspace(lo, 0.0, n_pieces + 1)
-        x, w = _leggauss01(n)
-        nodes, weights = [], []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            y = a + (b - a) * x
-            u = np.exp(y)
-            nodes.append(u)
-            weights.append((b - a) * w * u)
-        return np.concatenate(nodes), np.concatenate(weights)
+def _axis_rule(n: int, e0: Fraction, e1: Fraction):
+    """Nodes/weights for int_0^1 phi(u) du with phi ~ u^e0 near 0, (1-u)^e1 near 1."""
     k = _pick_power(e0 + 1)
     l = _pick_power(e1 + 1)
     x, w = _leggauss01(n)
     u, du = _beta_map(x, k, l)
     return u, w * du
+
+
+def _log_piece_rule(n: int, j: int, cutoff: float):
+    """n-node Gauss-Legendre in log(u) on piece j of a cutoff axis,
+    [max(cutoff, 10^(-2(j+1))), 10^(-2j)]; it clears any power profile."""
+    a, b = math.log(max(cutoff, 10.0 ** (-2 * (j + 1)))), math.log(10.0 ** (-2 * j))
+    x, w = _leggauss01(n)
+    u = np.exp(a + (b - a) * x)
+    return u, (b - a) * w * u
 
 
 def _integrate_axis(e: Fraction, b: Fraction, cfg: QuadConfig, cutoff: float):
@@ -278,7 +276,10 @@ def _integrate_axis(e: Fraction, b: Fraction, cfg: QuadConfig, cutoff: float):
     ladder accepts that as an unambiguous growth signal.
     """
     def run(n):
-        u, w = _axis_rule(n, e, b, cutoff)
+        rules = ([_log_piece_rule(n, j, cutoff)  # every piece, deepest first
+                  for (j,) in reversed(_piece_blocks(1, cutoff))]
+                 if cutoff else [_axis_rule(n, e, b)])
+        u, w = (np.concatenate(parts) for parts in zip(*rules))
         with np.errstate(over="ignore"):
             vals = u ** float(e)
             if b != 0:
@@ -374,24 +375,21 @@ def _box_axis_hints(d: DomainSpec, profile) -> list:
     return hints
 
 
-def _radial_mesh(d: DomainSpec, hints, n: int, cutoff: float):
+def _radial_mesh(d: DomainSpec, hints, n: int, block, cutoff: float):
     """Radial coordinates and combined weights on the box mesh.
 
+    ``block`` holds per-axis log piece indices, or is None for (0, 1)^dim.
     Returns (radii, weight): ``radii`` is a list of dim arrays broadcastable
     over the box mesh; ``weight`` includes the shadow Jacobian and the
     prod r_i dr_i measure so that  integral g dV = sum weight * angular(g).
     """
-    axes = [_axis_rule(n, e0, e1, cutoff) for e0, e1 in hints]
+    axes = ([_axis_rule(n, e0, e1) for e0, e1 in hints] if block is None
+            else [_log_piece_rule(n, j, cutoff) for j in block])
     dim = d.dim
-    grids, wgts = [], []
-    for i, (u, w) in enumerate(axes):
-        shape = [1] * dim
-        shape[i] = -1
-        grids.append(u.reshape(shape))
-        wgts.append(w.reshape(shape))
-    weight = wgts[0]
-    for w in wgts[1:]:
-        weight = weight * w
+    shapes = [[-1 if k == i else 1 for k in range(dim)] for i in range(dim)]
+    grids = [u.reshape(shape) for (u, _w), shape in zip(axes, shapes)]
+    wgts = [w.reshape(shape) for (_u, w), shape in zip(axes, shapes)]
+    weight = math.prod(wgts[1:], start=wgts[0])
     if d.family is Family.POLYDISC:
         radii = grids
         for r in radii:
@@ -456,13 +454,13 @@ def _reduce_torus(g):
     return g
 
 
-def _mesh_blocks(d: DomainSpec, g, n_radial: int, ang_counts, cutoff: float):
-    """Blocks (radii, angles, radial weight) of the mesh: dim radial axes,
-    then one angular axis per entry of ``ang_counts``.  Blocks split the
-    first radial axis, and the first angular axis when one row is too
-    large, to stay near 2M points."""
+def _mesh_blocks(d: DomainSpec, g, n_radial: int, ang_counts, block, cutoff):
+    """Chunks (radii, angles, radial weight) of the mesh on ``block`` (see
+    ``_radial_mesh``): dim radial axes, then one angular axis per entry of
+    ``ang_counts``.  Chunks split the first radial axis, and the first
+    angular axis when one row is too large, to stay near 2M points."""
     hints = _box_axis_hints(d, _radial_profile(g))
-    radii, wrad = _radial_mesh(d, hints, n_radial, cutoff)
+    radii, wrad = _radial_mesh(d, hints, n_radial, block, cutoff)
     k = len(ang_counts)
     thetas = [(np.arange(m) * (TWO_PI / m)).reshape((-1,) + (1,) * (k - 1 - i))
               for i, m in enumerate(ang_counts)]  # trailing axes broadcast
@@ -471,17 +469,17 @@ def _mesh_blocks(d: DomainSpec, g, n_radial: int, ang_counts, cutoff: float):
     budget = 2_000_000
     n_rows, *rest = np.broadcast_shapes(*(r.shape for r in radii))
     points_per_row = math.prod(rest) * math.prod(ang_counts)
-    block = max(1, min(n_rows, budget // points_per_row))
-    angle_blocks = [thetas]
+    rows = max(1, min(n_rows, budget // points_per_row))
+    angle_chunks = [thetas]
     if points_per_row > budget and k and ang_counts[0] > 1:
-        t_block = max(1, budget // max(points_per_row // ang_counts[0], 1))
-        angle_blocks = [[thetas[0][t:t + t_block]] + thetas[1:]
-                        for t in range(0, ang_counts[0], t_block)]
-    for start in range(0, n_rows, block):
-        sl = slice(start, start + block)
+        t_rows = max(1, budget // max(points_per_row // ang_counts[0], 1))
+        angle_chunks = [[thetas[0][t:t + t_rows]] + thetas[1:]
+                        for t in range(0, ang_counts[0], t_rows)]
+    for start in range(0, n_rows, rows):
+        sl = slice(start, start + rows)
         r_slice = [r[sl] if r.shape[0] > 1 else r for r in radii]
         w_slice = wrad[sl] if wrad.shape[0] > 1 else wrad
-        for angles in angle_blocks:
+        for angles in angle_chunks:
             yield r_slice, angles, w_slice
 
 
@@ -491,13 +489,48 @@ def _angular_weight(dim: int, ang_counts) -> float:
             * TWO_PI ** (dim - len(ang_counts)))
 
 
-def _tensor_integrate(d: DomainSpec, g, n_radial: int, ang_counts,
+def _tensor_integrate(d: DomainSpec, g, n_radial: int, ang_counts, block,
                       cutoff: float) -> complex:
     total = 0.0 + 0.0j
     for radii, angles, weight in _mesh_blocks(d, g, n_radial, ang_counts,
-                                              cutoff):
+                                              block, cutoff):
         total += complex(np.sum(weight * g.eval_polar(radii, angles)))
     return total * _angular_weight(d.dim, ang_counts)
+
+
+def _piece_blocks(dim: int, cutoff: float) -> list:
+    """Per-axis log piece indices of the blocks of the cutoff box, in
+    lexicographic order; [None], the whole box, without a cutoff."""
+    if cutoff == 0.0:
+        return [None]
+    n_pieces = next(j for j in itertools.count(1) if 10.0 ** (-2 * j) <= cutoff)
+    return list(itertools.product(range(n_pieces), repeat=dim))
+
+
+def _block_sum(d: DomainSpec, g, cfg: QuadConfig, blocks):
+    """Sums over ``blocks`` of the refined block integrals and of their
+    error estimates; each block doubles on its own (``integrate``)."""
+    g = _reduce_torus(g)
+    ang_base, ang_exact = _angular_counts(g, cfg)
+    ang_cap, cutoff = (256 if d.dim <= 2 else 48), cfg.corner_cutoff
+    total = err_total = 0.0
+    for block in blocks:
+        n, ang_counts = cfg.radial_nodes, ang_base
+        value = _tensor_integrate(d, g, n, ang_counts, block, cutoff)
+        for _attempt in range(cfg.max_doublings + 1):
+            n *= 2
+            ang_counts = [m if exact else min(2 * m, ang_cap)
+                          for m, exact in zip(ang_counts, ang_exact)]
+            fine = _tensor_integrate(d, g, n, ang_counts, block, cutoff)
+            err = abs(fine - value)
+            value = fine
+            if err <= cfg.rel_tol * max(abs(value), 1e-300):
+                break
+        if value != value:  # NaN (real or complex)
+            raise NaNOnGrid("integrand produced NaN on the quadrature grid")
+        total += value
+        err_total += err
+    return total, err_total
 
 
 def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
@@ -506,8 +539,11 @@ def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()) -> IntegralResul
     After the base rule, up to ``cfg.max_doublings + 1`` refinements double
     the radial nodes and the inexact angular ones, until two successive
     rules agree to ``cfg.rel_tol`` (``max_doublings=0`` still doubles once);
-    the error estimate is their last difference.  |monomial sum|^p runs on
-    its rank-k torus (module docstring).
+    the error estimate is their last difference.  A corner cutoff splits the
+    box into blocks of one log piece per axis, each refined on its own to
+    ``rel_tol`` of its value; value and error sum over the blocks (so for
+    |f|^p >= 0 the error stays within ``rel_tol`` of the value).
+    |monomial sum|^p runs on its rank-k torus (module docstring).
     """
     cutoff = cfg.corner_cutoff
     # single-term |monomial|^p: per-axis separable rule
@@ -520,22 +556,7 @@ def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()) -> IntegralResul
         value, err = _separable_moment(d, c, cfg, cutoff)
         return IntegralResult(scale * value, scale * err)
 
-    g = _reduce_torus(g)
-    ang_counts, ang_exact = _angular_counts(g, cfg)
-    ang_cap = 256 if d.dim <= 2 else 48
-    n = cfg.radial_nodes
-    value = _tensor_integrate(d, g, n, ang_counts, cutoff)
-    for _attempt in range(cfg.max_doublings + 1):
-        n *= 2
-        ang_counts = [m if exact else min(2 * m, ang_cap)
-                      for m, exact in zip(ang_counts, ang_exact)]
-        fine = _tensor_integrate(d, g, n, ang_counts, cutoff)
-        err = abs(fine - value)
-        value = fine
-        if err <= cfg.rel_tol * max(abs(value), 1e-300):
-            break
-    if value != value:  # NaN (real or complex)
-        raise NaNOnGrid("integrand produced NaN on the quadrature grid")
+    value, err = _block_sum(d, g, cfg, _piece_blocks(d.dim, cutoff))
     if abs(value.imag) <= 1e-12 * max(abs(value), 1.0):
         value = value.real
     return IntegralResult(value, err)
@@ -566,11 +587,12 @@ def lp_norms_shared(d: DomainSpec, f, ps: Sequence,
     g = _reduce_torus(AbsPowerIntegrand(f, max(ps)))
     ang_counts, _ = _angular_counts(g, cfg)
     totals = [0.0] * len(ps)
-    for radii, angles, weight in _mesh_blocks(d, g, 2 * cfg.radial_nodes,
-                                              ang_counts, cfg.corner_cutoff):
-        absf = np.abs(g.base.eval_polar(radii, angles))
-        for i, p in enumerate(ps):
-            totals[i] += float(np.sum(weight * absf ** float(p)))
+    for block in _piece_blocks(d.dim, cfg.corner_cutoff):
+        for radii, angles, weight in _mesh_blocks(
+                d, g, 2 * cfg.radial_nodes, ang_counts, block, cfg.corner_cutoff):
+            absf = np.abs(g.base.eval_polar(radii, angles))
+            for i, p in enumerate(ps):
+                totals[i] += float(np.sum(weight * absf ** float(p)))
     ang_w = _angular_weight(d.dim, ang_counts)
     return [(t * ang_w) ** (1.0 / float(p)) for t, p in zip(totals, ps)]
 
@@ -583,8 +605,13 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     of the increments means the ladder converges (stable); non-contracting
     increments under monotone growth mean the mass below the cutoff does not
     run out (diverging).  Anything else raises Inconclusive.
+
+    The boxes nest: level L adds the blocks whose deepest log piece is piece
+    L-1.  On the tensor path only those are integrated, and their sum is
+    added to the previous level's, so the ladder never decreases.
     """
     p = as_fraction(p)
+    g = AbsPowerIntegrand(f, p)
     # the ladder classification needs ~1e-3 accuracy per level, not rel_tol
     probe_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6),
                         max_doublings=min(cfg.max_doublings, 1))
@@ -592,10 +619,13 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):
-            cut = 10.0 ** (-2 * (level + 1))
-            res = integrate(d, AbsPowerIntegrand(f, p),
-                            replace(probe_cfg, corner_cutoff=cut))
-            integrals.append(float(res.value))
+            cfg_l = replace(probe_cfg, corner_cutoff=10.0 ** (-2 * (level + 1)))
+            if isinstance(f, MonomialSumIntegrand) and len(f.terms) == 1:
+                integrals.append(float(integrate(d, g, cfg_l).value))
+                continue  # the separable rule: one whole box per level
+            new = [b for b in _piece_blocks(d.dim, cfg_l.corner_cutoff) if level in b]
+            added, _err = _block_sum(d, g, cfg_l, new)
+            integrals.append((integrals[-1] if integrals else 0.0) + added.real)
 
     def classify():
         """diverging | stable | None (ambiguous at this depth)."""

@@ -68,6 +68,10 @@ def _moment_grid(level: str):
     return 3, [Fraction(1), Fraction(2), Fraction(3)]
 
 
+def _kernel_radius(level: str) -> int:
+    return 40 if level == "full" else 30
+
+
 def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
                      moment_fn: Optional[Callable] = None,
                      rel_tol: float = ORACLE_REL_TOL) -> List[CheckResult]:
@@ -355,7 +359,7 @@ def kernel_checks(doms: Sequence[DomainSpec], rng: np.random.Generator,
                   level: str = "quick") -> List[CheckResult]:
     out = []
     n_pairs = 50 if level == "full" else 10
-    radius = 40 if level == "full" else 30
+    radius = _kernel_radius(level)
 
     def series_vs_closed():
         worst = 0.0
@@ -655,10 +659,15 @@ def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
     """Run the bootstrap oracle, then every invariant suite.
 
     Downstream suites are skipped when the bootstrap fails: nothing that
-    depends on the moment formulas can be trusted at that point.
+    depends on the moment formulas can be trusted at that point.  A domain
+    whose kernel window or bootstrap box exceeds ``MAX_WINDOW_POINTS``
+    raises ``ParseError`` before any check runs.
     """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
+    for d in doms:
+        ix.check_radius(_kernel_radius(level), dim=d.dim)
+        ix.check_radius(_moment_grid(level)[0], dim=d.dim)
     rng = np.random.default_rng(seed)
     results = bootstrap_oracle(doms, level, moment_fn=moment_fn)
     bootstrap_ok = all(r.passed for r in results)

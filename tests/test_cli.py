@@ -223,6 +223,20 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_verify_rejects_oversized_domain_before_any_check(capsys, monkeypatch):
+    def no_check(*_args, **_kwargs):
+        raise AssertionError("a check ran before the window caps")
+
+    monkeypatch.setattr(vf, "bootstrap_oracle", no_check)
+    for argv, radius in ((["verify", "polydisc:4"], 30),
+                         (["verify", "--full", "ball:1", "ball:4"], 40)):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: window radius {radius} in dimension 4 "
+                                "exceeds 1000000 lattice points\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "hartogs:1/31", "--z", "0,1e-10", "--w", "0,1e-10"],
     ["kernel", "hartogs:1/31", "--z", "0,1e-10", "--w", "0,1e-10",

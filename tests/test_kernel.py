@@ -159,6 +159,19 @@ def test_pnorm_closed_form_general_triangle():
         math.sqrt(kn.kernel_closed_form(d, z, z).real), rel=1e-8)
 
 
+def test_pnorm_off_axis_point_on_h21():
+    # beta = 3 on H(2, 1): the ladder at p = 3 diverges, and at p = 2 the
+    # reproducing property gives ||K(., z)||_2 = sqrt(K(z, z)) with z1 != 0
+    d, z = dm.hartogs(2, 1), (0.05, 0.5)
+    est = kn.kernel_pnorm_estimate(d, z, 3)
+    assert est.diverging
+    assert all(b > a for a, b in zip(est.sequence, est.sequence[1:]))
+    est = kn.kernel_pnorm_estimate(d, z, 2)
+    assert not est.diverging
+    assert est.value == pytest.approx(
+        math.sqrt(kn.kernel_closed_form(d, z, z).real), rel=1e-8)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pnorm_beyond_float_range_is_inconclusive():
     # |K(w, z)|^2 ~ |w2|^-50 on H(1, 25) leaves the float range on the ladder

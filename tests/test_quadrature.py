@@ -9,6 +9,7 @@ import pytest
 
 from bergman_indices import domains as dm
 from bergman_indices import quadrature as qd
+from bergman_indices.errors import NaNOnGrid
 
 PI = math.pi
 H11 = dm.hartogs(1, 1)
@@ -84,6 +85,51 @@ def test_divergence_probe_monotone_sequences():
 def test_strong_divergence_has_tenfold_signature():
     probe = qd.divergence_probe(H11, _monomial((0, -2), 2), 4, CFG)
     assert probe.diverging and probe.tenfold
+
+
+def _black_box_monomial(alpha):
+    """z^alpha as a black box, which forces the tensor path."""
+    return qd.BlackBoxIntegrand(
+        lambda *zs: math.prod(z ** a for z, a in zip(zs, alpha)), len(alpha),
+        angular_bandwidth=(0,) * len(alpha), modulus_exponents=alpha)
+
+
+def test_tensor_ladder_matches_separable_ladder():
+    alpha = (0, -1)
+    for p in (3, 4):  # finite at 3, divergent at 4
+        sep = qd.divergence_probe(H11, _monomial(alpha, 2), p, CFG)
+        ten = qd.divergence_probe(H11, _black_box_monomial(alpha), p, CFG)
+        assert (ten.diverging, ten.stable) == (sep.diverging, sep.stable)
+        assert ten.sequence == pytest.approx(sep.sequence, rel=1e-9)
+        if ten.diverging:  # nested boxes: new mass only adds, no slack
+            assert all(b >= a for a, b in zip(ten.sequence, ten.sequence[1:]))
+
+
+def test_cutoff_integrals_off_the_piece_grid():
+    # cutoffs that are not powers of 100 clip the deepest log piece
+    p = 3
+    for cut in (0.3, 1e-3):
+        cfg = qd.QuadConfig(corner_cutoff=cut)
+        sep = qd.integrate(H11, qd.AbsPowerIntegrand(_monomial((0, -1), 2), p),
+                           cfg)
+        ten = qd.integrate(H11, qd.AbsPowerIntegrand(
+            _black_box_monomial((0, -1)), p), cfg)
+        # |z2|^-3 dV on H(1,1) is u v^0 du dv on (cut, 1)^2, times (2 pi)^2
+        exact = 4 * PI ** 2 * (1 - cut ** 2) / 2 * (1 - cut)
+        assert sep.value == pytest.approx(exact, rel=1e-12)
+        assert ten.value == pytest.approx(sep.value, rel=1e-9)
+
+
+def test_nan_in_one_cutoff_block_raises():
+    def nan_below(w1, w2):
+        out = np.ones(np.broadcast_shapes(np.shape(w1), np.shape(w2)))
+        out[np.broadcast_to(np.abs(w2) < 1e-3, out.shape)] = np.nan
+        return out
+
+    with pytest.raises(NaNOnGrid):
+        qd.integrate(H11, qd.BlackBoxIntegrand(nan_below, 2),
+                     qd.QuadConfig(radial_nodes=4, angular_nodes=4,
+                                   corner_cutoff=1e-4))
 
 
 def test_angular_exactness_above_bandwidth():
