@@ -186,39 +186,36 @@ def _check_dim(d: DomainSpec, seq: Sequence) -> None:
             f"expected length {d.dim} for {d}, got {len(seq)}")
 
 
+def moment_finite(d: DomainSpec, c: Sequence) -> bool:
+    """``radial_moment(d, c).is_finite`` without building the value, for
+    int or Fraction entries: every c_i + 2 > 0 on the polydisc and the
+    ball; c1 + 2 > 0 and n(c1+2) + m(c2+2) > 0 on H(m, n)."""
+    _check_dim(d, c)
+    if d.family is Family.HARTOGS:
+        return c[0] > -2 and d.n * c[0] + d.m * c[1] > -2 * (d.n + d.m)
+    return all(ci > -2 for ci in c)
+
+
 def radial_moment(d: DomainSpec, c: Sequence) -> Moment:
     """Exact value of the integral of prod |z_i|^(c_i) dV over the domain.
 
     ``c`` may have any rational entries; this is the atomic quantity behind
     monomial norms, the pairing, and the projection.
     """
-    _check_dim(d, c)
     c = [as_fraction(ci) for ci in c]
+    if not moment_finite(d, c):
+        return Moment.divergent()
     if d.family is Family.POLYDISC:
-        coeff = Fraction(1)
-        for ci in c:
-            if ci + 2 <= 0:
-                return Moment.divergent()
-            coeff *= Fraction(2) / (ci + 2)
+        coeff = math.prod((Fraction(2) / (ci + 2) for ci in c), start=Fraction(1))
         return Moment.finite(make_exact(coeff, 2 * d.dim))
     if d.family is Family.HARTOGS:
         c1, c2 = c
-        inner = c1 + 2
         outer = d.n * (c1 + 2) + d.m * (c2 + 2)
-        if inner <= 0 or outer <= 0:
-            return Moment.divergent()
-        return Moment.finite(make_exact(Fraction(4 * d.m) / (inner * outer), 4))
+        return Moment.finite(make_exact(Fraction(4 * d.m) / ((c1 + 2) * outer), 4))
     # ball: Dirichlet integral over the simplex of squared radii
-    args = []
-    total = Fraction(0)
-    for ci in c:
-        if ci + 2 <= 0:
-            return Moment.divergent()
-        args.append(ci / 2 + 1)
-        total += ci / 2
     return Moment.finite(
-        make_exact(1, 2 * d.dim, gamma_num=tuple(args),
-                   gamma_den=(total + d.dim + 1,)))
+        make_exact(1, 2 * d.dim, gamma_num=tuple(ci / 2 + 1 for ci in c),
+                   gamma_den=(sum(c, Fraction(0)) / 2 + d.dim + 1,)))
 
 
 def moment(d: DomainSpec, alpha: Sequence[int], p) -> Moment:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .domains import (DomainSpec, Family, MultiIndex, check_exponent,
-                      conjugate_exponent, holomorphy_ok, moment)
+                      conjugate_exponent, holomorphy_ok, moment_finite)
 from .errors import ChainViolation, ParseError, WindowTooSmall
 
 #: the most lattice points a window may have where it is walked
@@ -77,7 +77,8 @@ def structurally_p_independent(d: DomainSpec) -> bool:
 
 def member(d: DomainSpec, alpha: MultiIndex, p) -> bool:
     """Exact membership of alpha in the allowable set at exponent p."""
-    return holomorphy_ok(d, alpha) and moment(d, alpha, p).is_finite
+    return (holomorphy_ok(d, alpha)
+            and moment_finite(d, [check_exponent(p) * a for a in alpha]))
 
 
 def check_radius(radius: int, least: int = 1, dim: int = 0) -> None:

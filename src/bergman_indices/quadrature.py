@@ -25,7 +25,11 @@ Gauss-Legendre in log u on the log pieces [10^(-2(j+1)), 10^(-2j)] of each
 axis, accurate for any power profile; each block of pieces refines alone.
 
 The angular rule is the uniform trapezoid, exact for trigonometric
-polynomials below the node count; monomial sums declare their bandwidth.
+polynomials below the node count; monomial sums declare their bandwidth,
+and |f|^p is one only for even p (at several exponents, only if all are).
+One refinement loop, ``_block_sum`` over ``_tensor_integrate``, serves one
+exponent or several: it takes |f| once per mesh chunk, raises it to each p
+and doubles the mesh until every exponent meets ``rel_tol``.
 |sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
 differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
 basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
@@ -60,10 +64,11 @@ class QuadConfig:
     """Quadrature budgets and probe controls.
 
     ``integrate`` runs the base rule and then up to ``max_doublings + 1``
-    doubled rules, stopping once two successive ones agree to ``rel_tol``;
-    so ``max_doublings=0`` still doubles once; with a ``corner_cutoff``,
-    each block of log pieces does so on its own.  Budgets out of range raise
-    ``ParseError``, a ``ValueError``."""
+    doubled rules, stopping once two successive ones agree to ``rel_tol``
+    (at every exponent, when there are several); so ``max_doublings=0``
+    still doubles once; with a ``corner_cutoff``, each block of log pieces
+    does so on its own.  Budgets out of range raise ``ParseError``, a
+    ``ValueError``."""
 
     radial_nodes: int = 64
     angular_nodes: Optional[int] = None  # None: derived from bandwidth (min 32)
@@ -84,6 +89,8 @@ class QuadConfig:
                              f"[2, {MAX_LADDER_LEVELS}]")
         if not 0.0 < self.rel_tol < 1.0:
             raise ParseError("rel_tol must lie in (0, 1)")
+        if self.max_doublings < 0:
+            raise ParseError("max_doublings must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -185,19 +192,30 @@ class BlackBoxIntegrand:
 
 
 class AbsPowerIntegrand:
-    """|base|^p for a base integrand; what every L^p norm integrates."""
+    """|base|^p for a base integrand; what every L^p norm integrates.  ``p``
+    may be a list or tuple of exponents (``integrate`` returns a list); the
+    largest, ``self.p``, steers the radial maps."""
+
+    __slots__ = ("base", "dim", "several", "p", "_ps")  # kept small: callers hold thousands
 
     def __init__(self, base, p):
-        self.base = base
-        self.p = as_fraction(p)
-        self.dim = base.dim
+        self.base, self.dim = base, base.dim
+        self.several = isinstance(p, (list, tuple))
+        self._ps = tuple(map(as_fraction, p)) if self.several else None
+        self.p = max(self._ps) if self.several else as_fraction(p)
 
-    def eval_polar(self, radii, thetas):
-        # in place: the complex block is freed before the power is taken
+    @property
+    def ps(self) -> tuple:
+        return self._ps or (self.p,)
+
+    def powers(self, radii, thetas) -> list:
+        """|base|^p at the points, one array per exponent."""
         vals = np.abs(self.base.eval_polar(radii, thetas))
         # divergent probes may overflow to inf; the ladder reads that as growth
         with np.errstate(over="ignore"):
-            return np.power(vals, float(self.p), out=vals)
+            if len(self.ps) == 1:  # in place: the complex block is freed first
+                return [np.power(vals, float(self.p), out=vals)]
+            return [vals ** float(p) for p in self.ps]
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +315,24 @@ def _integrate_axis(e: Fraction, b: Fraction, cfg: QuadConfig, cutoff: float):
 # separable fast path: single-term |monomial|^p
 # ---------------------------------------------------------------------------
 
-def _separable_moment(d: DomainSpec, c: Sequence[Fraction], cfg: QuadConfig,
-                      cutoff: float):
-    """Quadrature of prod |z_i|^(c_i) dV by per-axis one-dimensional rules.
+def _separable_moment(d: DomainSpec, term, p: Fraction, cfg: QuadConfig,
+                      cutoff: float) -> IntegralResult:
+    """Quadrature of |c z^alpha zbar^gamma|^p dV, for the monomial ``term``,
+    by per-axis one-dimensional rules.
 
     The box axes factor: each integrates u^e0 (1-u)^e1 with the exponents
     of ``_box_axis_hints``; the torus gives 2 pi per axis (pi per axis on
     the ball, whose simplex map carries a factor 1/2 per axis).
     """
-    hints = _box_axis_hints(d, [as_fraction(ci) for ci in c])
+    coeff, alpha, gamma = term
     value, rel_err = 1.0, 0.0
-    for e0, e1 in hints:
+    for e0, e1 in _box_axis_hints(d, [p * (a + g) for a, g in zip(alpha, gamma)]):
         v, e = _integrate_axis(e0, e1, cfg, cutoff)
         value *= v
         rel_err += e / abs(v) if v else math.inf
     value *= (math.pi if d.family is Family.BALL else TWO_PI) ** d.dim
-    return value, rel_err * abs(value)
+    scale = abs(coeff) ** float(p)
+    return IntegralResult(scale * value, scale * (rel_err * abs(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +359,9 @@ def _angular_bandwidths(g) -> list:
     if isinstance(g, BlackBoxIntegrand):
         return list(g.angular_bandwidth or [None] * g.dim)
     if isinstance(g, AbsPowerIntegrand):
-        p = g.p
-        even = p.denominator == 1 and p.numerator % 2 == 0
         # a non-even power of a trigonometric polynomial is not one
-        return [None if b is None or (b and not even) else b * (p.numerator // 2)
+        even = all(p.denominator == 1 and p.numerator % 2 == 0 for p in g.ps)
+        return [None if b is None or (b and not even) else b * (g.p.numerator // 2)
                 for b in _angular_bandwidths(g.base)]
     raise TypeError(f"unsupported integrand {type(g).__name__}")
 
@@ -350,9 +369,7 @@ def _angular_bandwidths(g) -> list:
 def _angular_counts(g, cfg: QuadConfig) -> Tuple[list, list]:
     """Per-axis trapezoid node counts plus per-axis exactness flags."""
     bands = _angular_bandwidths(g)
-    default = 32 if g.dim <= 2 else 12  # tensor cost grows fast past C^2
-    if cfg.angular_nodes is not None:
-        default = cfg.angular_nodes
+    default = cfg.angular_nodes or (32 if g.dim <= 2 else 12)  # cost grows past C^2
     return ([default if b is None else max(1, b + 2) for b in bands],
             [b is not None for b in bands])
 
@@ -391,10 +408,7 @@ def _radial_mesh(d: DomainSpec, hints, n: int, block, cutoff: float):
     wgts = [w.reshape(shape) for (_u, w), shape in zip(axes, shapes)]
     weight = math.prod(wgts[1:], start=wgts[0])
     if d.family is Family.POLYDISC:
-        radii = grids
-        for r in radii:
-            weight = weight * r
-        return radii, weight
+        return grids, math.prod(grids, start=weight)
     if d.family is Family.HARTOGS:
         u, v = grids
         nm = d.n / d.m
@@ -450,16 +464,15 @@ def _reduce_torus(g):
     """|monomial sum|^p on its rank-k torus; any other integrand unchanged."""
     if (isinstance(g, AbsPowerIntegrand)
             and isinstance(g.base, MonomialSumIntegrand)):
-        return AbsPowerIntegrand(_ReducedSum(g.base), g.p)
+        return AbsPowerIntegrand(_ReducedSum(g.base), g.ps)
     return g
 
 
-def _mesh_blocks(d: DomainSpec, g, n_radial: int, ang_counts, block, cutoff):
+def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block, cutoff):
     """Chunks (radii, angles, radial weight) of the mesh on ``block`` (see
     ``_radial_mesh``): dim radial axes, then one angular axis per entry of
     ``ang_counts``.  Chunks split the first radial axis, and the first
     angular axis when one row is too large, to stay near 2M points."""
-    hints = _box_axis_hints(d, _radial_profile(g))
     radii, wrad = _radial_mesh(d, hints, n_radial, block, cutoff)
     k = len(ang_counts)
     thetas = [(np.arange(m) * (TWO_PI / m)).reshape((-1,) + (1,) * (k - 1 - i))
@@ -483,19 +496,20 @@ def _mesh_blocks(d: DomainSpec, g, n_radial: int, ang_counts, block, cutoff):
             yield r_slice, angles, w_slice
 
 
-def _angular_weight(dim: int, ang_counts) -> float:
-    """Trapezoid weight of the angular mesh, times 2 pi per unseen angle."""
-    return (math.prod(TWO_PI / m_i for m_i in ang_counts)
-            * TWO_PI ** (dim - len(ang_counts)))
-
-
-def _tensor_integrate(d: DomainSpec, g, n_radial: int, ang_counts, block,
-                      cutoff: float) -> complex:
-    total = 0.0 + 0.0j
-    for radii, angles, weight in _mesh_blocks(d, g, n_radial, ang_counts,
+def _tensor_integrate(d: DomainSpec, g, hints, n_radial: int, ang_counts, block,
+                      cutoff: float) -> list:
+    """Mesh sums of ``g``: one per exponent of an ``AbsPowerIntegrand``."""
+    power = isinstance(g, AbsPowerIntegrand)
+    totals = [0.0 + 0.0j] * (len(g.ps) if power else 1)
+    for radii, angles, weight in _mesh_blocks(d, hints, n_radial, ang_counts,
                                               block, cutoff):
-        total += complex(np.sum(weight * g.eval_polar(radii, angles)))
-    return total * _angular_weight(d.dim, ang_counts)
+        # the chunk's values die with this statement, before the next chunk
+        totals = [t + complex(np.sum(weight * v)) for t, v in zip(totals, (
+            g.powers(radii, angles) if power else [g.eval_polar(radii, angles)]))]
+    # trapezoid weight of the angular mesh, times 2 pi per unseen angle
+    ang_w = (math.prod(TWO_PI / m_i for m_i in ang_counts)
+             * TWO_PI ** (d.dim - len(ang_counts)))
+    return [t * ang_w for t in totals]
 
 
 def _piece_blocks(dim: int, cutoff: float) -> list:
@@ -508,93 +522,79 @@ def _piece_blocks(dim: int, cutoff: float) -> list:
 
 
 def _block_sum(d: DomainSpec, g, cfg: QuadConfig, blocks):
-    """Sums over ``blocks`` of the refined block integrals and of their
-    error estimates; each block doubles on its own (``integrate``)."""
+    """Per exponent (see ``_tensor_integrate``), the sums over ``blocks`` of
+    the refined block integrals and of their error estimates; each block
+    doubles on its own until every exponent meets ``rel_tol`` (``integrate``)."""
     g = _reduce_torus(g)
     ang_base, ang_exact = _angular_counts(g, cfg)
+    hints = _box_axis_hints(d, _radial_profile(g))
     ang_cap, cutoff = (256 if d.dim <= 2 else 48), cfg.corner_cutoff
-    total = err_total = 0.0
+    totals = err_totals = [0.0] * (len(g.ps) if isinstance(g, AbsPowerIntegrand) else 1)
     for block in blocks:
         n, ang_counts = cfg.radial_nodes, ang_base
-        value = _tensor_integrate(d, g, n, ang_counts, block, cutoff)
+        values = _tensor_integrate(d, g, hints, n, ang_counts, block, cutoff)
         for _attempt in range(cfg.max_doublings + 1):
             n *= 2
             ang_counts = [m if exact else min(2 * m, ang_cap)
                           for m, exact in zip(ang_counts, ang_exact)]
-            fine = _tensor_integrate(d, g, n, ang_counts, block, cutoff)
-            err = abs(fine - value)
-            value = fine
-            if err <= cfg.rel_tol * max(abs(value), 1e-300):
+            fine = _tensor_integrate(d, g, hints, n, ang_counts, block, cutoff)
+            errs = [abs(a - b) for a, b in zip(fine, values)]
+            values = fine
+            if all(e <= cfg.rel_tol * max(abs(v), 1e-300)
+                   for e, v in zip(errs, values)):
                 break
-        if value != value:  # NaN (real or complex)
+        if any(v != v for v in values):  # NaN (real or complex)
             raise NaNOnGrid("integrand produced NaN on the quadrature grid")
-        total += value
-        err_total += err
-    return total, err_total
+        totals = [t + v for t, v in zip(totals, values)]
+        err_totals = [t + e for t, e in zip(err_totals, errs)]
+    return totals, err_totals
 
 
-def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()) -> IntegralResult:
-    """Tensor quadrature of an integrand over the domain.
+def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()):
+    """Tensor quadrature of an integrand over the domain; a list of results,
+    one per exponent, for an ``AbsPowerIntegrand`` given a list or tuple.
 
     After the base rule, up to ``cfg.max_doublings + 1`` refinements double
     the radial nodes and the inexact angular ones, until two successive
-    rules agree to ``cfg.rel_tol`` (``max_doublings=0`` still doubles once);
-    the error estimate is their last difference.  A corner cutoff splits the
-    box into blocks of one log piece per axis, each refined on its own to
-    ``rel_tol`` of its value; value and error sum over the blocks (so for
-    |f|^p >= 0 the error stays within ``rel_tol`` of the value).
-    |monomial sum|^p runs on its rank-k torus (module docstring).
+    rules agree to ``cfg.rel_tol`` at every exponent (``max_doublings=0``
+    still doubles once); the error estimate is their last difference.  A
+    corner cutoff splits the box into blocks of one log piece per axis, each
+    refined on its own to ``rel_tol`` of its value; value and error sum over
+    the blocks (so for |f|^p >= 0 the error stays within ``rel_tol`` of the
+    value).  |monomial sum|^p runs on its rank-k torus (module docstring);
+    |single monomial|^p takes the separable rule, once per exponent.
     """
-    cutoff = cfg.corner_cutoff
-    # single-term |monomial|^p: per-axis separable rule
     if (isinstance(g, AbsPowerIntegrand)
             and isinstance(g.base, MonomialSumIntegrand)
             and len(g.base.terms) == 1):
-        coeff, alpha, gamma = g.base.terms[0]
-        c = [g.p * (a + gm) for a, gm in zip(alpha, gamma)]
-        scale = abs(coeff) ** float(g.p)
-        value, err = _separable_moment(d, c, cfg, cutoff)
-        return IntegralResult(scale * value, scale * err)
+        results = [_separable_moment(d, g.base.terms[0], p, cfg, cfg.corner_cutoff)
+                   for p in g.ps]
+    else:
+        values, errs = _block_sum(d, g, cfg, _piece_blocks(d.dim, cfg.corner_cutoff))
+        results = [IntegralResult(v.real if abs(v.imag) <= 1e-12 * max(abs(v), 1.0)
+                                  else v, e) for v, e in zip(values, errs)]
+    return results if getattr(g, "several", False) else results[0]
 
-    value, err = _block_sum(d, g, cfg, _piece_blocks(d.dim, cutoff))
-    if abs(value.imag) <= 1e-12 * max(abs(value), 1.0):
-        value = value.real
-    return IntegralResult(value, err)
+
+def lp_norms(d: DomainSpec, f, ps: Sequence, cfg: QuadConfig = QuadConfig()) -> list:
+    """Quadrature L^p norms of an integrand at each exponent of ``ps`` (> 0).
+
+    One ``integrate`` run sums every exponent on one mesh, refined until all
+    meet ``rel_tol``.  Its nodes and weights are shared and positive, so the
+    discrete Hoelder and log-convexity relations between the norms hold
+    exactly (up to round-off) whatever the quadrature error: a verdict built
+    on them cannot be tripped by integration noise.  A single monomial
+    takes the separable rule per exponent instead."""
+    ps = [as_fraction(p) for p in ps]
+    if any(p <= 0 for p in ps):
+        raise ValueError("exponents must be positive")
+    results = integrate(d, AbsPowerIntegrand(f, ps), cfg)
+    return [float(res.value) ** (1.0 / float(p)) for res, p in zip(results, ps)]
 
 
 def lp_norm(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> float:
     """Quadrature estimate of the L^p norm of an integrand (p > 0)."""
-    p = as_fraction(p)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    res = integrate(d, AbsPowerIntegrand(f, p), cfg)
-    return float(res.value) ** (1.0 / float(p))
-
-
-def lp_norms_shared(d: DomainSpec, f, ps: Sequence,
-                    cfg: QuadConfig = QuadConfig()) -> list:
-    """L^p norms of one integrand at several exponents on one shared mesh.
-
-    Because nodes and weights are identical across the exponents, the
-    discrete Hoelder and log-convexity relations between the returned values
-    hold exactly (up to float round-off) whatever the quadrature error is;
-    inequality checks built on them cannot be tripped by integration noise.
-    The mesh maps are steered by the most singular exponent.
-    """
-    ps = [as_fraction(p) for p in ps]
-    if any(p <= 0 for p in ps):
-        raise ValueError("exponents must be positive")
-    g = _reduce_torus(AbsPowerIntegrand(f, max(ps)))
-    ang_counts, _ = _angular_counts(g, cfg)
-    totals = [0.0] * len(ps)
-    for block in _piece_blocks(d.dim, cfg.corner_cutoff):
-        for radii, angles, weight in _mesh_blocks(
-                d, g, 2 * cfg.radial_nodes, ang_counts, block, cfg.corner_cutoff):
-            absf = np.abs(g.base.eval_polar(radii, angles))
-            for i, p in enumerate(ps):
-                totals[i] += float(np.sum(weight * absf ** float(p)))
-    ang_w = _angular_weight(d.dim, ang_counts)
-    return [(t * ang_w) ** (1.0 / float(p)) for t, p in zip(totals, ps)]
+    return lp_norms(d, f, [p], cfg)[0]
 
 
 def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> ProbeResult:
@@ -624,8 +624,11 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
                 integrals.append(float(integrate(d, g, cfg_l).value))
                 continue  # the separable rule: one whole box per level
             new = [b for b in _piece_blocks(d.dim, cfg_l.corner_cutoff) if level in b]
-            added, _err = _block_sum(d, g, cfg_l, new)
+            (added,), _err = _block_sum(d, g, cfg_l, new)
             integrals.append((integrals[-1] if integrals else 0.0) + added.real)
+
+    def increasing() -> bool:
+        return all(b >= a * (1.0 - 1e-12) for a, b in zip(integrals, integrals[1:]))
 
     def classify():
         """diverging | stable | None (ambiguous at this depth)."""
@@ -634,10 +637,8 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
         scale = max(abs(integrals[-1]), 1e-300)
         if abs(integrals[-1] - integrals[-2]) / scale < STABLE_TOL:
             return "stable"
-        increasing = all(b >= a * (1.0 - 1e-12)
-                         for a, b in zip(integrals, integrals[1:]))
         diffs = [b - a for a, b in zip(integrals, integrals[1:])]
-        if increasing and len(diffs) >= 2 and diffs[-2] > 0:
+        if increasing() and len(diffs) >= 2 and diffs[-2] > 0:
             # geometric contraction of the increments means the ladder
             # converges; non-contracting increments mean the mass below the
             # cutoff does not run out (log divergence gives ratio -> 1).
@@ -661,9 +662,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
         verdict = classify()
 
     norms = tuple(v ** (1.0 / float(p)) for v in integrals)
-    increasing = all(b >= a * (1.0 - 1e-12)
-                     for a, b in zip(integrals, integrals[1:]))
-    tenfold = increasing and all(b > 10.0 * a for a, b in zip(norms, norms[1:]))
+    tenfold = increasing() and all(b > 10.0 * a for a, b in zip(norms, norms[1:]))
     if verdict == "diverging":
         return ProbeResult(True, False, norms, tenfold)
     if verdict == "stable":

@@ -1,6 +1,7 @@
 """Domain parsing, exact moments, and geometry predicates."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,3 +135,29 @@ def test_monotone_divergence_in_p():
             finite = dm.moment(H11, alpha, p).is_finite
             assert not (seen_divergent and finite)
             seen_divergent = seen_divergent or not finite
+
+
+def test_moment_finite_matches_radial_moment():
+    rng = random.Random(707)
+    doms = ([dm.polydisc(k) for k in (1, 2, 3)] + [dm.ball(k) for k in (1, 2, 3)]
+            + [dm.hartogs(m, n) for m, n in ((1, 1), (2, 1), (1, 2), (3, 2), (5, 3))])
+    for d in doms:
+        for _ in range(200):
+            c = [Fraction(rng.randint(-16, 12), rng.randint(1, 5))
+                 for _ in range(d.dim)]
+            assert dm.moment_finite(d, c) == dm.radial_moment(d, c).is_finite
+        # boundary c_i = -2 (on the triangle c_2 = -2 can be finite)
+        for i in range(d.dim):
+            c = [Fraction(1, 3)] * d.dim
+            c[i] = -2
+            assert dm.moment_finite(d, c) == (d.family is dm.Family.HARTOGS
+                                              and i == 1)
+            assert dm.moment_finite(d, c) == dm.radial_moment(d, c).is_finite
+    for m, n in ((1, 1), (2, 1), (1, 2), (3, 2), (5, 3)):
+        d = dm.hartogs(m, n)
+        # n(c1 + 2) + m(c2 + 2) = 0 with c1 + 2 = m > 0, then just above it
+        for c in ([m - 2, -n - 2], [m - 2, Fraction(-n * 100 + 1, 100) - 2]):
+            assert dm.moment_finite(d, c) == (c[1] != -n - 2)
+            assert dm.moment_finite(d, c) == dm.radial_moment(d, c).is_finite
+    with pytest.raises(DimensionMismatch):
+        dm.moment_finite(H11, (1,))

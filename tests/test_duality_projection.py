@@ -12,6 +12,7 @@ from bergman_indices import index_sets as ix
 from bergman_indices import verify as vf
 from bergman_indices.errors import NotIntegrable, ParseError
 from bergman_indices.exact import QComplex
+from bergman_indices.quadrature import QuadConfig, lp_norm
 
 H11 = dm.hartogs(1, 1)
 B2 = dm.ball(2)
@@ -126,6 +127,19 @@ def test_lyapunov_two_term_example():
     f = dp.laurent([(1, (0, -1)), (1, (1, 0))])
     chk = dp.lyapunov_check(H11, f, 3, Fraction(3, 2), Fraction(1, 2))
     assert chk.holds
+
+
+def test_lyapunov_norms_at_even_endpoint_match_lp_norm():
+    # max(p, q) = 4 is even but r = 8/3 is not: the r-norm stays accurate
+    ref = QuadConfig(radial_nodes=24)
+    cases = [(dm.polydisc(2), dp.laurent([(1, (0, 0)), (0.9, (1, 1))])),
+             (H11, dp.laurent([(1, (0, 0)), (0.9, (1, 1))])),
+             (dm.ball(2), dp.laurent([(1, (1, 0)), (0.9, (0, 1))]))]
+    for d, f in cases:
+        chk = dp.lyapunov_check(d, f, 4, 2, Fraction(1, 2))
+        assert chk.holds
+        want = lp_norm(d, f.as_integrand(), Fraction(8, 3), ref)
+        assert abs(chk.lhs - want) <= 1e-5
 
 
 def test_lyapunov_membership_guard():

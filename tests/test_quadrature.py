@@ -9,7 +9,7 @@ import pytest
 
 from bergman_indices import domains as dm
 from bergman_indices import quadrature as qd
-from bergman_indices.errors import NaNOnGrid
+from bergman_indices.errors import NaNOnGrid, ParseError
 
 PI = math.pi
 H11 = dm.hartogs(1, 1)
@@ -165,12 +165,30 @@ def test_multi_term_norm_against_expansion():
 def test_shared_mesh_norms_satisfy_discrete_convexity():
     f = qd.MonomialSumIntegrand([(1.0, (0, -1), (0, 0)), (0.7j, (2, 2), (0, 0))])
     r, p, q = Fraction(140, 59), Fraction(5, 2), Fraction(7, 4)
-    nr, np_, nq = qd.lp_norms_shared(H11, f, [r, p, q],
-                                     qd.QuadConfig(radial_nodes=12,
-                                                   angular_nodes=16))
+    # one doubling of the base rule: the final mesh is 24 radial x 16 angular
+    nr, np_, nq = qd.lp_norms(H11, f, [r, p, q],
+                              qd.QuadConfig(radial_nodes=12, angular_nodes=8,
+                                            max_doublings=0))
     theta = Fraction(1, 8)
     assert 1 / r == (1 - theta) / p + theta / q
     assert nr <= np_ ** float(1 - theta) * nq ** float(theta) * (1 + 1e-12)
+
+
+def test_lp_norms_at_mixed_parity_match_lp_norm():
+    # an even largest exponent must not make the angular axes exact for the
+    # others: |f|^(8/3) is no trigonometric polynomial.  The reference runs
+    # lp_norm from 24 radial nodes (1e-14 from the default's, 6x faster)
+    for d, terms in [
+            (dm.polydisc(2), [(1.0, (0, 0), (0, 0)), (0.9, (1, 1), (0, 0))]),
+            (H11, [(1.0, (0, 0), (0, 0)), (0.9, (1, 1), (0, 0))]),
+            (dm.ball(2), [(1.0, (1, 0), (0, 0)), (0.9, (0, 1), (0, 0))])]:
+        f = qd.MonomialSumIntegrand(terms)
+        ps = [Fraction(8, 3), 4, 2]
+        norms = qd.lp_norms(d, f, ps, qd.QuadConfig(radial_nodes=12,
+                                                    angular_nodes=16))
+        for p, norm in zip(ps, norms):
+            want = qd.lp_norm(d, f, p, qd.QuadConfig(radial_nodes=24))
+            assert abs(norm - want) <= 1e-9, (str(d), p)
 
 
 def test_nan_rejected():
@@ -207,6 +225,9 @@ def test_config_validation():
         qd.QuadConfig(radial_nodes=2)
     with pytest.raises(ValueError):
         qd.QuadConfig(corner_cutoff=0.6)
+    with pytest.raises(ParseError):
+        qd.QuadConfig(max_doublings=-1)
+    qd.QuadConfig(max_doublings=0)  # the base rule and one doubling
     with pytest.raises(ValueError):
         qd.divergence_probe(H11, _monomial((0, 0), 2), 2,
                             qd.QuadConfig(refinement_levels=1))
@@ -290,12 +311,11 @@ def test_even_p_norms_match_exact_expansion():
         est = qd.lp_norm(d, qd.MonomialSumIntegrand(terms), 4, CFG)
         assert est == pytest.approx(_exact_even_norm(d, terms, 4),
                                     rel=1e-10), str(d)
-    # the shared mesh takes the same reduction; its radial rules are exact
+    # lp_norms takes the same reduction; its radial rules are exact
     # for these polynomial profiles on the polydisc
     for d, terms in (cases[0], cases[-1]):
-        shared = qd.lp_norms_shared(d, qd.MonomialSumIntegrand(terms), [4, 2],
-                                    qd.QuadConfig(radial_nodes=12,
-                                                  angular_nodes=16))
+        shared = qd.lp_norms(d, qd.MonomialSumIntegrand(terms), [4, 2],
+                             qd.QuadConfig(radial_nodes=12, angular_nodes=16))
         assert shared == pytest.approx(
             [_exact_even_norm(d, terms, p) for p in (4, 2)], rel=1e-10)
     # rank 2 on polydisc:3: differences (-1, 1, 1) and (1, 0, 1); the
