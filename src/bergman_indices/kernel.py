@@ -281,7 +281,6 @@ def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
     if probe.diverging:
         return PNormEstimate(probe.sequence[-1], True, probe.sequence)
     # the ladder converged; report the cutoff-free value at full budget
-    res = integrate(d, AbsPowerIntegrand(integrand, p),
-                    replace(cfg, corner_cutoff=0.0))
+    res = integrate(d, AbsPowerIntegrand(integrand, p), cfg)
     return PNormEstimate(float(res.value) ** (1.0 / float(p)), False,
                          probe.sequence)

@@ -20,16 +20,16 @@ the normalized incomplete-beta polynomial u = I_x(k, l) with integer k, l
 chosen to clear the endpoint exponents, which turns the mapped integrand into
 a polynomial-times-analytic profile and restores spectral (often exact)
 convergence; plain Gauss-Legendre would converge only algebraically for
-fractional powers.  Corner-cutoff integrals for divergence probing run
-Gauss-Legendre in log u on the log pieces [10^(-2(j+1)), 10^(-2j)] of each
-axis, accurate for any power profile; each block of pieces refines alone.
+fractional powers.  Level L of the divergence ladder cuts each axis at
+10^(-2L) and runs Gauss-Legendre in log u on its log pieces
+[10^(-2(j+1)), 10^(-2j)], j < L, accurate for any power profile.
 
 The angular rule is the uniform trapezoid, exact for trigonometric
 polynomials below the node count; monomial sums declare their bandwidth,
 and |f|^p is one only for even p (at several exponents, only if all are).
-One refinement loop, ``_block_sum`` over ``_tensor_integrate``, serves one
-exponent or several: it takes |f| once per mesh chunk, raises it to each p
-and doubles the mesh until every exponent meets ``rel_tol``.
+One loop, ``_refine``, doubles every rule until two successive ones agree
+to ``rel_tol``: each separable axis and each tensor block, whose mesh sums
+take |f| once per chunk and raise it to each exponent p.
 |sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
 differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
 basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
@@ -45,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,16 +63,15 @@ STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 class QuadConfig:
     """Quadrature budgets and probe controls.
 
-    ``integrate`` runs the base rule and then up to ``max_doublings + 1``
-    doubled rules, stopping once two successive ones agree to ``rel_tol``
+    Each rule (a tensor block, or a box axis of a single monomial's
+    separable path) runs its base size and then up to ``max_doublings + 1``
+    doubled sizes, stopping once two successive ones agree to ``rel_tol``
     (at every exponent, when there are several); so ``max_doublings=0``
-    still doubles once; with a ``corner_cutoff``, each block of log pieces
-    does so on its own.  Budgets out of range raise ``ParseError``, a
+    still doubles once.  Budgets out of range raise ``ParseError``, a
     ``ValueError``."""
 
     radial_nodes: int = 64
-    angular_nodes: Optional[int] = None  # None: derived from bandwidth (min 32)
-    corner_cutoff: float = 0.0
+    angular_nodes: Optional[int] = None  # None: 32 through C^2, 12 beyond
     refinement_levels: int = 3
     rel_tol: float = 1e-9
     max_doublings: int = 3
@@ -82,8 +81,6 @@ class QuadConfig:
             raise ParseError("radial_nodes must lie in [4, 256]")
         if self.angular_nodes is not None and not 4 <= self.angular_nodes <= 256:
             raise ParseError("angular_nodes must lie in [4, 256]")
-        if not 0.0 <= self.corner_cutoff < 0.5:
-            raise ParseError("corner_cutoff must lie in [0, 1/2)")
         if not 2 <= self.refinement_levels <= MAX_LADDER_LEVELS:
             raise ParseError("refinement_levels must lie in "
                              f"[2, {MAX_LADDER_LEVELS}]")
@@ -278,37 +275,49 @@ def _axis_rule(n: int, e0: Fraction, e1: Fraction):
     return u, w * du
 
 
-def _log_piece_rule(n: int, j: int, cutoff: float):
-    """n-node Gauss-Legendre in log(u) on piece j of a cutoff axis,
-    [max(cutoff, 10^(-2(j+1))), 10^(-2j)]; it clears any power profile."""
-    a, b = math.log(max(cutoff, 10.0 ** (-2 * (j + 1)))), math.log(10.0 ** (-2 * j))
+def _log_piece_rule(n: int, j: int):
+    """n-node Gauss-Legendre in log(u) on the log piece j of an axis,
+    [10^(-2(j+1)), 10^(-2j)]; it clears any power profile."""
+    a, b = math.log(10.0 ** (-2 * (j + 1))), math.log(10.0 ** (-2 * j))
     x, w = _leggauss01(n)
     u = np.exp(a + (b - a) * x)
     return u, (b - a) * w * u
 
 
-def _integrate_axis(e: Fraction, b: Fraction, cfg: QuadConfig, cutoff: float):
-    """Two-level estimate of int u^e (1-u)^b du over (cutoff, 1).
+def _refine(run: Callable[[int], list], cfg: QuadConfig) -> Tuple[list, list]:
+    """(values, errors) of ``run(k)``, the sums on a rule doubled k times, as
+    k climbs from 0 until two successive lists agree to ``cfg.rel_tol`` or
+    k reaches ``max_doublings + 1``; an error is the last difference."""
+    values = run(0)
+    for k in range(1, cfg.max_doublings + 2):
+        fine = run(k)
+        errs = [abs(a - b) for a, b in zip(fine, values)]
+        values = fine
+        if all(e <= cfg.rel_tol * max(abs(v), 1e-300)
+               for e, v in zip(errs, values)):
+            break
+    return values, errs
 
-    Deeply divergent cutoff integrals may overflow to inf; the divergence
-    ladder accepts that as an unambiguous growth signal.
-    """
-    def run(n):
-        rules = ([_log_piece_rule(n, j, cutoff)  # every piece, deepest first
-                  for (j,) in reversed(_piece_blocks(1, cutoff))]
-                 if cutoff else [_axis_rule(n, e, b)])
+
+def _integrate_axis(e: Fraction, b: Fraction, cfg: QuadConfig, pieces: int):
+    """([value], [error]) of int u^e (1-u)^b du over (0, 1), or with ``pieces``
+    over its first log pieces, (10^(-2 pieces), 1).  Deeply divergent cutoff
+    integrals may overflow to inf, an unambiguous growth signal."""
+    def run(k):
+        n = base_n << k
+        rules = ([_log_piece_rule(n, j) for j in reversed(range(pieces))]
+                 if pieces else [_axis_rule(n, e, b)])
         u, w = (np.concatenate(parts) for parts in zip(*rules))
         with np.errstate(over="ignore"):
             vals = u ** float(e)
             if b != 0:
                 vals = vals * (1.0 - u) ** float(b)
-            return float(np.sum(w * vals))
+            return [float(np.sum(w * vals))]
 
     base_n = max(cfg.radial_nodes,
                  int((_pick_power(e + 1) * (abs(e) + 1)
                       + _pick_power(b + 1) * (abs(b) + 1)) / 2) + 8)
-    coarse, fine = run(base_n), run(2 * base_n)
-    return fine, abs(fine - coarse)
+    return _refine(run, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +325,20 @@ def _integrate_axis(e: Fraction, b: Fraction, cfg: QuadConfig, cutoff: float):
 # ---------------------------------------------------------------------------
 
 def _separable_moment(d: DomainSpec, term, p: Fraction, cfg: QuadConfig,
-                      cutoff: float) -> IntegralResult:
+                      pieces: int = 0) -> IntegralResult:
     """Quadrature of |c z^alpha zbar^gamma|^p dV, for the monomial ``term``,
-    by per-axis one-dimensional rules.
+    by per-axis one-dimensional rules; with ``pieces``, over the box cut at
+    10^(-2 pieces) (the ladder's level ``pieces``).
 
     The box axes factor: each integrates u^e0 (1-u)^e1 with the exponents
-    of ``_box_axis_hints``; the torus gives 2 pi per axis (pi per axis on
-    the ball, whose simplex map carries a factor 1/2 per axis).
+    of ``_box_axis_hints`` and refines on its own; the torus gives 2 pi per
+    axis (pi per axis on the ball, whose simplex map carries a factor 1/2
+    per axis).
     """
     coeff, alpha, gamma = term
     value, rel_err = 1.0, 0.0
     for e0, e1 in _box_axis_hints(d, [p * (a + g) for a, g in zip(alpha, gamma)]):
-        v, e = _integrate_axis(e0, e1, cfg, cutoff)
+        (v,), (e,) = _integrate_axis(e0, e1, cfg, pieces)
         value *= v
         rel_err += e / abs(v) if v else math.inf
     value *= (math.pi if d.family is Family.BALL else TWO_PI) ** d.dim
@@ -392,7 +403,7 @@ def _box_axis_hints(d: DomainSpec, profile) -> list:
     return hints
 
 
-def _radial_mesh(d: DomainSpec, hints, n: int, block, cutoff: float):
+def _radial_mesh(d: DomainSpec, hints, n: int, block):
     """Radial coordinates and combined weights on the box mesh.
 
     ``block`` holds per-axis log piece indices, or is None for (0, 1)^dim.
@@ -401,7 +412,7 @@ def _radial_mesh(d: DomainSpec, hints, n: int, block, cutoff: float):
     prod r_i dr_i measure so that  integral g dV = sum weight * angular(g).
     """
     axes = ([_axis_rule(n, e0, e1) for e0, e1 in hints] if block is None
-            else [_log_piece_rule(n, j, cutoff) for j in block])
+            else [_log_piece_rule(n, j) for j in block])
     dim = d.dim
     shapes = [[-1 if k == i else 1 for k in range(dim)] for i in range(dim)]
     grids = [u.reshape(shape) for (u, _w), shape in zip(axes, shapes)]
@@ -468,12 +479,12 @@ def _reduce_torus(g):
     return g
 
 
-def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block, cutoff):
+def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block):
     """Chunks (radii, angles, radial weight) of the mesh on ``block`` (see
     ``_radial_mesh``): dim radial axes, then one angular axis per entry of
     ``ang_counts``.  Chunks split the first radial axis, and the first
     angular axis when one row is too large, to stay near 2M points."""
-    radii, wrad = _radial_mesh(d, hints, n_radial, block, cutoff)
+    radii, wrad = _radial_mesh(d, hints, n_radial, block)
     k = len(ang_counts)
     thetas = [(np.arange(m) * (TWO_PI / m)).reshape((-1,) + (1,) * (k - 1 - i))
               for i, m in enumerate(ang_counts)]  # trailing axes broadcast
@@ -496,13 +507,11 @@ def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block, cutoff)
             yield r_slice, angles, w_slice
 
 
-def _tensor_integrate(d: DomainSpec, g, hints, n_radial: int, ang_counts, block,
-                      cutoff: float) -> list:
+def _tensor_integrate(d: DomainSpec, g, hints, n_radial: int, ang_counts, block) -> list:
     """Mesh sums of ``g``: one per exponent of an ``AbsPowerIntegrand``."""
     power = isinstance(g, AbsPowerIntegrand)
     totals = [0.0 + 0.0j] * (len(g.ps) if power else 1)
-    for radii, angles, weight in _mesh_blocks(d, hints, n_radial, ang_counts,
-                                              block, cutoff):
+    for radii, angles, weight in _mesh_blocks(d, hints, n_radial, ang_counts, block):
         # the chunk's values die with this statement, before the next chunk
         totals = [t + complex(np.sum(weight * v)) for t, v in zip(totals, (
             g.powers(radii, angles) if power else [g.eval_polar(radii, angles)]))]
@@ -512,37 +521,24 @@ def _tensor_integrate(d: DomainSpec, g, hints, n_radial: int, ang_counts, block,
     return [t * ang_w for t in totals]
 
 
-def _piece_blocks(dim: int, cutoff: float) -> list:
-    """Per-axis log piece indices of the blocks of the cutoff box, in
-    lexicographic order; [None], the whole box, without a cutoff."""
-    if cutoff == 0.0:
-        return [None]
-    n_pieces = next(j for j in itertools.count(1) if 10.0 ** (-2 * j) <= cutoff)
-    return list(itertools.product(range(n_pieces), repeat=dim))
-
-
-def _block_sum(d: DomainSpec, g, cfg: QuadConfig, blocks):
+def _block_sum(d: DomainSpec, g, cfg: QuadConfig, blocks=(None,)):
     """Per exponent (see ``_tensor_integrate``), the sums over ``blocks`` of
-    the refined block integrals and of their error estimates; each block
-    doubles on its own until every exponent meets ``rel_tol`` (``integrate``)."""
+    the block integrals and error estimates; a block, per-axis log piece
+    indices or None for all of (0, 1)^dim, refines on its own, doubling the
+    radial nodes and the inexact angular ones."""
     g = _reduce_torus(g)
     ang_base, ang_exact = _angular_counts(g, cfg)
     hints = _box_axis_hints(d, _radial_profile(g))
-    ang_cap, cutoff = (256 if d.dim <= 2 else 48), cfg.corner_cutoff
+    ang_cap = 256 if d.dim <= 2 else 48
+
+    def run(block, k):  # the cap applies from the first doubling on
+        ang_counts = [m if exact or not k else min(m << k, ang_cap)
+                      for m, exact in zip(ang_base, ang_exact)]
+        return _tensor_integrate(d, g, hints, cfg.radial_nodes << k, ang_counts, block)
+
     totals = err_totals = [0.0] * (len(g.ps) if isinstance(g, AbsPowerIntegrand) else 1)
     for block in blocks:
-        n, ang_counts = cfg.radial_nodes, ang_base
-        values = _tensor_integrate(d, g, hints, n, ang_counts, block, cutoff)
-        for _attempt in range(cfg.max_doublings + 1):
-            n *= 2
-            ang_counts = [m if exact else min(2 * m, ang_cap)
-                          for m, exact in zip(ang_counts, ang_exact)]
-            fine = _tensor_integrate(d, g, hints, n, ang_counts, block, cutoff)
-            errs = [abs(a - b) for a, b in zip(fine, values)]
-            values = fine
-            if all(e <= cfg.rel_tol * max(abs(v), 1e-300)
-                   for e, v in zip(errs, values)):
-                break
+        values, errs = _refine(partial(run, block), cfg)
         if any(v != v for v in values):  # NaN (real or complex)
             raise NaNOnGrid("integrand produced NaN on the quadrature grid")
         totals = [t + v for t, v in zip(totals, values)]
@@ -551,26 +547,21 @@ def _block_sum(d: DomainSpec, g, cfg: QuadConfig, blocks):
 
 
 def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()):
-    """Tensor quadrature of an integrand over the domain; a list of results,
-    one per exponent, for an ``AbsPowerIntegrand`` given a list or tuple.
+    """Quadrature of an integrand over the domain; a list of results, one
+    per exponent, for an ``AbsPowerIntegrand`` given a list or tuple.
 
-    After the base rule, up to ``cfg.max_doublings + 1`` refinements double
-    the radial nodes and the inexact angular ones, until two successive
-    rules agree to ``cfg.rel_tol`` at every exponent (``max_doublings=0``
-    still doubles once); the error estimate is their last difference.  A
-    corner cutoff splits the box into blocks of one log piece per axis, each
-    refined on its own to ``rel_tol`` of its value; value and error sum over
-    the blocks (so for |f|^p >= 0 the error stays within ``rel_tol`` of the
-    value).  |monomial sum|^p runs on its rank-k torus (module docstring);
-    |single monomial|^p takes the separable rule, once per exponent.
+    Each rule refines as ``QuadConfig`` says; the error estimate is its
+    last difference.  The tensor mesh doubles its radial nodes and its
+    inexact angular ones; |monomial sum|^p runs on its rank-k torus (module
+    docstring).  |single monomial|^p takes the separable rule, once per
+    exponent, whose axes refine on their own and add their relative errors.
     """
     if (isinstance(g, AbsPowerIntegrand)
             and isinstance(g.base, MonomialSumIntegrand)
             and len(g.base.terms) == 1):
-        results = [_separable_moment(d, g.base.terms[0], p, cfg, cfg.corner_cutoff)
-                   for p in g.ps]
+        results = [_separable_moment(d, g.base.terms[0], p, cfg) for p in g.ps]
     else:
-        values, errs = _block_sum(d, g, cfg, _piece_blocks(d.dim, cfg.corner_cutoff))
+        values, errs = _block_sum(d, g, cfg)
         results = [IntegralResult(v.real if abs(v.imag) <= 1e-12 * max(abs(v), 1.0)
                                   else v, e) for v, e in zip(values, errs)]
     return results if getattr(g, "several", False) else results[0]
@@ -601,30 +592,36 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     """Corner-cutoff refinement ladder deciding finite versus divergent.
 
     The cutoffs are 1e-2, 1e-4, ... down to ``cfg.refinement_levels`` levels.
-    The verdict is taken from the p-th-power integrals: geometric contraction
-    of the increments means the ladder converges (stable); non-contracting
+    A level needs only ~1e-3 accuracy, so the ladder runs at ``rel_tol`` >=
+    1e-6 and ``max_doublings`` <= 1 (larger budgets change nothing).  The
+    verdict is taken from the p-th-power integrals: geometric contraction of
+    the increments means the ladder converges (stable); non-contracting
     increments under monotone growth mean the mass below the cutoff does not
     run out (diverging).  Anything else raises Inconclusive.
 
     The boxes nest: level L adds the blocks whose deepest log piece is piece
     L-1.  On the tensor path only those are integrated, and their sum is
-    added to the previous level's, so the ladder never decreases.
+    added to the previous level's, so the ladder never decreases.  A single
+    monomial takes the separable rule on each level's cut box, doubled once:
+    its base rules fit the exponents, and where they do not agree (the ball's
+    uncut u_0 -> 1 end) a 4x rule gains nothing and costs O(n^2) memory to build.
     """
     p = as_fraction(p)
     g = AbsPowerIntegrand(f, p)
-    # the ladder classification needs ~1e-3 accuracy per level, not rel_tol
     probe_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6),
                         max_doublings=min(cfg.max_doublings, 1))
     integrals: list = []
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):
-            cfg_l = replace(probe_cfg, corner_cutoff=10.0 ** (-2 * (level + 1)))
             if isinstance(f, MonomialSumIntegrand) and len(f.terms) == 1:
-                integrals.append(float(integrate(d, g, cfg_l).value))
-                continue  # the separable rule: one whole box per level
-            new = [b for b in _piece_blocks(d.dim, cfg_l.corner_cutoff) if level in b]
-            (added,), _err = _block_sum(d, g, cfg_l, new)
+                integrals.append(_separable_moment(
+                    d, f.terms[0], p, replace(probe_cfg, max_doublings=0),
+                    pieces=level + 1).value)
+                continue
+            new = [b for b in itertools.product(range(level + 1), repeat=d.dim)
+                   if level in b]
+            (added,), _err = _block_sum(d, g, probe_cfg, new)
             integrals.append((integrals[-1] if integrals else 0.0) + added.real)
 
     def increasing() -> bool:

@@ -103,21 +103,14 @@ def test_tensor_ladder_matches_separable_ladder():
         assert ten.sequence == pytest.approx(sep.sequence, rel=1e-9)
         if ten.diverging:  # nested boxes: new mass only adds, no slack
             assert all(b >= a for a, b in zip(ten.sequence, ten.sequence[1:]))
-
-
-def test_cutoff_integrals_off_the_piece_grid():
-    # cutoffs that are not powers of 100 clip the deepest log piece
-    p = 3
-    for cut in (0.3, 1e-3):
-        cfg = qd.QuadConfig(corner_cutoff=cut)
-        sep = qd.integrate(H11, qd.AbsPowerIntegrand(_monomial((0, -1), 2), p),
-                           cfg)
-        ten = qd.integrate(H11, qd.AbsPowerIntegrand(
-            _black_box_monomial((0, -1)), p), cfg)
-        # |z2|^-3 dV on H(1,1) is u v^0 du dv on (cut, 1)^2, times (2 pi)^2
-        exact = 4 * PI ** 2 * (1 - cut ** 2) / 2 * (1 - cut)
-        assert sep.value == pytest.approx(exact, rel=1e-12)
-        assert ten.value == pytest.approx(sep.value, rel=1e-9)
+        if p == 3:
+            # |z2|^-3 dV on H(1,1) is u du dv on level L's box (c, 1)^2,
+            # c = 10^(-2(L+1)), times (2 pi)^2
+            for level, (s, t) in enumerate(zip(sep.sequence, ten.sequence)):
+                c = 10.0 ** (-2 * (level + 1))
+                exact = 4 * PI ** 2 * (1 - c ** 2) * (1 - c) / 2
+                assert s ** p == pytest.approx(exact, rel=1e-12), level
+                assert t ** p == pytest.approx(exact, rel=1e-9), level
 
 
 def test_nan_in_one_cutoff_block_raises():
@@ -126,10 +119,36 @@ def test_nan_in_one_cutoff_block_raises():
         out[np.broadcast_to(np.abs(w2) < 1e-3, out.shape)] = np.nan
         return out
 
+    # finite on level 1's box (1e-2, 1)^2; level 2 adds NaN blocks
     with pytest.raises(NaNOnGrid):
-        qd.integrate(H11, qd.BlackBoxIntegrand(nan_below, 2),
-                     qd.QuadConfig(radial_nodes=4, angular_nodes=4,
-                                   corner_cutoff=1e-4))
+        qd.divergence_probe(H11, qd.BlackBoxIntegrand(nan_below, 2), 2,
+                            qd.QuadConfig(radial_nodes=4, angular_nodes=4))
+
+
+def test_separable_path_refines_to_budget():
+    # on H(7,5) the second axis exponent has denominator 35 > 12: the capped
+    # map converges only algebraically, so doublings must buy accuracy
+    d, alpha, p = dm.hartogs(7, 5), (-1, -2), Fraction(5, 4)
+    g = qd.AbsPowerIntegrand(_monomial(alpha, 2), p)
+    exact = float(dm.moment(d, alpha, p))
+    full = qd.integrate(d, g, CFG).value
+    short = qd.integrate(d, g, qd.QuadConfig(max_doublings=0)).value
+    assert abs(full - exact) < abs(short - exact)
+    # an exact map agrees at the first doubling: the budget changes no bit
+    g = qd.AbsPowerIntegrand(_monomial((1, -1), 2), 3)
+    assert (qd.integrate(H11, g, CFG)
+            == qd.integrate(H11, g, qd.QuadConfig(max_doublings=0)))
+
+
+def test_ladder_budget_floor_and_cap():
+    # the ladder runs at rel_tol >= 1e-6 and max_doublings <= 1
+    for f, p in [(_monomial((0, -1), 2), 3),
+                 (qd.MonomialSumIntegrand([(1.0, (0, -1), (0, 0)),
+                                           (0.5, (1, 0), (0, 0))]), 4)]:
+        deep = qd.divergence_probe(H11, f, p, qd.QuadConfig(max_doublings=3))
+        capped = qd.divergence_probe(H11, f, p, qd.QuadConfig(max_doublings=1))
+        tight = qd.divergence_probe(H11, f, p, qd.QuadConfig(rel_tol=1e-12))
+        assert deep == capped == tight
 
 
 def test_angular_exactness_above_bandwidth():
@@ -223,8 +242,6 @@ def test_random_moment_probes_quarter_grid():
 def test_config_validation():
     with pytest.raises(ValueError):
         qd.QuadConfig(radial_nodes=2)
-    with pytest.raises(ValueError):
-        qd.QuadConfig(corner_cutoff=0.6)
     with pytest.raises(ParseError):
         qd.QuadConfig(max_doublings=-1)
     qd.QuadConfig(max_doublings=0)  # the base rule and one doubling
