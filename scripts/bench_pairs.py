@@ -1,0 +1,126 @@
+"""Alternating parent/change pairs of the benchmark, written to one JSON file.
+
+    python3 scripts/bench_pairs.py --parent REV --workload moment_oracle \
+        --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
+
+Exports REV with ``git archive`` to a temporary directory and runs the
+benchmark command of ``BENCHMARK.json`` (with ``--trace 0``) once per seed in
+that tree and once in this checkout's working tree, the change.  The parent
+runs first on even pairs and second on odd ones, so a slow spell of the host
+falls on both sides alike.  ``--out`` gets, per workload, every run's metrics,
+and per end-to-end metric each side's median and quartiles and the share of
+pairs the change won (ties count for neither side).  A workload already in
+``--out`` is replaced; the others are kept, so one file can collect several
+invocations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True).stdout
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the files of commit ``rev`` under ``dest``; its full hash."""
+    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", sha))) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def run_once(tree: Path, command: list, workload: str, seed: int,
+             seconds: int) -> dict:
+    """One untraced benchmark run in ``tree``: its last stdout line, parsed."""
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited "
+                           f"{done.returncode}:\n{done.stderr}")
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"seed": seed, "correct": report["correct"],
+            "attempted": report["attempted"], "failed": report["failed"],
+            "metrics": {name: m["value"] for name, m in report["metrics"].items()}}
+
+
+def summarize(pairs: list, metrics: list) -> dict:
+    """Per end-to-end metric: each side's median and quartiles, and the
+    share of pairs in which the change read better."""
+    out = {}
+    for spec in metrics:
+        name, higher = spec["name"], spec["better"] == "higher"
+        sides = {side: [pair[side]["metrics"][name] for pair in pairs]
+                 for side in ("parent", "change")}
+        won = sum((c > p) if higher else (c < p)
+                  for p, c in zip(sides["parent"], sides["change"]))
+        entry = {"unit": spec["unit"], "better": spec["better"],
+                 "bound": spec["bound"]}
+        for side, values in sides.items():
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            entry[side] = {"median": median, "q1": q1, "q3": q3}
+        entry["change_won_frac"] = won / len(pairs)
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.workload not in [w["name"] for w in bench["workloads"]]:
+        parser.error(f"unknown workload {args.workload}")
+    seconds = bench["run_seconds"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_sha = export(args.parent, Path(tmp))
+        trees = {"parent": Path(tmp), "change": ROOT}
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(trees[side], bench["command"],
+                                      args.workload, seed, seconds)
+                print(f"{args.workload} seed {seed} {side}: "
+                      f"{pair[side]['metrics']}", file=sys.stderr, flush=True)
+            pairs.append(pair)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.update({
+        "parent": parent_sha,
+        "change": {"head": _git("rev-parse", "HEAD").decode().strip(),
+                   "uncommitted": _git("status", "--porcelain").decode().splitlines()},
+        "host": {"machine": platform.machine(), "python": platform.python_version(),
+                 "cpus": len(os.sched_getaffinity(0))},
+    })
+    doc.setdefault("workloads", {})[args.workload] = {
+        "seconds": seconds, "command": bench["command"],
+        "summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

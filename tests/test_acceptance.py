@@ -214,6 +214,7 @@ def test_10_cli_determinism(capsys):
          "--phi", "5"],
         ["index-set", "hartogs:3/2", "--p", "5/2", "--window", "4"],
         ["info", "ball:2"],
+        ["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "5"],
     ]
     for argv in argvs:
         outputs = set()

@@ -11,6 +11,7 @@ except ImportError:  # pragma: no cover
 
 from bergman_indices import cli
 from bergman_indices import domains as dm
+from bergman_indices import quadrature as qd
 from bergman_indices import verify as vf
 
 
@@ -343,3 +344,11 @@ def test_verify_cli_quick_passes(capsys):
     payload = json.loads(captured.out)
     assert payload["result"]["ok"] is True
     assert payload["result"]["bootstrap_ok"] is True
+
+
+def test_verify_json_identical_with_cold_and_warm_axis_memo(capsys):
+    qd._integrate_axis.cache_clear()
+    outputs = [run_json(capsys, ["verify", "hartogs:1/1", "--format", "json"])
+               for _ in range(2)]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from bergman_indices import domains as dm
 from bergman_indices import quadrature as qd
-from bergman_indices.errors import NaNOnGrid, ParseError
+from bergman_indices.errors import Inconclusive, NaNOnGrid, ParseError
 
 PI = math.pi
 H11 = dm.hartogs(1, 1)
@@ -245,6 +246,12 @@ def test_config_validation():
     with pytest.raises(ParseError):
         qd.QuadConfig(max_doublings=-1)
     qd.QuadConfig(max_doublings=0)  # the base rule and one doubling
+    # budgets that are not ints would crash later, in a shift or a range()
+    for bad in ({"radial_nodes": 64.0}, {"max_doublings": 1.5},
+                {"refinement_levels": 3.0}, {"angular_nodes": 8.0},
+                {"max_doublings": False}, {"radial_nodes": Fraction(64)}):
+        with pytest.raises(ParseError, match="integer"):
+            qd.QuadConfig(**bad)
     with pytest.raises(ValueError):
         qd.divergence_probe(H11, _monomial((0, 0), 2), 2,
                             qd.QuadConfig(refinement_levels=1))
@@ -344,3 +351,45 @@ def test_even_p_norms_match_exact_expansion():
     est = qd.lp_norm(dm.polydisc(3), f, 4, qd.QuadConfig(radial_nodes=8))
     assert est == pytest.approx(_exact_even_norm(dm.polydisc(3), terms, 4),
                                 rel=1e-10)
+
+
+def test_axis_memo_is_bit_identical_and_bounded():
+    """Single-monomial integrals and ladders read the same bits whether each
+    call starts from an empty axis memo or from a warm one."""
+    rng = random.Random(2405)
+    cases = []
+    for d in (dm.polydisc(2), dm.ball(3), dm.hartogs(3, 2)):
+        for _ in range(10):
+            alpha = tuple(rng.randint(-3, 3) for _ in range(d.dim))
+            cases.append((d, alpha, Fraction(rng.randint(4, 24), 4)))
+
+    def scan(clear_each):
+        out = []
+        for d, alpha, p in cases:
+            f = _monomial(alpha, d.dim)
+            if clear_each:
+                qd._integrate_axis.cache_clear()
+            if dm.moment_finite(d, [p * a for a in alpha]):
+                res = qd.integrate(d, qd.AbsPowerIntegrand(f, p), CFG)
+                out.append((res.value, res.error_estimate))
+            try:
+                out.append(qd.divergence_probe(d, f, p, CFG))
+            except Inconclusive as exc:
+                out.append(str(exc))
+        return [repr(x) for x in out]
+
+    cold = scan(clear_each=True)
+    qd._integrate_axis.cache_clear()
+    filling = scan(clear_each=False)
+    hits = qd._integrate_axis.cache_info().hits
+    warm = scan(clear_each=False)
+    assert qd._integrate_axis.cache_info().hits > hits
+    assert cold == filling == warm
+    n_finite = sum(dm.moment_finite(d, [p * a for a in alpha])
+                   for d, alpha, p in cases)
+    assert 0 < n_finite < len(cases)  # finite and divergent p both met
+    info = qd._integrate_axis.cache_info()
+    assert info.maxsize is not None and info.maxsize == qd.AXIS_MEMO_SIZE
+    assert 0 < info.currsize <= info.maxsize
+    assert isinstance(qd._integrate_axis(Fraction(1), Fraction(0), 64, 1e-9, 3, 0),
+                      tuple)
