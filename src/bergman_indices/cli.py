@@ -2,9 +2,10 @@
 
 Subcommands: info, index-set, thresholds, indices, kernel, density, project,
 probe, verify.  Each takes --seed and --threads plus only the flags its
-handler reads (README "CLI" has the table); --format exists only for
-density and probe (csv | json) and verify (table | json), and everything
-else prints a JSON report under the envelope
+handler reads, 43 in all (README "CLI" has the table); kernel --pnorm runs
+at the default ``QuadConfig()`` budget, with no quadrature flag.  --format
+exists only for density and probe (csv | json) and verify (table | json),
+and everything else prints a JSON report under the envelope
 
     {"schema": "bergman-indices/1", "version": ..., "command": ...,
      "seed": ..., "domain": ..., "result": {...}}
@@ -38,20 +39,12 @@ from .quadrature import QuadConfig
 
 SCHEMA_ID = "bergman-indices/1"
 DEFAULT_SEED = 20240901
-#: kernel --pnorm budget flags and the QuadConfig field each one sets
-QUAD_FLAGS = {"--radial-nodes": "radial_nodes", "--angular-nodes": "angular_nodes",
-              "--refine": "refinement_levels", "--tol": "rel_tol"}
 # input caps; exact moments of z^alpha at exponent p fold Gamma products of
 # size about p * |alpha|, so probe bounds both
 MAX_EXPONENT = 1000  # |alpha_i| and gamma_i of a monomial
 MAX_PROBE_P = 64
 MAX_PROBE_STEPS = 256
 MAX_DENSITY_POINTS = 256  # per Gram matrix, from --ks or --points
-
-
-def _quad_config(args) -> QuadConfig:
-    return QuadConfig(**{field: getattr(args, field)
-                         for field in QUAD_FLAGS.values()})
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -178,7 +171,7 @@ def cmd_kernel(args) -> int:
     result["abs_diff"] = abs(value - closed)
     if args.pnorm is not None:
         p = parse_fraction(args.pnorm)
-        est = kn.kernel_pnorm_estimate(d, z, p, args.window, _quad_config(args))
+        est = kn.kernel_pnorm_estimate(d, z, p, cfg=QuadConfig())
         result["pnorm"] = {"p": format_fraction(p), "value": est.value,
                            "diverging": est.diverging,
                            "sequence": list(est.sequence)}
@@ -350,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w", required=True)
     sp.add_argument("--window", type=int, default=20)
     sp.add_argument("--pnorm", default=None, metavar="P",
-                    help="also probe ||K(.,z)||_P with the budgets below")
-    for flag, field in QUAD_FLAGS.items():
-        sp.add_argument(flag, dest=field, default=getattr(QuadConfig, field),
-                        type=float if field == "rel_tol" else int)
+                    help="also estimate ||K(.,z)||_P (divergence ladder)")
 
     sp = command("density", cmd_density, "kernel-span least-squares residuals")
     sp.add_argument("--alpha", default="0", help="target exponent, comma-separated")

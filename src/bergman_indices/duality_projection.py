@@ -35,7 +35,7 @@ from .domains import (DomainSpec, MultiIndex, check_exponent,
 from .errors import ChainViolation, NotIntegrable, ParseError
 from .exact import ExactMix, ExactValue, QComplex, as_fraction
 from .index_sets import critical_table, member
-from .quadrature import QuadConfig, lp_norm, lp_norms
+from .quadrature import QuadConfig, lp_norm, lp_norms, pth_root
 
 
 def _as_qcomplex(c) -> QComplex:
@@ -227,11 +227,10 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p,
         m = radial_moment(d, [p * e for e in mods])
         if not m.is_finite:
             raise NotIntegrable(f"monomial not in L^{p}")
-        return abs(complex(q)) * float(m) ** (1.0 / float(p))
+        return abs(complex(q)) * pth_root(float(m), p)
     if p == 2:
         return math.sqrt(complex(pairing(d, f, f)).real)
-    cfg = cfg or QuadConfig(radial_nodes=12, angular_nodes=16,
-                            rel_tol=1e-6, max_doublings=0)
+    cfg = cfg or QuadConfig(radial_nodes=12, angular_nodes=16, max_doublings=0)
     return lp_norm(d, f.as_integrand(), p, cfg)
 
 
@@ -281,7 +280,11 @@ def lyapunov_check(d: DomainSpec, f: MixedMonomialSum, p, q, theta,
 
 def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum, p,
                  cfg: Optional[QuadConfig] = None) -> InequalityCheck:
-    """|<f, g>| <= ||f||_p * ||g||_q with exact pairing and quadrature norms."""
+    """|<f, g>| <= ||f||_p * ||g||_q with exact pairing and quadrature norms.
+
+    The two norms are taken once, at the budget ``cfg``; a violation beyond
+    ``_CHECK_TOL`` stands (a single monomial's norm and every norm at
+    exponent 2 are exact)."""
     p = check_exponent(p)
     if p <= 1:
         raise ParseError("p must exceed 1")
@@ -293,19 +296,8 @@ def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum, p,
     if not g.p_integrable(d, q):
         raise NotIntegrable("g is not in the q-Bergman space")
     lhs = abs(complex(pairing(d, f, g)))
-
-    def rhs_at(cfg_used):
-        return laurent_norm(d, f, p, cfg_used) * laurent_norm(d, g, q, cfg_used)
-
-    rhs = rhs_at(cfg)
-    holds = lhs <= rhs * (1.0 + _CHECK_TOL)
-    if not holds:
-        # near-violation: raise the quadrature budget once before failing,
-        # to tell integration error apart from a genuine violation
-        boosted = QuadConfig(radial_nodes=48, angular_nodes=64, rel_tol=1e-12)
-        rhs = rhs_at(boosted)
-        holds = lhs <= rhs * (1.0 + _CHECK_TOL)
-    return InequalityCheck(lhs, rhs, holds)
+    rhs = laurent_norm(d, f, p, cfg) * laurent_norm(d, g, q, cfg)
+    return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + _CHECK_TOL))
 
 
 def injectivity_witness_scan(d: DomainSpec, p, radius: int) -> Optional[MultiIndex]:

@@ -42,7 +42,9 @@ from .errors import IllConditionedGram, Inconclusive, ParseError
 from .exact import EXACT_ONE, ExactValue
 from .index_sets import index_set_window
 from .quadrature import (BlackBoxIntegrand, ProbeResult, QuadConfig,
-                         divergence_probe, integrate, AbsPowerIntegrand)
+                         divergence_probe, integrate, AbsPowerIntegrand, pth_root)
+
+GRAM_COND_LIMIT = 1e12  # density_residual rejects a Gram matrix beyond it
 
 
 @dataclass(frozen=True)
@@ -198,8 +200,7 @@ def reproduce_check(d: DomainSpec, alpha, z, radius: int) -> float:
     return abs(float(collapse) * monomial - monomial)
 
 
-def density_residual(d: DomainSpec, alpha, points: Sequence,
-                     cond_limit: float = 1e12) -> float:
+def density_residual(d: DomainSpec, alpha, points: Sequence) -> float:
     """Squared distance from e_alpha to the span of kernel sections.
 
     With G_ij = K(z_i, z_j) and c_i = z_i^alpha, the reproducing property
@@ -221,9 +222,9 @@ def density_residual(d: DomainSpec, alpha, points: Sequence,
         for j in range(k):
             gram[i, j] = kernel_closed_form(d, pts[j], pts[i])  # K(z_i, z_j)
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
         raise IllConditionedGram(
-            f"Gram condition estimate {cond:.3g} exceeds {cond_limit:.1g}; "
+            f"Gram condition estimate {cond:.3g} exceeds {GRAM_COND_LIMIT:.1g}; "
             f"use fewer or better-spread points")
     c = np.array([complex(np.prod([zi ** a for zi, a in zip(pt, alpha)]))
                   for pt in pts])
@@ -282,5 +283,4 @@ def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
         return PNormEstimate(probe.sequence[-1], True, probe.sequence)
     # the ladder converged; report the cutoff-free value at full budget
     res = integrate(d, AbsPowerIntegrand(integrand, p), cfg)
-    return PNormEstimate(float(res.value) ** (1.0 / float(p)), False,
-                         probe.sequence)
+    return PNormEstimate(pth_root(res.value, p), False, probe.sequence)

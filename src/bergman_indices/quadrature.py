@@ -61,6 +61,7 @@ from .errors import Inconclusive, NaNOnGrid, ParseError
 from .exact import as_fraction
 
 TWO_PI = 2.0 * math.pi
+LADDER_LEVELS = 3  # cutoffs the divergence ladder reads its first verdict at
 MAX_LADDER_LEVELS = 7  # the divergence ladder's deepest cutoff, 1e-14
 STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 #: entries of the memo of separable axis integrals: on a moment-oracle scan,
@@ -70,25 +71,23 @@ AXIS_MEMO_SIZE = 4096
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature budgets and probe controls.
+    """Quadrature budgets.
 
     Each rule (a tensor block, or a box axis of a single monomial's
     separable path) runs its base size and then up to ``max_doublings + 1``
     doubled sizes, stopping once two successive ones agree to ``rel_tol``
     (at every exponent, when there are several); so ``max_doublings=0``
-    still doubles once.  Budgets out of range, and node counts, levels or
-    doublings that are not ``int`` (``bool`` included), raise ``ParseError``,
-    a ``ValueError``."""
+    still doubles once.  Budgets out of range, and node counts or doublings
+    that are not ``int`` (``bool`` included), raise ``ParseError``, a
+    ``ValueError``."""
 
     radial_nodes: int = 64
     angular_nodes: Optional[int] = None  # None: 32 through C^2, 12 beyond
-    refinement_levels: int = 3
     rel_tol: float = 1e-9
     max_doublings: int = 3
 
     def __post_init__(self):
-        for name in ("radial_nodes", "angular_nodes", "refinement_levels",
-                     "max_doublings"):
+        for name in ("radial_nodes", "angular_nodes", "max_doublings"):
             value = getattr(self, name)
             if name == "angular_nodes" and value is None:
                 continue
@@ -98,9 +97,6 @@ class QuadConfig:
             raise ParseError("radial_nodes must lie in [4, 256]")
         if self.angular_nodes is not None and not 4 <= self.angular_nodes <= 256:
             raise ParseError("angular_nodes must lie in [4, 256]")
-        if not 2 <= self.refinement_levels <= MAX_LADDER_LEVELS:
-            raise ParseError("refinement_levels must lie in "
-                             f"[2, {MAX_LADDER_LEVELS}]")
         if not 0.0 < self.rel_tol < 1.0:
             raise ParseError("rel_tol must lie in (0, 1)")
         if self.max_doublings < 0:
@@ -378,36 +374,27 @@ def _separable_moment(d: DomainSpec, coeff: complex, p: Fraction, hints,
 # tensor path
 # ---------------------------------------------------------------------------
 
-def _radial_profile(g) -> Optional[list]:
-    """Worst-case per-axis modulus exponents of the integrand, if declared."""
-    if isinstance(g, AbsPowerIntegrand):
-        base = _radial_profile(g.base)
-        return None if base is None else [g.p * e for e in base]
-    if isinstance(g, MonomialSumIntegrand):
-        expo = g.radial_exponents()
-        return [Fraction(min(e[i] for e in expo)) for i in range(g.dim)]
-    if isinstance(g, BlackBoxIntegrand) and g.modulus_exponents is not None:
-        return list(g.modulus_exponents)
-    return None
+def _radial_profile(g: AbsPowerIntegrand, p=None) -> Optional[list]:
+    """Worst-case per-axis modulus exponents of |f|^p, if f declares them
+    (``g`` is |f|^(g.p) unless ``p`` is given)."""
+    f, p = g.base, p or g.p
+    if isinstance(f, MonomialSumIntegrand):
+        low = [min(e[i] for e in f.radial_exponents()) for i in range(f.dim)]
+    else:
+        low = f.modulus_exponents
+    return None if low is None else [p * e for e in low]
 
 
-def _angular_bandwidths(g) -> list:
-    """Per-axis trigonometric degree of the integrand, or None if unbounded."""
-    if isinstance(g, MonomialSumIntegrand):
-        return list(g.bandwidth())
-    if isinstance(g, BlackBoxIntegrand):
-        return list(g.angular_bandwidth or [None] * g.dim)
-    if isinstance(g, AbsPowerIntegrand):
-        # a non-even power of a trigonometric polynomial is not one
-        even = all(p.denominator == 1 and p.numerator % 2 == 0 for p in g.ps)
-        return [None if b is None or (b and not even) else b * (g.p.numerator // 2)
-                for b in _angular_bandwidths(g.base)]
-    raise TypeError(f"unsupported integrand {type(g).__name__}")
-
-
-def _angular_counts(g, cfg: QuadConfig) -> Tuple[list, list]:
-    """Per-axis trapezoid node counts plus per-axis exactness flags."""
-    bands = _angular_bandwidths(g)
+def _angular_counts(g: AbsPowerIntegrand, cfg: QuadConfig) -> Tuple[list, list]:
+    """Per-axis trapezoid node counts plus per-axis exactness flags: an axis
+    is exact where |f|^p is a trigonometric polynomial of declared degree."""
+    f = g.base
+    bands = (f.bandwidth() if isinstance(f, MonomialSumIntegrand)
+             else f.angular_bandwidth or [None] * f.dim)
+    # a non-even power of a trigonometric polynomial is not one
+    even = all(p.denominator == 1 and p.numerator % 2 == 0 for p in g.ps)
+    bands = [None if b is None or (b and not even) else b * (g.p.numerator // 2)
+             for b in bands]
     default = cfg.angular_nodes or (32 if g.dim <= 2 else 12)  # cost grows past C^2
     return ([default if b is None else max(1, b + 2) for b in bands],
             [b is not None for b in bands])
@@ -499,10 +486,9 @@ def lattice_basis(vectors) -> Tuple[list, list]:
     return [tuple(b) for b in basis], coords
 
 
-def _reduce_torus(g):
-    """|monomial sum|^p on its rank-k torus; any other integrand unchanged."""
-    if (isinstance(g, AbsPowerIntegrand)
-            and isinstance(g.base, MonomialSumIntegrand)):
+def _reduce_torus(g: AbsPowerIntegrand) -> AbsPowerIntegrand:
+    """|monomial sum|^p on its rank-k torus; any other base unchanged."""
+    if isinstance(g.base, MonomialSumIntegrand):
         return AbsPowerIntegrand(_ReducedSum(g.base), g.ps)
     return g
 
@@ -535,22 +521,23 @@ def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block):
             yield r_slice, angles, w_slice
 
 
-def _tensor_integrate(d: DomainSpec, g, hints, n_radial: int, ang_counts, block) -> list:
-    """Mesh sums of ``g``: one per exponent of an ``AbsPowerIntegrand``."""
-    power = isinstance(g, AbsPowerIntegrand)
-    totals = [0.0 + 0.0j] * (len(g.ps) if power else 1)
+def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
+                      ang_counts, block) -> list:
+    """Mesh sums of ``g``, one per exponent."""
+    totals = [0.0] * len(g.ps)
     for radii, angles, weight in _mesh_blocks(d, hints, n_radial, ang_counts, block):
         # the chunk's values die with this statement, before the next chunk
-        totals = [t + complex(np.sum(weight * v)) for t, v in zip(totals, (
-            g.powers(radii, angles) if power else [g.eval_polar(radii, angles)]))]
+        totals = [t + float(np.sum(weight * v))
+                  for t, v in zip(totals, g.powers(radii, angles))]
     # trapezoid weight of the angular mesh, times 2 pi per unseen angle
     ang_w = (math.prod(TWO_PI / m_i for m_i in ang_counts)
              * TWO_PI ** (d.dim - len(ang_counts)))
     return [t * ang_w for t in totals]
 
 
-def _block_sum(d: DomainSpec, g, cfg: QuadConfig, blocks=(None,)):
-    """Per exponent (see ``_tensor_integrate``), the sums over ``blocks`` of
+def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
+               blocks=(None,)):
+    """Per exponent of ``g``, the sums over ``blocks`` of
     the block integrals and error estimates; a block, per-axis log piece
     indices or None for all of (0, 1)^dim, refines on its own, doubling the
     radial nodes and the inexact angular ones."""
@@ -564,39 +551,48 @@ def _block_sum(d: DomainSpec, g, cfg: QuadConfig, blocks=(None,)):
                       for m, exact in zip(ang_base, ang_exact)]
         return _tensor_integrate(d, g, hints, cfg.radial_nodes << k, ang_counts, block)
 
-    totals = err_totals = [0.0] * (len(g.ps) if isinstance(g, AbsPowerIntegrand) else 1)
+    totals = err_totals = [0.0] * len(g.ps)
     for block in blocks:
         values, errs = _refine(partial(run, block), cfg.rel_tol,
                                cfg.max_doublings)
-        if any(v != v for v in values):  # NaN (real or complex)
+        if any(v != v for v in values):  # NaN
             raise NaNOnGrid("integrand produced NaN on the quadrature grid")
         totals = [t + v for t, v in zip(totals, values)]
         err_totals = [t + e for t, e in zip(err_totals, errs)]
     return totals, err_totals
 
 
-def integrate(d: DomainSpec, g, cfg: QuadConfig = QuadConfig()):
-    """Quadrature of an integrand over the domain; a list of results, one
-    per exponent, for an ``AbsPowerIntegrand`` given a list or tuple.
+def integrate(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig = QuadConfig()):
+    """Quadrature of |f|^p over the domain, for ``g`` = ``AbsPowerIntegrand``
+    (f, p); a list of results, one per exponent, when p is a list or tuple.
 
     Each rule refines as ``QuadConfig`` says; the error estimate is its
     last difference.  The tensor mesh doubles its radial nodes and its
     inexact angular ones; |monomial sum|^p runs on its rank-k torus (module
     docstring).  |single monomial|^p takes the separable rule, once per
     exponent, whose axes refine on their own and add their relative errors.
+    Any other integrand raises ``TypeError``.
     """
-    if (isinstance(g, AbsPowerIntegrand)
-            and isinstance(g.base, MonomialSumIntegrand)
-            and len(g.base.terms) == 1):
-        coeff, _alpha, _gamma = g.base.terms[0]
-        profile = _radial_profile(g.base)
+    if not isinstance(g, AbsPowerIntegrand):
+        raise TypeError(f"integrate takes an AbsPowerIntegrand, not {type(g).__name__}")
+    if isinstance(g.base, MonomialSumIntegrand) and len(g.base.terms) == 1:
+        coeff = g.base.terms[0][0]
         results = [_separable_moment(d, coeff, p, _box_axis_hints(
-            d, [p * c for c in profile]), cfg) for p in g.ps]
+            d, _radial_profile(g, p)), cfg) for p in g.ps]
     else:
-        values, errs = _block_sum(d, g, cfg)
-        results = [IntegralResult(v.real if abs(v.imag) <= 1e-12 * max(abs(v), 1.0)
-                                  else v, e) for v, e in zip(values, errs)]
-    return results if getattr(g, "several", False) else results[0]
+        results = [IntegralResult(v, e) for v, e in zip(*_block_sum(d, g, cfg))]
+    return results if g.several else results[0]
+
+
+def pth_root(value: float, p) -> float:
+    """value^(1/p) of a p-th-power integral, in Python floats, whose overflow
+    raises where numpy's only warns; an infinite value stays infinite.  A
+    finite one whose root overflows (p tiny) raises ``Inconclusive``."""
+    try:
+        return float(value) ** (1.0 / float(p))
+    except OverflowError:
+        raise Inconclusive(f"the p-th root of {value!r} at p={p} leaves the "
+                           "floating-point range") from None
 
 
 def lp_norms(d: DomainSpec, f, ps: Sequence, cfg: QuadConfig = QuadConfig()) -> list:
@@ -612,7 +608,7 @@ def lp_norms(d: DomainSpec, f, ps: Sequence, cfg: QuadConfig = QuadConfig()) -> 
     if any(p <= 0 for p in ps):
         raise ValueError("exponents must be positive")
     results = integrate(d, AbsPowerIntegrand(f, ps), cfg)
-    return [float(res.value) ** (1.0 / float(p)) for res, p in zip(results, ps)]
+    return [pth_root(res.value, p) for res, p in zip(results, ps)]
 
 
 def lp_norm(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> float:
@@ -623,7 +619,9 @@ def lp_norm(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> float:
 def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> ProbeResult:
     """Corner-cutoff refinement ladder deciding finite versus divergent.
 
-    The cutoffs are 1e-2, 1e-4, ... down to ``cfg.refinement_levels`` levels.
+    The cutoffs are 1e-2, 1e-4, ...: the verdict is first read at
+    ``LADDER_LEVELS`` = 3 levels, and the ladder deepens one level at a time
+    while it is undecided, down to ``MAX_LADDER_LEVELS`` = 7.
     A level needs only ~1e-3 accuracy, so the ladder runs at ``rel_tol`` >=
     1e-6 and ``max_doublings`` <= 1 (larger budgets change nothing).  The
     verdict is taken from the p-th-power integrals: geometric contraction of
@@ -661,7 +659,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
             new = [b for b in itertools.product(range(level + 1), repeat=d.dim)
                    if level in b]
             (added,), _err = _block_sum(d, g, probe_cfg, new)
-            integrals.append((integrals[-1] if integrals else 0.0) + added.real)
+            integrals.append((integrals[-1] if integrals else 0.0) + added)
 
     def increasing() -> bool:
         return all(b >= a * (1.0 - 1e-12) for a, b in zip(integrals, integrals[1:]))
@@ -691,13 +689,13 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
                 return "stable"
         return None
 
-    extend_to(cfg.refinement_levels)
+    extend_to(LADDER_LEVELS)
     verdict = classify()
     while verdict is None and len(integrals) < MAX_LADDER_LEVELS:
         extend_to(len(integrals) + 1)  # deepen: product-of-axes transients
         verdict = classify()
 
-    norms = tuple(v ** (1.0 / float(p)) for v in integrals)
+    norms = tuple(pth_root(v, p) for v in integrals)
     tenfold = increasing() and all(b > 10.0 * a for a, b in zip(norms, norms[1:]))
     if verdict == "diverging":
         return ProbeResult(True, False, norms, tenfold)

@@ -73,11 +73,10 @@ def _kernel_radius(level: str) -> int:
 
 
 def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
-                     moment_fn: Optional[Callable] = None,
-                     rel_tol: float = ORACLE_REL_TOL) -> List[CheckResult]:
+                     moment_fn: Optional[Callable] = None) -> List[CheckResult]:
     """Exact moments versus quadrature on the lattice window and p grid.
 
-    Finite moments must match to ``rel_tol`` relative error; divergent
+    Finite moments must match to ``ORACLE_REL_TOL`` relative error; divergent
     verdicts must be confirmed by monotone, non-stabilizing growth of the
     corner-cutoff ladder.  ``moment_fn`` exists so a corrupted formula can be
     injected as a negative control.
@@ -111,7 +110,7 @@ def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
                         ok = False
                     if not ok and probe_fail is None:
                         probe_fail = (alpha, p)
-        ok = worst <= rel_tol and probe_fail is None
+        ok = worst <= ORACLE_REL_TOL and probe_fail is None
         detail = (f"{n_fin} finite (worst rel err {worst:.2e} at {bad}), "
                   f"{n_div} divergent"
                   + (f"; probe failed at {probe_fail}" if probe_fail else ""))

@@ -1,5 +1,6 @@
 """CLI black-box behavior: exit codes, schema, determinism, negative control."""
 
+import argparse
 import json
 
 import pytest
@@ -215,6 +216,11 @@ def test_usage_errors_exit_2(capsys):
     ["project", "ball:2", "--terms", '[{"c": [1, 0], "alpha": [100000, 100000]}]'],
     ["info", "ball:100000000"],
     ["info", "hartogs:1001/1"],
+    # valid values: kernel takes no quadrature flag
+    *(["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "3",
+       flag, value]
+      for flag, value in [("--radial-nodes", "64"), ("--angular-nodes", "32"),
+                          ("--refine", "3"), ("--tol", "1e-9")]),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.run(argv)
@@ -222,6 +228,30 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+#: every option of every subcommand, ``-h`` aside: 43 flags across the nine
+FLAG_INVENTORY = {
+    "info": set(),
+    "index-set": {"--p", "--window"},
+    "thresholds": {"--plo", "--phi", "--window"},
+    "indices": {"--window", "--p-cap"},
+    "kernel": {"--z", "--w", "--window", "--pnorm"},
+    "density": {"--alpha", "--ks", "--radius", "--points", "--format"},
+    "project": {"--terms"},
+    "probe": {"--alpha", "--gamma", "--plo", "--phi", "--steps", "--format"},
+    "verify": {"--full", "--format"},
+}
+
+
+def test_flag_inventory():
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+             for name, sp in sub.choices.items()}
+    assert flags == {name: {"--seed", "--threads"} | own
+                     for name, own in FLAG_INVENTORY.items()}
+    assert sum(map(len, flags.values())) == 43
 
 
 def test_verify_rejects_oversized_domain_before_any_check(capsys, monkeypatch):
@@ -242,6 +272,9 @@ def test_verify_rejects_oversized_domain_before_any_check(capsys, monkeypatch):
     ["kernel", "hartogs:1/31", "--z", "0,1e-10", "--w", "0,1e-10"],
     ["kernel", "hartogs:1/31", "--z", "0,1e-10", "--w", "0,1e-10",
      "--window", "2"],
+    # a tiny p: the 1000th root of a finite integral overflows
+    ["kernel", "polydisc:1", "--z", "0.3", "--w", "0.1", "--pnorm", "1/1000"],
+    ["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "1/1000"],
 ])
 def test_kernel_beyond_float_range_is_inconclusive(capsys, argv):
     code = cli.run(argv)
@@ -249,6 +282,7 @@ def test_kernel_beyond_float_range_is_inconclusive(capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("inconclusive: ")
+    assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
 
 

@@ -216,10 +216,13 @@ def test_nan_rejected():
         with np.errstate(invalid="ignore"):
             return (w1 - w1) / (w1 - w1)  # NaN everywhere
 
-    with pytest.raises(ValueError):
-        qd.integrate(H11, qd.BlackBoxIntegrand(bad, 2),
-                     qd.QuadConfig(radial_nodes=4, angular_nodes=4,
-                                   max_doublings=0))
+    cfg = qd.QuadConfig(radial_nodes=4, angular_nodes=4, max_doublings=0)
+    with pytest.raises(ValueError):  # |bad|^2
+        qd.integrate(H11, qd.AbsPowerIntegrand(qd.BlackBoxIntegrand(bad, 2), 2), cfg)
+    # integrate takes only |f|^p: a bare integrand is a one-line TypeError
+    with pytest.raises(TypeError, match="AbsPowerIntegrand") as bare:
+        qd.integrate(H11, qd.BlackBoxIntegrand(bad, 2), cfg)
+    assert "\n" not in str(bare.value)
 
 
 def test_random_moment_probes_quarter_grid():
@@ -248,13 +251,10 @@ def test_config_validation():
     qd.QuadConfig(max_doublings=0)  # the base rule and one doubling
     # budgets that are not ints would crash later, in a shift or a range()
     for bad in ({"radial_nodes": 64.0}, {"max_doublings": 1.5},
-                {"refinement_levels": 3.0}, {"angular_nodes": 8.0},
+                {"angular_nodes": 8.0},
                 {"max_doublings": False}, {"radial_nodes": Fraction(64)}):
         with pytest.raises(ParseError, match="integer"):
             qd.QuadConfig(**bad)
-    with pytest.raises(ValueError):
-        qd.divergence_probe(H11, _monomial((0, 0), 2), 2,
-                            qd.QuadConfig(refinement_levels=1))
 
 
 def _exact_even_norm(d, terms, p):
