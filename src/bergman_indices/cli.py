@@ -298,8 +298,16 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, subcommands included, whose rejection is one
+    stderr line, ``prog: error: message``, and exit 2, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bergman-indices",
         description="Duality, regularity, and integrability indices of "
                     "bounded Reinhardt domains",

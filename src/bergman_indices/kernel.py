@@ -31,7 +31,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +54,11 @@ class KernelSeries:
     domain: DomainSpec
     radius: int
     terms: Tuple[Tuple[MultiIndex, ExactValue], ...]  # (alpha, 1/||e_alpha||^2)
+    #: the inverse norms as floats, in the order of ``terms``
+    coeffs: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(float(inv) for _a, inv in self.terms))
 
     def inverse_norm(self, alpha) -> Optional[ExactValue]:
         alpha = tuple(alpha)
@@ -101,12 +106,16 @@ def kernel_truncated(d: DomainSpec, z, w, radius: int) -> complex:
     z = _require_inside(d, z, "z")
     w = _require_inside(d, w, "w")
     series = kernel_series(d, radius)
+    alphas = [alpha for alpha, _inv in series.terms]
+    # per axis, w_i^a conj(z_i)^a once for each exponent a that occurs
+    tables = [{a: wi ** a * zi.conjugate() ** a for a in set(column) if a}
+              for wi, zi, column in zip(w, z, zip(*alphas))]
     total = 0j
-    for alpha, inv in series.terms:
-        term = float(inv) + 0j
-        for wi, zi, a in zip(w, z, alpha):
+    for alpha, coeff in zip(alphas, series.coeffs):
+        term = coeff + 0j
+        for table, a in zip(tables, alpha):
             if a:
-                term *= wi ** a * zi.conjugate() ** a
+                term *= table[a]
         total += term
     return total
 
@@ -255,7 +264,10 @@ def _kernel_integrand(d: DomainSpec, z) -> BlackBoxIntegrand:
     decay = (0, -d.n) if d.family is Family.HARTOGS else (0,) * d.dim
 
     def fn(*ws):
-        return _closed_form(d, [wi * zb for wi, zb in zip(ws, zbar)])
+        # near the origin of a steep triangle the denominator underflows; the
+        # inf or NaN that follows ends the quadrature as NaNOnGrid, silently
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _closed_form(d, [wi * zb for wi, zb in zip(ws, zbar)])
 
     return BlackBoxIntegrand(fn, d.dim, angular_bandwidth=band,
                              modulus_exponents=decay)

@@ -42,7 +42,8 @@ A single monomial's moment is a product of one-dimensional axis integrals
 int u^e (1-u)^b du, and a scan of moments or ladders meets the same ones
 again and again; ``_integrate_axis`` memoizes them in an LRU of
 ``AXIS_MEMO_SIZE`` = 4,096 entries, keyed on everything the rule reads, so
-every value is bit-identical to a fresh computation.
+every value is bit-identical to a fresh computation; the key is ints and
+floats only, e and b the reduced (num, den) pairs of ``_box_axis_hints``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -67,6 +67,7 @@ STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 #: entries of the memo of separable axis integrals: on a moment-oracle scan,
 #: 4,096 of them (about 1.3 MB) answer 78% of the calls, an unbounded memo 90%
 AXIS_MEMO_SIZE = 4096
+LOG_RULE_CACHE_SIZE = 128  # built log-piece rules kept; a scan meets dozens
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ class AbsPowerIntegrand:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional rules
+# one-dimensional rules, and the separable path of a single |monomial|^p
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -240,15 +241,14 @@ def _leggauss01(n: int):
 
 @lru_cache(maxsize=None)
 def _beta_map_coeffs(k: int, l: int):
-    """Exact ascending coefficients of u = I_x(k, l) (a degree k+l-1 polynomial)."""
-    # d/dx I_x(k,l) = x^(k-1) (1-x)^(l-1) / B(k,l)
-    inv_b = Fraction(math.factorial(k + l - 1),
-                     math.factorial(k - 1) * math.factorial(l - 1))
-    coeffs = [Fraction(0)] * (k + l)
+    """Ascending coefficients of u = I_x(k, l) (a degree k+l-1 polynomial),
+    each the correctly rounded float of the exact rational."""
+    # d/dx I_x(k,l) = x^(k-1) (1-x)^(l-1) / B(k,l), and 1/B(k,l) is an integer
+    inv_b = math.factorial(k + l - 1) // (math.factorial(k - 1) * math.factorial(l - 1))
+    coeffs = np.zeros(k + l)
     for j in range(l):
-        c = Fraction((-1) ** j * math.comb(l - 1, j), k + j)
-        coeffs[k + j] = c * inv_b
-    return np.array([float(c) for c in coeffs])
+        coeffs[k + j] = (-1) ** j * math.comb(l - 1, j) * inv_b / (k + j)
+    return coeffs
 
 
 def _beta_map(x: np.ndarray, k: int, l: int):
@@ -265,36 +265,39 @@ def _beta_map(x: np.ndarray, k: int, l: int):
     return u, du
 
 
-def _pick_power(e1: Fraction, cap: int = 12) -> int:
-    """Map power k for an endpoint exponent e1 = e + 1 > 0.
-
-    k = den(e1) makes the mapped profile polynomial (exact rules); when the
-    denominator is large that map would collapse nodes to absurd depths, so
-    fall back to the smallest power lifting the mapped exponent above 2
-    (plain algebraic smoothing, finished off by node doubling).
-    """
-    den = e1.denominator
+def _pick_power(num: int, den: int, cap: int = 12) -> int:
+    """Map power k for an endpoint exponent e = num/den in lowest terms,
+    e + 1 > 0: k = den(e + 1) = den makes the mapped profile polynomial
+    (exact rules), but a large one would collapse nodes to absurd depths, so
+    there the smallest power lifting the mapped exponent above 2,
+    ceil(3 / (e + 1)), smooths algebraically and node doubling finishes."""
     if den <= cap:
         return den
-    return min(cap, max(1, math.ceil(3 / e1)))
+    return min(cap, max(1, -(-3 * den // (num + den))))
 
 
-def _axis_rule(n: int, e0: Fraction, e1: Fraction):
-    """Nodes/weights for int_0^1 phi(u) du with phi ~ u^e0 near 0, (1-u)^e1 near 1."""
-    k = _pick_power(e0 + 1)
-    l = _pick_power(e1 + 1)
+def _axis_rule(n: int, e0: Tuple[int, int], e1: Tuple[int, int]):
+    """Nodes/weights for int_0^1 phi(u) du with phi ~ u^e0 near 0, (1-u)^e1
+    near 1, the exponents as integer pairs (num, den) in lowest terms."""
     x, w = _leggauss01(n)
-    u, du = _beta_map(x, k, l)
+    u, du = _beta_map(x, _pick_power(*e0), _pick_power(*e1))
     return u, w * du
 
 
-def _log_piece_rule(n: int, j: int):
-    """n-node Gauss-Legendre in log(u) on the log piece j of an axis,
-    [10^(-2(j+1)), 10^(-2j)]; it clears any power profile."""
-    a, b = math.log(10.0 ** (-2 * (j + 1))), math.log(10.0 ** (-2 * j))
+@lru_cache(maxsize=LOG_RULE_CACHE_SIZE)
+def _log_rule(n: int, first: int, stop: int):
+    """n-node Gauss-Legendre in log(u) on each log piece j of an axis,
+    [10^(-2(j+1)), 10^(-2j)], first <= j < stop, deepest piece first, as
+    one read-only (nodes, weights) pair; it clears any power profile."""
     x, w = _leggauss01(n)
-    u = np.exp(a + (b - a) * x)
-    return u, (b - a) * w * u
+    parts = []
+    for j in reversed(range(first, stop)):
+        a, b = math.log(10.0 ** (-2 * (j + 1))), math.log(10.0 ** (-2 * j))
+        u = np.exp(a + (b - a) * x)
+        parts.append((u, (b - a) * w * u))
+    u, w = (np.concatenate(arrays) for arrays in zip(*parts))
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def _refine(run: Callable[[int], list], rel_tol: float,
@@ -314,59 +317,48 @@ def _refine(run: Callable[[int], list], rel_tol: float,
 
 
 @lru_cache(maxsize=AXIS_MEMO_SIZE)
-def _integrate_axis(e: Fraction, b: Fraction, radial_nodes: int, rel_tol: float,
-                    max_doublings: int, pieces: int) -> Tuple[float, float]:
-    """(value, error) of int u^e (1-u)^b du over (0, 1), or with ``pieces``
-    over its first log pieces, (10^(-2 pieces), 1), refined under the budget
-    fields of ``QuadConfig`` that the rule reads.  Deeply divergent cutoff
-    integrals may overflow to inf, an unambiguous growth signal.
-
-    Memoized in an LRU of ``AXIS_MEMO_SIZE`` (4,096) entries, keyed on the
-    arguments, not on a ``QuadConfig``, so that no config is kept alive.  The
-    result depends on nothing but the key, so a hit returns the same bits a
-    fresh run would, as an immutable pair."""
+def _integrate_axis(e_num: int, e_den: int, b_num: int, b_den: int,
+                    radial_nodes: int, rel_tol: float, max_doublings: int,
+                    pieces: int) -> Tuple[float, float]:
+    """(value, error) of int u^e (1-u)^b du, e = e_num/e_den and b = b_num/b_den
+    in lowest terms, over (0, 1) or with ``pieces`` over (10^(-2 pieces), 1),
+    refined under the ``QuadConfig`` budgets the rule reads; a deeply
+    divergent cutoff integral may overflow to inf, a clear growth signal.
+    Memoized (module docstring) on ints and floats, keeping no config alive."""
     def run(k):
         n = base_n << k
-        rules = ([_log_piece_rule(n, j) for j in reversed(range(pieces))]
-                 if pieces else [_axis_rule(n, e, b)])
-        u, w = (np.concatenate(parts) for parts in zip(*rules))
+        u, w = (_log_rule(n, 0, pieces) if pieces
+                else _axis_rule(n, (e_num, e_den), (b_num, b_den)))
         with np.errstate(over="ignore"):
-            vals = u ** float(e)
-            if b != 0:
-                vals = vals * (1.0 - u) ** float(b)
+            vals = u ** (e_num / e_den)  # int / int rounds as float(Fraction)
+            if b_num:
+                vals = vals * (1.0 - u) ** (b_num / b_den)
             return [float(np.sum(w * vals))]
 
+    # floor((k (|e| + 1) + l (|b| + 1)) / 2), k and l the map powers
     base_n = max(radial_nodes,
-                 int((_pick_power(e + 1) * (abs(e) + 1)
-                      + _pick_power(b + 1) * (abs(b) + 1)) / 2) + 8)
+                 (_pick_power(e_num, e_den) * (abs(e_num) + e_den) * b_den
+                  + _pick_power(b_num, b_den) * (abs(b_num) + b_den) * e_den)
+                 // (2 * e_den * b_den) + 8)
     (value,), (error,) = _refine(run, rel_tol, max_doublings)
     return value, error
 
 
-# ---------------------------------------------------------------------------
-# separable fast path: single-term |monomial|^p
-# ---------------------------------------------------------------------------
-
-def _separable_moment(d: DomainSpec, coeff: complex, p: Fraction, hints,
+def _separable_moment(d: DomainSpec, coeff: complex, p: float, hints,
                       cfg: QuadConfig, pieces: int = 0) -> IntegralResult:
-    """Quadrature of |c z^alpha zbar^gamma|^p dV, for the monomial with
-    coefficient ``coeff`` and the ``_box_axis_hints`` of its p-th power, by
-    per-axis one-dimensional rules; with ``pieces``, over the box cut at
-    10^(-2 pieces) (the ladder's level ``pieces``).
-
-    The box axes factor: each integrates u^e0 (1-u)^e1 with the exponents
-    of ``hints`` and refines on its own (``_integrate_axis``, memoized); the
-    torus gives 2 pi per axis (pi per axis on the ball, whose simplex map
-    carries a factor 1/2 per axis).
-    """
+    """Quadrature of |c z^alpha zbar^gamma|^p dV, the single monomial with
+    coefficient ``coeff`` whose p-th power has the ``_box_axis_hints``
+    ``hints``, over the box or, with ``pieces``, the ladder's box cut at
+    10^(-2 pieces): a product of per-axis rules (``_integrate_axis``), times
+    2 pi per torus axis (pi on the ball, whose simplex map carries 1/2)."""
     value, rel_err = 1.0, 0.0
     for e0, e1 in hints:
-        v, e = _integrate_axis(e0, e1, cfg.radial_nodes, cfg.rel_tol,
+        v, e = _integrate_axis(*e0, *e1, cfg.radial_nodes, cfg.rel_tol,
                                cfg.max_doublings, pieces)
         value *= v
         rel_err += e / abs(v) if v else math.inf
     value *= (math.pi if d.family is Family.BALL else TWO_PI) ** d.dim
-    scale = abs(coeff) ** float(p)
+    scale = abs(coeff) ** p
     return IntegralResult(scale * value, scale * (rel_err * abs(value)))
 
 
@@ -374,15 +366,19 @@ def _separable_moment(d: DomainSpec, coeff: complex, p: Fraction, hints,
 # tensor path
 # ---------------------------------------------------------------------------
 
-def _radial_profile(g: AbsPowerIntegrand, p=None) -> Optional[list]:
-    """Worst-case per-axis modulus exponents of |f|^p, if f declares them
-    (``g`` is |f|^(g.p) unless ``p`` is given)."""
+def _radial_profile(g: AbsPowerIntegrand, p=None) -> tuple:
+    """(low, num, den), all integers: |f|^p has worst-case per-axis modulus
+    exponents num * low_i / den, if f declares them (else ``low`` is None);
+    ``g`` is |f|^(g.p) unless ``p`` is given."""
     f, p = g.base, p or g.p
     if isinstance(f, MonomialSumIntegrand):
-        low = [min(e[i] for e in f.radial_exponents()) for i in range(f.dim)]
-    else:
-        low = f.modulus_exponents
-    return None if low is None else [p * e for e in low]
+        low, scale = [min(col) for col in zip(*f.radial_exponents())], 1
+    elif f.modulus_exponents is None:
+        return None, 1, 1
+    else:  # black-box exponents are Fractions: clear their denominators
+        scale = math.lcm(*(s.denominator for s in f.modulus_exponents))
+        low = [int(s * scale) for s in f.modulus_exponents]
+    return low, p.numerator, p.denominator * scale
 
 
 def _angular_counts(g: AbsPowerIntegrand, cfg: QuadConfig) -> Tuple[list, list]:
@@ -400,22 +396,22 @@ def _angular_counts(g: AbsPowerIntegrand, cfg: QuadConfig) -> Tuple[list, list]:
             [b is not None for b in bands])
 
 
-def _box_axis_hints(d: DomainSpec, profile) -> list:
-    """Leading (0-end, 1-end) exponents of integrand*measure per box axis."""
-    dim = d.dim
-    c = profile if profile is not None else [Fraction(0)] * dim
+def _box_axis_hints(d: DomainSpec, low, num: int, den: int) -> list:
+    """Leading (0-end, 1-end) exponents of integrand*measure per box axis,
+    as integer pairs (num, den) in lowest terms, for the modulus profile
+    c_i = num * low_i / den of ``_radial_profile`` (c = 0 if ``low`` is None)."""
+    c = [num * e for e in low] if low is not None else [0] * d.dim  # c_i * den
     if d.family is Family.POLYDISC:
-        return [(ci + 1, Fraction(0)) for ci in c]
-    if d.family is Family.HARTOGS:
+        raw = [((ci + den, den), (0, 1)) for ci in c]
+    elif d.family is Family.HARTOGS:  # (c1 + 1, 0), ((n/m)(c1 + 2) + c2 + 1, 0)
         c1, c2 = c
-        return [(c1 + 1, Fraction(0)),
-                (Fraction(d.n, d.m) * (c1 + 2) + c2 + 1, Fraction(0))]
-    a = [ci / 2 for ci in c]
-    hints = []
-    for j in range(dim):
-        tail = sum((a[i] + 1 for i in range(j + 1, dim)), Fraction(0))
-        hints.append((a[j], tail))
-    return hints
+        raw = [((c1 + den, den), (0, 1)),
+               ((d.n * (c1 + 2 * den) + d.m * (c2 + den), d.m * den), (0, 1))]
+    else:  # ball: a_j = c_j / 2, then the sum of a_i + 1 over i > j
+        raw = [((c[j], 2 * den), (sum(c[i] + 2 * den for i in range(j + 1, d.dim)),
+                                  2 * den)) for j in range(d.dim)]
+    return [tuple((a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in h)
+            for h in raw]
 
 
 def _radial_mesh(d: DomainSpec, hints, n: int, block):
@@ -427,7 +423,7 @@ def _radial_mesh(d: DomainSpec, hints, n: int, block):
     prod r_i dr_i measure so that  integral g dV = sum weight * angular(g).
     """
     axes = ([_axis_rule(n, e0, e1) for e0, e1 in hints] if block is None
-            else [_log_piece_rule(n, j) for j in block])
+            else [_log_rule(n, j, j + 1) for j in block])
     dim = d.dim
     shapes = [[-1 if k == i else 1 for k in range(dim)] for i in range(dim)]
     grids = [u.reshape(shape) for (u, _w), shape in zip(axes, shapes)]
@@ -543,7 +539,7 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
     radial nodes and the inexact angular ones."""
     g = _reduce_torus(g)
     ang_base, ang_exact = _angular_counts(g, cfg)
-    hints = _box_axis_hints(d, _radial_profile(g))
+    hints = _box_axis_hints(d, *_radial_profile(g))
     ang_cap = 256 if d.dim <= 2 else 48
 
     def run(block, k):  # the cap applies from the first doubling on
@@ -577,8 +573,8 @@ def integrate(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig = QuadConfig(
         raise TypeError(f"integrate takes an AbsPowerIntegrand, not {type(g).__name__}")
     if isinstance(g.base, MonomialSumIntegrand) and len(g.base.terms) == 1:
         coeff = g.base.terms[0][0]
-        results = [_separable_moment(d, coeff, p, _box_axis_hints(
-            d, _radial_profile(g, p)), cfg) for p in g.ps]
+        results = [_separable_moment(d, coeff, float(p), _box_axis_hints(
+            d, *_radial_profile(g, p)), cfg) for p in g.ps]
     else:
         results = [IntegralResult(v, e) for v, e in zip(*_block_sum(d, g, cfg))]
     return results if g.several else results[0]
@@ -616,18 +612,25 @@ def lp_norm(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> float:
     return lp_norms(d, f, [p], cfg)[0]
 
 
+@lru_cache(maxsize=16)
+def _probe_configs(cfg: QuadConfig) -> Tuple[QuadConfig, QuadConfig]:
+    """The ladder's config for ``cfg`` and its separable axes' config."""
+    probe_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6),
+                        max_doublings=min(cfg.max_doublings, 1))
+    return probe_cfg, replace(probe_cfg, max_doublings=0)
+
+
 def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> ProbeResult:
     """Corner-cutoff refinement ladder deciding finite versus divergent.
 
     The cutoffs are 1e-2, 1e-4, ...: the verdict is first read at
     ``LADDER_LEVELS`` = 3 levels, and the ladder deepens one level at a time
-    while it is undecided, down to ``MAX_LADDER_LEVELS`` = 7.
-    A level needs only ~1e-3 accuracy, so the ladder runs at ``rel_tol`` >=
-    1e-6 and ``max_doublings`` <= 1 (larger budgets change nothing).  The
-    verdict is taken from the p-th-power integrals: geometric contraction of
-    the increments means the ladder converges (stable); non-contracting
-    increments under monotone growth mean the mass below the cutoff does not
-    run out (diverging).  Anything else raises Inconclusive.
+    while it is undecided, down to ``MAX_LADDER_LEVELS`` = 7.  A level needs
+    only ~1e-3 accuracy, so the ladder runs at ``rel_tol`` >= 1e-6 and
+    ``max_doublings`` <= 1.  The verdict is read from the p-th-power
+    integrals: geometric contraction of the increments means convergence
+    (stable); non-contracting increments under monotone growth mean the mass
+    below the cutoff does not run out (diverging); else ``Inconclusive``.
 
     The boxes nest: level L adds the blocks whose deepest log piece is piece
     L-1.  On the tensor path only those are integrated, and their sum is
@@ -635,26 +638,23 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     monomial takes the separable rule on each level's cut box, doubled once:
     its base rules fit the exponents, and where they do not agree (the ball's
     uncut u_0 -> 1 end) a 4x rule gains nothing and costs O(n^2) memory to build.
-    Its axis hints and config are set up once per probe, and its axis
-    integrals come from the memo of ``_integrate_axis`` (4,096 entries,
-    bit-identical values), which levels and probes of one scan share.
-    """
+    Its integer axis hints are built once per probe, the derived configs
+    once per ``cfg``, each level's rule once per (nodes, level), and its axis
+    integrals come from the memo (module docstring)."""
     p = as_fraction(p)
     g = AbsPowerIntegrand(f, p)
-    probe_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6),
-                        max_doublings=min(cfg.max_doublings, 1))
+    probe_cfg, axis_cfg = _probe_configs(cfg)
     integrals: list = []
     separable = isinstance(f, MonomialSumIntegrand) and len(f.terms) == 1
     if separable:  # set up once; each level differs only in its piece count
-        coeff = f.terms[0][0]
-        hints = _box_axis_hints(d, _radial_profile(g))
-        axis_cfg = replace(probe_cfg, max_doublings=0)
+        coeff, p_float = f.terms[0][0], float(p)
+        hints = _box_axis_hints(d, *_radial_profile(g))
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):
             if separable:
                 integrals.append(_separable_moment(
-                    d, coeff, p, hints, axis_cfg, pieces=level + 1).value)
+                    d, coeff, p_float, hints, axis_cfg, pieces=level + 1).value)
                 continue
             new = [b for b in itertools.product(range(level + 1), repeat=d.dim)
                    if level in b]

@@ -230,6 +230,19 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--tol", "1e-9"],
+    ["indices", "hartogs:1/1", "--window", "x"],
+])
+def test_argparse_rejection_is_one_stderr_line(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("bergman-indices")
+    assert ": error: " in captured.err
+
+
 #: every option of every subcommand, ``-h`` aside: 43 flags across the nine
 FLAG_INVENTORY = {
     "info": set(),

@@ -1,6 +1,7 @@
 """Kernel series, closed forms, reproduction, density, and p-norm probes."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,21 @@ def test_pnorm_off_axis_point_on_h21():
     assert not est.diverging
     assert est.value == pytest.approx(
         math.sqrt(kn.kernel_closed_form(d, z, z).real), rel=1e-8)
+
+
+def test_kernel_integrand_warns_nothing_where_it_leaves_float_range():
+    # on H(50, 49) at z = (0.01, 0.9) the closed form's denominator
+    # underflows near w2 = 6e-4: numpy would warn of division by zero,
+    # overflow and an invalid value; every point lies in the domain
+    d = dm.hartogs(50, 49)
+    fn = kn._kernel_integrand(d, (0.01, 0.9)).fn
+    w1, w2 = np.array([[1e-8], [1e-5]]), np.array([[5e-4, 6.8e-4, 1e-3]])
+    assert all(dm.point_in_domain(d, (a, b)) for a in w1[:, 0] for b in w2[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = fn(w1 + 0j, w2 + 0j)
+    assert not np.isfinite(values[:, :2]).any()
+    assert np.isfinite(values[:, 2]).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,5 +1,6 @@
 """Quadrature oracle accuracy, angular exactness, and divergence probing."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -391,5 +392,88 @@ def test_axis_memo_is_bit_identical_and_bounded():
     info = qd._integrate_axis.cache_info()
     assert info.maxsize is not None and info.maxsize == qd.AXIS_MEMO_SIZE
     assert 0 < info.currsize <= info.maxsize
-    assert isinstance(qd._integrate_axis(Fraction(1), Fraction(0), 64, 1e-9, 3, 0),
-                      tuple)
+    assert isinstance(qd._integrate_axis(1, 1, 0, 1, 64, 1e-9, 3, 0), tuple)
+
+
+def _fraction_hints(d, profile):
+    """The box axis hints of the modulus profile, in Fraction arithmetic."""
+    if d.family is dm.Family.POLYDISC:
+        return [(c + 1, Fraction(0)) for c in profile]
+    if d.family is dm.Family.HARTOGS:
+        c1, c2 = profile
+        return [(c1 + 1, Fraction(0)),
+                (Fraction(d.n, d.m) * (c1 + 2) + c2 + 1, Fraction(0))]
+    a = [c / 2 for c in profile]
+    return [(a[j], sum((a[i] + 1 for i in range(j + 1, d.dim)), Fraction(0)))
+            for j in range(d.dim)]
+
+
+def _fraction_pick_power(e):
+    """The map power for the endpoint exponent e, in Fraction arithmetic."""
+    e1 = e + 1
+    if e1.denominator <= 12:
+        return e1.denominator
+    return min(12, max(1, math.ceil(3 / e1)))
+
+
+def test_integer_axis_hints_match_fraction_formulas():
+    """The integer hints and map powers equal the Fraction formulas, on the
+    polydisc, the ball and H(m, n) with m + n <= 16, at p = k/4."""
+    rng = random.Random(1102)
+    triangles = [dm.hartogs(m, n) for m in range(1, 16) for n in range(1, 17 - m)
+                 if math.gcd(m, n) == 1]
+    doms = [dm.polydisc(1), dm.polydisc(2), dm.polydisc(3), dm.ball(2), dm.ball(3)]
+    cases = [(d, tuple(rng.randint(-6, 6) for _ in range(d.dim)),
+              Fraction(rng.randint(1, 40), 4))
+             for d in doms + triangles for _ in range(12)]
+    # a black box declaring fractional modulus exponents takes the tensor path
+    box = qd.BlackBoxIntegrand(None, 2, modulus_exponents=(Fraction(1, 3), -2.5))
+    box_hints = qd._box_axis_hints(dm.hartogs(3, 5), *qd._radial_profile(
+        qd.AbsPowerIntegrand(box, Fraction(7, 4))))
+    checks = [(qd._box_axis_hints(d, *qd._radial_profile(qd.AbsPowerIntegrand(
+        _monomial(alpha, d.dim), p))), _fraction_hints(d, [p * a for a in alpha]))
+        for d, alpha, p in cases]
+    checks.append((box_hints, _fraction_hints(
+        dm.hartogs(3, 5), [Fraction(7, 12), Fraction(-35, 8)])))
+    big = 0
+    for got, want in checks:
+        assert len(got) == len(want)
+        for pair, value in zip((e for h in got for e in h), (e for h in want for e in h)):
+            assert pair == (value.numerator, value.denominator)
+            assert qd._pick_power(*pair) == _fraction_pick_power(value)
+            big += (value + 1).denominator > 12
+    assert big > 0  # the fallback branch of the map power is met
+
+
+#: sha256 of the reprs that ``_seeded_scan`` returns, recorded when the axis
+#: hints and the memo were still computed in Fraction arithmetic
+SCAN_SHA256 = "7dd253b31892b5a545908cf48a3aaeed5d13bd868752b1c6d9fcbaa561815a99"
+
+
+def _seeded_scan():
+    """Reprs of integrate (finite moments) and divergence_probe on 60 seeded
+    single-monomial cases."""
+    rng = random.Random(1101)
+    doms = (dm.polydisc(2), dm.polydisc(3), dm.ball(2), dm.ball(3),
+            dm.hartogs(1, 1), dm.hartogs(3, 2), dm.hartogs(2, 7))
+    out = []
+    for _ in range(60):
+        d = rng.choice(doms)
+        alpha = tuple(rng.randint(-3, 4) for _ in range(d.dim))
+        p = Fraction(rng.randint(2, 24), 4)
+        f = qd.MonomialSumIntegrand(
+            [(complex(rng.uniform(0.5, 2), 0.25), alpha, (0,) * d.dim)])
+        if dm.moment_finite(d, [p * a for a in alpha]):
+            res = qd.integrate(d, qd.AbsPowerIntegrand(f, p))
+            out.append(repr((res.value, res.error_estimate)))
+        try:
+            out.append(repr(qd.divergence_probe(d, f, p)))
+        except Inconclusive as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_separable_scan_is_bit_identical_to_pinned_digest():
+    reprs = _seeded_scan()
+    assert len(reprs) == 96  # 36 finite integrals next to the 60 probes
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == SCAN_SHA256
