@@ -24,26 +24,29 @@ fractional powers.  Level L of the divergence ladder cuts each axis at
 10^(-2L) and runs Gauss-Legendre in log u on its log pieces
 [10^(-2(j+1)), 10^(-2j)], j < L, accurate for any power profile.
 
-The angular rule is the uniform trapezoid, exact for trigonometric
-polynomials below the node count; monomial sums declare their bandwidth,
-and |f|^p is one only for even p (at several exponents, only if all are).
-One loop, ``_refine``, doubles every rule until two successive ones agree
-to ``rel_tol``: each separable axis and each tensor block, whose mesh sums
-take |f| once per chunk and raise it to each exponent p.
+Both integrand kinds declare the two facts the rules read of them:
+``modulus_exponents`` (the leading power in each |z_i|, or None) and
+``angular_bandwidth`` (the trigonometric degree per torus axis, None where
+unbounded).  The angular rule is the uniform trapezoid, exact for
+trigonometric polynomials below the node count, and |f|^p is one only for
+even p (at several exponents, only if all are).  One loop, ``_refine``,
+doubles every rule until two successive ones agree to ``rel_tol``: each
+separable axis and each tensor block, whose mesh sums take |f| once per
+chunk and raise it to each exponent p.
 |sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
 differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
 basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
 theta -> B theta of T^dim onto T^k gives  int h(B theta) dtheta =
-(2 pi)^(dim-k) int_{T^k} h(psi) dpsi,  so the mesh carries k angular axes
-(none when all terms share one frequency).  All sums run in a fixed
-order, so results are bit-stable.
+(2 pi)^(dim-k) int_{T^k} h(psi) dpsi.  A monomial sum is put on that torus
+when it is built, so its mesh carries k angular axes (none when all terms
+share one frequency).  All sums run in a fixed order: results are bit-stable.
 
 A single monomial's moment is a product of one-dimensional axis integrals
 int u^e (1-u)^b du, and a scan of moments or ladders meets the same ones
 again and again; ``_integrate_axis`` memoizes them in an LRU of
 ``AXIS_MEMO_SIZE`` = 4,096 entries, keyed on everything the rule reads, so
 every value is bit-identical to a fresh computation; the key is ints and
-floats only, e and b the reduced (num, den) pairs of ``_box_axis_hints``.
+floats only, e and b the reduced (num, den) pairs of ``_axis_hints``.
 """
 
 from __future__ import annotations
@@ -68,6 +71,9 @@ STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 #: 4,096 of them (about 1.3 MB) answer 78% of the calls, an unbounded memo 90%
 AXIS_MEMO_SIZE = 4096
 LOG_RULE_CACHE_SIZE = 128  # built log-piece rules kept; a scan meets dozens
+#: largest endpoint-clearing map power; raising it is ROADMAP direction 1,
+#: since above it steep triangles' axes converge only algebraically
+MAP_POWER_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,13 @@ class ProbeResult:
 # ---------------------------------------------------------------------------
 
 class MonomialSumIntegrand:
-    """Finite sum  sum_t  c_t z^alpha_t zbar^gamma_t  as a quadrature integrand."""
+    """Finite sum  sum_t  c_t z^alpha_t zbar^gamma_t  as a quadrature integrand,
+    put on its rank-k torus (module docstring) when it is built: term t keeps
+    c_t, the lattice coordinates of f_t - f_0, and ``eval_polar`` takes k
+    angles.  It declares ``modulus_exponents``, the least alpha+gamma per
+    axis, and ``angular_bandwidth`` per lattice axis."""
+
+    __slots__ = ("terms", "dim", "modulus_exponents", "angular_bandwidth", "_coords")
 
     def __init__(self, terms: Sequence[Tuple[complex, Sequence[int], Sequence[int]]]):
         self.terms = tuple(
@@ -134,57 +146,40 @@ class MonomialSumIntegrand:
         if not self.terms:
             raise ValueError("integrand needs at least one term")
         self.dim = len(self.terms[0][1])
-
-    def radial_exponents(self) -> list:
-        """Modulus exponent vector alpha+gamma per term (entries are ints)."""
-        return [tuple(a + g for a, g in zip(alpha, gamma))
-                for _c, alpha, gamma in self.terms]
-
-    def frequencies(self) -> list:
-        return [tuple(a - g for a, g in zip(alpha, gamma))
-                for _c, alpha, gamma in self.terms]
-
-    def bandwidth(self) -> Tuple[int, ...]:
-        return tuple(max(col) - min(col) for col in zip(*self.frequencies()))
+        expos = [tuple(map(int.__add__, alpha, gamma)) for _c, alpha, gamma in self.terms]
+        self.modulus_exponents = tuple(map(min, *expos)) if expos[1:] else expos[0]
+        if len(self.terms) == 1:  # one frequency: no angle is left
+            self._coords, self.angular_bandwidth = ((),), ()
+        else:
+            freqs = [[a - g for a, g in zip(alpha, gamma)]
+                     for _c, alpha, gamma in self.terms]
+            self._coords = tuple(lattice_basis(
+                [[a - b for a, b in zip(f, freqs[0])] for f in freqs])[1])
+            self.angular_bandwidth = tuple(max(c) - min(c) for c in zip(*self._coords))
 
     def eval_polar(self, radii, thetas):
         shape = np.broadcast_shapes(
             *(np.shape(r) for r in radii), *(np.shape(t) for t in thetas))
         out = np.zeros(shape, dtype=complex)
-        for (c, _a, _g), expo, freq in zip(self.terms, self.radial_exponents(),
-                                           self.frequencies()):
+        for (c, alpha, gamma), coords in zip(self.terms, self._coords):
             term = c  # radial factors first: they are small blocks
-            for r, e in zip(radii, expo):
-                if e:
-                    term = term * r ** e
-            for t, f in zip(thetas, freq):
+            for r, a, g in zip(radii, alpha, gamma):
+                if a + g:
+                    term = term * r ** (a + g)
+            for t, f in zip(thetas, coords):
                 if f:
                     term = term * np.exp(1j * f * t)
             out += term
         return out
 
 
-class _ReducedSum(MonomialSumIntegrand):
-    """A monomial sum on its rank-k torus (module docstring): term t has
-    frequency c_t, its coordinates in the lattice basis of f_t - f_0."""
-
-    def __init__(self, base: MonomialSumIntegrand):
-        self.terms, self.dim = base.terms, base.dim
-        freqs = base.frequencies()
-        _basis, self._coords = lattice_basis(
-            [[a - b for a, b in zip(f, freqs[0])] for f in freqs])
-
-    def frequencies(self) -> list:
-        return self._coords
-
-
 class BlackBoxIntegrand:
     """Vectorized pointwise evaluator z -> value with optional declarations.
 
     ``angular_bandwidth`` bounds the trigonometric degree per axis (None for
-    an axis, or for the whole tuple, means unbounded); ``modulus_exponents``
-    declares the leading power of the value in each |z_i| as that modulus
-    tends to 0, which steers the radial maps.
+    an axis means unbounded; None for the whole tuple is stored as None per
+    axis); ``modulus_exponents`` declares the leading power of the value in
+    each |z_i| as that modulus tends to 0, which steers the radial maps.
     """
 
     def __init__(self, fn: Callable, dim: int,
@@ -193,7 +188,7 @@ class BlackBoxIntegrand:
         self.fn = fn
         self.dim = dim
         self.angular_bandwidth = (tuple(angular_bandwidth)
-                                  if angular_bandwidth is not None else None)
+                                  if angular_bandwidth is not None else (None,) * dim)
         self.modulus_exponents = (tuple(as_fraction(s) for s in modulus_exponents)
                                   if modulus_exponents is not None else None)
 
@@ -265,15 +260,15 @@ def _beta_map(x: np.ndarray, k: int, l: int):
     return u, du
 
 
-def _pick_power(num: int, den: int, cap: int = 12) -> int:
+def _pick_power(num: int, den: int) -> int:
     """Map power k for an endpoint exponent e = num/den in lowest terms,
     e + 1 > 0: k = den(e + 1) = den makes the mapped profile polynomial
     (exact rules), but a large one would collapse nodes to absurd depths, so
     there the smallest power lifting the mapped exponent above 2,
     ceil(3 / (e + 1)), smooths algebraically and node doubling finishes."""
-    if den <= cap:
+    if den <= MAP_POWER_CAP:
         return den
-    return min(cap, max(1, -(-3 * den // (num + den))))
+    return min(MAP_POWER_CAP, max(1, -(-3 * den // (num + den))))
 
 
 def _axis_rule(n: int, e0: Tuple[int, int], e1: Tuple[int, int]):
@@ -347,7 +342,7 @@ def _integrate_axis(e_num: int, e_den: int, b_num: int, b_den: int,
 def _separable_moment(d: DomainSpec, coeff: complex, p: float, hints,
                       cfg: QuadConfig, pieces: int = 0) -> IntegralResult:
     """Quadrature of |c z^alpha zbar^gamma|^p dV, the single monomial with
-    coefficient ``coeff`` whose p-th power has the ``_box_axis_hints``
+    coefficient ``coeff`` whose p-th power has the ``_axis_hints``
     ``hints``, over the box or, with ``pieces``, the ladder's box cut at
     10^(-2 pieces): a product of per-axis rules (``_integrate_axis``), times
     2 pi per torus axis (pi on the ball, whose simplex map carries 1/2)."""
@@ -366,41 +361,26 @@ def _separable_moment(d: DomainSpec, coeff: complex, p: float, hints,
 # tensor path
 # ---------------------------------------------------------------------------
 
-def _radial_profile(g: AbsPowerIntegrand, p=None) -> tuple:
-    """(low, num, den), all integers: |f|^p has worst-case per-axis modulus
-    exponents num * low_i / den, if f declares them (else ``low`` is None);
-    ``g`` is |f|^(g.p) unless ``p`` is given."""
-    f, p = g.base, p or g.p
-    if isinstance(f, MonomialSumIntegrand):
-        low, scale = [min(col) for col in zip(*f.radial_exponents())], 1
-    elif f.modulus_exponents is None:
-        return None, 1, 1
-    else:  # black-box exponents are Fractions: clear their denominators
-        scale = math.lcm(*(s.denominator for s in f.modulus_exponents))
-        low = [int(s * scale) for s in f.modulus_exponents]
-    return low, p.numerator, p.denominator * scale
-
-
 def _angular_counts(g: AbsPowerIntegrand, cfg: QuadConfig) -> Tuple[list, list]:
-    """Per-axis trapezoid node counts plus per-axis exactness flags: an axis
-    is exact where |f|^p is a trigonometric polynomial of declared degree."""
-    f = g.base
-    bands = (f.bandwidth() if isinstance(f, MonomialSumIntegrand)
-             else f.angular_bandwidth or [None] * f.dim)
+    """Trapezoid node counts and exactness flags per torus axis of the base: an
+    axis is exact where |f|^p is a trigonometric polynomial of declared degree."""
     # a non-even power of a trigonometric polynomial is not one
     even = all(p.denominator == 1 and p.numerator % 2 == 0 for p in g.ps)
     bands = [None if b is None or (b and not even) else b * (g.p.numerator // 2)
-             for b in bands]
+             for b in g.base.angular_bandwidth]
     default = cfg.angular_nodes or (32 if g.dim <= 2 else 12)  # cost grows past C^2
     return ([default if b is None else max(1, b + 2) for b in bands],
             [b is not None for b in bands])
 
 
-def _box_axis_hints(d: DomainSpec, low, num: int, den: int) -> list:
-    """Leading (0-end, 1-end) exponents of integrand*measure per box axis,
-    as integer pairs (num, den) in lowest terms, for the modulus profile
-    c_i = num * low_i / den of ``_radial_profile`` (c = 0 if ``low`` is None)."""
-    c = [num * e for e in low] if low is not None else [0] * d.dim  # c_i * den
+def _axis_hints(d: DomainSpec, f, p) -> list:
+    """Leading (0-end, 1-end) exponents of |f|^p * measure per box axis, as
+    integer pairs (num, den) in lowest terms: |f|^p has modulus exponents
+    p * s_i, s = ``f.modulus_exponents`` (0 if undeclared), here c_i / den
+    with the denominators of s cleared."""
+    s = f.modulus_exponents or (0,) * d.dim
+    scale = math.lcm(*(si.denominator for si in s))
+    c, den = [p.numerator * int(si * scale) for si in s], p.denominator * scale
     if d.family is Family.POLYDISC:
         raw = [((ci + den, den), (0, 1)) for ci in c]
     elif d.family is Family.HARTOGS:  # (c1 + 1, 0), ((n/m)(c1 + 2) + c2 + 1, 0)
@@ -482,13 +462,6 @@ def lattice_basis(vectors) -> Tuple[list, list]:
     return [tuple(b) for b in basis], coords
 
 
-def _reduce_torus(g: AbsPowerIntegrand) -> AbsPowerIntegrand:
-    """|monomial sum|^p on its rank-k torus; any other base unchanged."""
-    if isinstance(g.base, MonomialSumIntegrand):
-        return AbsPowerIntegrand(_ReducedSum(g.base), g.ps)
-    return g
-
-
 def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block):
     """Chunks (radii, angles, radial weight) of the mesh on ``block`` (see
     ``_radial_mesh``): dim radial axes, then one angular axis per entry of
@@ -522,9 +495,11 @@ def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
     """Mesh sums of ``g``, one per exponent."""
     totals = [0.0] * len(g.ps)
     for radii, angles, weight in _mesh_blocks(d, hints, n_radial, ang_counts, block):
-        # the chunk's values die with this statement, before the next chunk
-        totals = [t + float(np.sum(weight * v))
-                  for t, v in zip(totals, g.powers(radii, angles))]
+        # the chunk's values die with this statement, before the next chunk;
+        # an overflowed value times a zero weight is NaN, raised as NaNOnGrid
+        with np.errstate(invalid="ignore", over="ignore"):
+            totals = [t + float(np.sum(weight * v))
+                      for t, v in zip(totals, g.powers(radii, angles))]
     # trapezoid weight of the angular mesh, times 2 pi per unseen angle
     ang_w = (math.prod(TWO_PI / m_i for m_i in ang_counts)
              * TWO_PI ** (d.dim - len(ang_counts)))
@@ -537,9 +512,8 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
     the block integrals and error estimates; a block, per-axis log piece
     indices or None for all of (0, 1)^dim, refines on its own, doubling the
     radial nodes and the inexact angular ones."""
-    g = _reduce_torus(g)
     ang_base, ang_exact = _angular_counts(g, cfg)
-    hints = _box_axis_hints(d, *_radial_profile(g))
+    hints = _axis_hints(d, g.base, g.p)
     ang_cap = 256 if d.dim <= 2 else 48
 
     def run(block, k):  # the cap applies from the first doubling on
@@ -564,17 +538,17 @@ def integrate(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig = QuadConfig(
 
     Each rule refines as ``QuadConfig`` says; the error estimate is its
     last difference.  The tensor mesh doubles its radial nodes and its
-    inexact angular ones; |monomial sum|^p runs on its rank-k torus (module
-    docstring).  |single monomial|^p takes the separable rule, once per
-    exponent, whose axes refine on their own and add their relative errors.
+    inexact angular ones, one per torus axis of f (k for a monomial sum, see
+    the module docstring).  |single monomial|^p takes the separable rule, once
+    per exponent, whose axes refine on their own and add their relative errors.
     Any other integrand raises ``TypeError``.
     """
     if not isinstance(g, AbsPowerIntegrand):
         raise TypeError(f"integrate takes an AbsPowerIntegrand, not {type(g).__name__}")
     if isinstance(g.base, MonomialSumIntegrand) and len(g.base.terms) == 1:
         coeff = g.base.terms[0][0]
-        results = [_separable_moment(d, coeff, float(p), _box_axis_hints(
-            d, *_radial_profile(g, p)), cfg) for p in g.ps]
+        results = [_separable_moment(d, coeff, float(p), _axis_hints(d, g.base, p), cfg)
+                   for p in g.ps]
     else:
         results = [IntegralResult(v, e) for v, e in zip(*_block_sum(d, g, cfg))]
     return results if g.several else results[0]
@@ -648,7 +622,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     separable = isinstance(f, MonomialSumIntegrand) and len(f.terms) == 1
     if separable:  # set up once; each level differs only in its piece count
         coeff, p_float = f.terms[0][0], float(p)
-        hints = _box_axis_hints(d, *_radial_profile(g))
+        hints = _axis_hints(d, f, p)
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):

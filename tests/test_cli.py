@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import pytest
 
@@ -288,9 +289,13 @@ def test_verify_rejects_oversized_domain_before_any_check(capsys, monkeypatch):
     # a tiny p: the 1000th root of a finite integral overflows
     ["kernel", "polydisc:1", "--z", "0.3", "--w", "0.1", "--pnorm", "1/1000"],
     ["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "1/1000"],
+    # the ladder's mesh overflows, and inf times a zero weight is NaN
+    ["kernel", "hartogs:1/25", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "2"],
 ])
 def test_kernel_beyond_float_range_is_inconclusive(capsys, argv):
-    code = cli.run(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning precedes the line
+        code = cli.run(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -151,9 +151,12 @@ def test_pnorm_constant_kernel_polydisc():
         assert est.value == pytest.approx(PI ** (1 / float(p)) / PI, rel=1e-9)
 
 
-def test_pnorm_closed_form_general_triangle():
+@pytest.mark.parametrize("d, z", [(dm.hartogs(1, 2), (0, 0.5)),
+                                  (dm.polydisc(2), (0.3, -0.2j)),
+                                  (dm.ball(2), (0.3, 0.2j))],
+                         ids=["hartogs-1-2", "polydisc-2", "ball-2"])
+def test_pnorm_closed_form_general_triangle(d, z):
     # ||K(., z)||_2^2 = K(z, z) by the reproducing property
-    d, z = dm.hartogs(1, 2), (0, 0.5)
     est = kn.kernel_pnorm_estimate(d, z, 2)
     assert not est.diverging
     assert est.value == pytest.approx(
@@ -188,8 +191,9 @@ def test_kernel_integrand_warns_nothing_where_it_leaves_float_range():
     assert np.isfinite(values[:, 2]).all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pnorm_beyond_float_range_is_inconclusive():
-    # |K(w, z)|^2 ~ |w2|^-50 on H(1, 25) leaves the float range on the ladder
-    with pytest.raises(Inconclusive):
+    # |K(w, z)|^2 ~ |w2|^-50 on H(1, 25) leaves the float range on the ladder;
+    # the inf times a zero weight that follows warns nothing
+    with warnings.catch_warnings(), pytest.raises(Inconclusive):
+        warnings.simplefilter("error")
         kn.kernel_pnorm_estimate(dm.hartogs(1, 25), (0, 0.5), 2)

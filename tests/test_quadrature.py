@@ -155,7 +155,7 @@ def test_ladder_budget_floor_and_cap():
 
 def test_angular_exactness_above_bandwidth():
     f = qd.MonomialSumIntegrand([(1.0, (1, 0), (0, 2)), (0.5j, (0, 1), (1, 0))])
-    band = f.bandwidth()
+    band = f.angular_bandwidth
     results = []
     for extra in (2, 4, 8):
         cfg = qd.QuadConfig(radial_nodes=32,
@@ -325,6 +325,40 @@ def test_torus_reduction_with_gcd_above_one():
                 _exact_even_norm(d, terms, p), rel=1e-10), (str(d), p)
 
 
+def test_reduced_sum_keeps_its_modulus_on_the_torus():
+    """|f.eval_polar(r, B theta)| = |sum_t c_t r^(alpha+gamma) e^(i (alpha-gamma).theta)|
+    for B the lattice basis of the frequency differences, on random mixed
+    sums in C^1-C^3 (some of rank k < dim)."""
+    rng = np.random.default_rng(1204)
+    ranks = []
+    for _ in range(80):
+        dim, n_terms = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        terms = [(complex(*rng.normal(size=2)),
+                  tuple(int(a) for a in rng.integers(-1, 4, dim)),
+                  tuple(int(g) for g in rng.integers(0, 4, dim)))
+                 for _ in range(n_terms)]
+        f = qd.MonomialSumIntegrand(terms)
+        freqs = [[a - g for a, g in zip(alpha, gamma)] for _c, alpha, gamma in terms]
+        basis, _coords = qd.lattice_basis(
+            [[a - b for a, b in zip(fr, freqs[0])] for fr in freqs])
+        ranks.append((len(basis), dim))
+        assert len(f.angular_bandwidth) == len(basis)
+        radii = list(rng.uniform(0.2, 1.0, (dim, 64)))
+        theta = rng.uniform(0.0, 2 * PI, (dim, 64))
+        psi = list(np.array(basis, dtype=float).reshape(-1, dim) @ theta)
+        got = np.abs(f.eval_polar(radii, psi))
+        want, scale = np.zeros(64, dtype=complex), np.zeros(64)
+        for (c, alpha, gamma), fr in zip(terms, freqs):
+            radial = np.prod([r ** float(a + g) for r, a, g in zip(radii, alpha, gamma)],
+                             axis=0)
+            want += c * radial * np.exp(1j * (np.array(fr, dtype=float) @ theta))
+            scale += abs(c) * radial
+        # relative to the sum of the terms' moduli, so cancellation is fair
+        assert np.all(np.abs(got - np.abs(want)) <= 1e-12 * scale)
+    assert any(0 < k < dim for k, dim in ranks)
+    assert any(k == dim > 1 for k, dim in ranks)
+
+
 def test_even_p_norms_match_exact_expansion():
     cases = [(dm.polydisc(2), [(1.0, (1, 0), (0, 0)), (0.5j, (0, 2), (0, 0))]),
              (dm.ball(2), [(0.25 + 1j, (2, 1), (0, 0)), (0.75, (0, 1), (0, 0))]),
@@ -428,13 +462,20 @@ def test_integer_axis_hints_match_fraction_formulas():
              for d in doms + triangles for _ in range(12)]
     # a black box declaring fractional modulus exponents takes the tensor path
     box = qd.BlackBoxIntegrand(None, 2, modulus_exponents=(Fraction(1, 3), -2.5))
-    box_hints = qd._box_axis_hints(dm.hartogs(3, 5), *qd._radial_profile(
-        qd.AbsPowerIntegrand(box, Fraction(7, 4))))
-    checks = [(qd._box_axis_hints(d, *qd._radial_profile(qd.AbsPowerIntegrand(
-        _monomial(alpha, d.dim), p))), _fraction_hints(d, [p * a for a in alpha]))
-        for d, alpha, p in cases]
+    box_hints = qd._axis_hints(dm.hartogs(3, 5), box, Fraction(7, 4))
+    checks = [(qd._axis_hints(d, _monomial(alpha, d.dim), p),
+               _fraction_hints(d, [p * a for a in alpha]))
+              for d, alpha, p in cases]
     checks.append((box_hints, _fraction_hints(
         dm.hartogs(3, 5), [Fraction(7, 12), Fraction(-35, 8)])))
+    # undeclared exponents read as 0; a sum's are its least alpha+gamma per axis
+    for d in doms + triangles[:4]:
+        checks.append((qd._axis_hints(d, qd.BlackBoxIntegrand(None, d.dim), Fraction(7, 4)),
+                       _fraction_hints(d, [Fraction(0)] * d.dim)))
+        terms = [(1.0, tuple(range(d.dim)), (1,) * d.dim), (1.0, (2,) * d.dim, (0,) * d.dim)]
+        checks.append((qd._axis_hints(d, qd.MonomialSumIntegrand(terms), Fraction(5, 2)),
+                       _fraction_hints(d, [Fraction(5, 2) * min(i + 1, 2)
+                                           for i in range(d.dim)])))
     big = 0
     for got, want in checks:
         assert len(got) == len(want)
