@@ -45,6 +45,9 @@ MAX_EXPONENT = 1000  # |alpha_i| and gamma_i of a monomial
 MAX_PROBE_P = 64
 MAX_PROBE_STEPS = 256
 MAX_DENSITY_POINTS = 256  # per Gram matrix, from --ks or --points
+# above this dimension a kernel p-norm at z != 0 meets six-axis meshes and has
+# no work bound; at z = 0 the section is constant and answers in seconds
+MAX_PNORM_DIM = 2
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -159,6 +162,9 @@ def cmd_kernel(args) -> int:
     d = dm.parse_domain(args.domain)
     z = _parse_point(args.z, d.dim)
     w = _parse_point(args.w, d.dim)
+    if args.pnorm is not None and d.dim > MAX_PNORM_DIM and any(z):
+        raise ParseError(f"--pnorm in dimension {d.dim} needs z = 0 (dimensions "
+                         f"above {MAX_PNORM_DIM} have no work bound at z != 0)")
     value = kn.kernel_truncated(d, z, w, args.window)
     result = {
         "z": [[zi.real, zi.imag] for zi in z],

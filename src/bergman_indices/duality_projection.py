@@ -169,10 +169,9 @@ def project(d: DomainSpec, f: MixedMonomialSum) -> MixedMonomialSum:
         delta = tuple(a - g for a, g in zip(alpha, gamma))
         if not member(d, delta, 2):
             continue
+        # finite by Cauchy-Schwarz: the term and z^delta both lie in L^2
         cross = radial_moment(d, [a + g + dl for a, g, dl
                                   in zip(alpha, gamma, delta)])
-        if not cross.is_finite:
-            continue
         ratio = _rational_ratio(cross.value, moment(d, delta, 2).value)
         out.append((q * ratio, delta, (0,) * len(delta)))
     return MixedMonomialSum.make(out) if out else MixedMonomialSum(())

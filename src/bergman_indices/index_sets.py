@@ -26,7 +26,8 @@ exponents at all, which is the structural proof behind the unbounded verdicts.
 
 Every flip exponent comes from one table per (domain, window), built by
 ``critical_table`` in a single pass over the integer slopes; thresholds, the
-three indices and the injectivity witness scan all read it.  The soundness
+three indices and the injectivity witness scan all read it, and a 4-entry
+cache lets a report's three indices share one pass.  The soundness
 check on a reported threshold is the witness's own flip, decided through the
 moment-based ``member``; the full window comparison (``sets_equal``) is left
 to the threshold-completeness check of ``verify``.
@@ -36,6 +37,7 @@ All predicates in this module are exact rational comparisons.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,6 +93,7 @@ def check_radius(radius: int, least: int = 1, dim: int = 0) -> None:
                          f"{MAX_WINDOW_POINTS} lattice points")
 
 
+@functools.lru_cache(maxsize=4)
 def critical_table(d: DomainSpec, radius: int) -> Tuple[Tuple[Fraction, MultiIndex], ...]:
     """Every finite membership-flip exponent realized in the window.
 

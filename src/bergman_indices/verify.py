@@ -1,17 +1,19 @@
-"""Self-verification suites: the bootstrap oracle and module invariants.
+"""Self-verification: the bootstrap oracle, then one ordered table of checks.
 
-The bootstrap suite compares every exact moment formula against the
-quadrature oracle before anything downstream is trusted; a bootstrap failure
-aborts the remaining suites.  The other suites exercise the documented
-invariants of each module (index-set monotonicity, threshold soundness, the
-index chain, kernel agreement, projection algebra, interpolation-consequence
-inequalities) at two effort levels:
+The bootstrap compares every exact moment formula against the quadrature
+oracle before anything downstream is trusted; a bootstrap failure aborts the
+run.  ``CHECKS`` then lists the documented invariants of each module
+(index-set monotonicity, threshold soundness, the index chain, kernel
+agreement, projection algebra, interpolation-consequence inequalities) as
+(suite, name, check) entries in the order they run, and ``run_verify`` times
+each entry in one loop.  Every trial count, radius and grid a check reads
+comes from one row of ``SIZES``, one row per effort level:
 
   quick   small windows and trial counts, suitable for a < 60 s sanity run
   full    the sizes the acceptance criteria demand
 
-Randomized trials draw from a single seeded generator, so a verify run is
-reproducible from (domains, level, seed).
+Randomized trials draw from a single seeded generator in table order, so a
+verify run is reproducible from (domains, level, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .errors import Inconclusive, NotIntegrable
 from .exact import QComplex
 
 ORACLE_REL_TOL = 1e-8
+#: exponents 1, 5/4, ..., 6 of the random moment trials
+P_GRID = tuple(Fraction(k, 4) for k in range(4, 25))
 
 
 @dataclass(frozen=True)
@@ -46,30 +50,54 @@ class CheckResult:
     elapsed: float = 0.0
 
 
-def _result(suite, name, passed, detail=""):
-    return CheckResult(suite, name, bool(passed), detail)
+class Size(NamedTuple):
+    """One effort level: every trial count, radius and grid the checks read."""
+
+    moment_radius: int      # bootstrap box max|alpha_i|
+    moment_ps: tuple        # bootstrap exponent grid
+    trials: int             # random moments; a quarter per domain for Hoelder
+    index_radius: int       # index-set windows and threshold scans
+    chain_top: int          # index chain on coprime H(m, n), m + n <= this
+    kernel_pairs: int       # random point pairs per domain
+    kernel_radius: int      # series window compared with the closed form
+    max_mod: float          # modulus bound of those points (tail margin)
+    algebra_trials: int     # random sum pairs per domain
+    witness_top: int        # witness criticality on H(m, n), m + n <= this
+    witness_steps: int      # exponents critical +- j/100, j <= this
+    inequality_trials: int  # Lyapunov and Hoelder trials per domain
 
 
-def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
-    t0 = time.perf_counter()
-    res = fn()
-    return CheckResult(res.suite, res.name, res.passed, res.detail,
-                       time.perf_counter() - t0)
+SIZES = {
+    "quick": Size(moment_radius=3,
+                  moment_ps=(Fraction(1), Fraction(2), Fraction(3)),
+                  trials=100, index_radius=4, chain_top=6, kernel_pairs=10,
+                  kernel_radius=30, max_mod=0.6, algebra_trials=40,
+                  witness_top=5, witness_steps=12, inequality_trials=50),
+    "full": Size(moment_radius=6,
+                 moment_ps=(Fraction(1), Fraction(3, 2), Fraction(2),
+                            Fraction(5, 2), Fraction(3), Fraction(4)),
+                 trials=1000, index_radius=6, chain_top=12, kernel_pairs=50,
+                 kernel_radius=40, max_mod=0.7, algebra_trials=200,
+                 witness_top=12, witness_steps=50, inequality_trials=500),
+}
 
 
 # ---------------------------------------------------------------------------
 # bootstrap oracle
 # ---------------------------------------------------------------------------
 
-def _moment_grid(level: str):
-    if level == "full":
-        return 6, [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
-                   Fraction(3), Fraction(4)]
-    return 3, [Fraction(1), Fraction(2), Fraction(3)]
-
-
-def _kernel_radius(level: str) -> int:
-    return 40 if level == "full" else 30
+def _oracle_case(d: DomainSpec, alpha, p, m: dm.Moment):
+    """Quadrature's side of one monomial's exact moment ``m``: the relative
+    error of a finite moment, else the divergence ladder (None when it is
+    inconclusive)."""
+    monomial = qd.MonomialSumIntegrand([(1.0, alpha, (0,) * d.dim)])
+    if m.is_finite:
+        est = qd.integrate(d, qd.AbsPowerIntegrand(monomial, p), qd.QuadConfig())
+        return abs(est.value - float(m)) / float(m)
+    try:
+        return qd.divergence_probe(d, monomial, p, qd.QuadConfig())
+    except Inconclusive:
+        return None
 
 
 def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
@@ -77,38 +105,28 @@ def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
     """Exact moments versus quadrature on the lattice window and p grid.
 
     Finite moments must match to ``ORACLE_REL_TOL`` relative error; divergent
-    verdicts must be confirmed by monotone, non-stabilizing growth of the
-    corner-cutoff ladder.  ``moment_fn`` exists so a corrupted formula can be
-    injected as a negative control.
+    verdicts must be confirmed by the corner-cutoff ladder.  ``moment_fn``
+    exists so a corrupted formula can be injected as a negative control.
     """
     moment_fn = moment_fn or dm.moment
-    radius, p_grid = _moment_grid(level)
-    cfg = qd.QuadConfig()
+    size = SIZES[level]
     out = []
     for d in doms:
         t0 = time.perf_counter()
-        worst = 0.0
-        bad = None
+        worst, bad, probe_fail = 0.0, None, None
         n_fin = n_div = 0
-        probe_fail = None
-        for alpha in itertools.product(range(-radius, radius + 1), repeat=d.dim):
-            monomial = qd.MonomialSumIntegrand([(1.0, alpha, (0,) * d.dim)])
-            for p in p_grid:
+        box = range(-size.moment_radius, size.moment_radius + 1)
+        for alpha in itertools.product(box, repeat=d.dim):
+            for p in size.moment_ps:
                 m = moment_fn(d, alpha, p)
+                case = _oracle_case(d, alpha, p, m)
                 if m.is_finite:
                     n_fin += 1
-                    est = qd.integrate(d, qd.AbsPowerIntegrand(monomial, p), cfg)
-                    rel = abs(est.value - float(m)) / float(m)
-                    if rel > worst:
-                        worst, bad = rel, (alpha, p)
+                    if case > worst:
+                        worst, bad = case, (alpha, p)
                 else:
                     n_div += 1
-                    try:
-                        probe = qd.divergence_probe(d, monomial, p, cfg)
-                        ok = probe.diverging
-                    except Inconclusive:
-                        ok = False
-                    if not ok and probe_fail is None:
+                    if (case is None or not case.diverging) and probe_fail is None:
                         probe_fail = (alpha, p)
         ok = worst <= ORACLE_REL_TOL and probe_fail is None
         detail = (f"{n_fin} finite (worst rel err {worst:.2e} at {bad}), "
@@ -123,207 +141,168 @@ def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
 # domain-level invariants
 # ---------------------------------------------------------------------------
 
-def domain_checks(doms: Sequence[DomainSpec], rng: np.random.Generator,
-                  level: str = "quick") -> List[CheckResult]:
-    out = []
-    n_trials = 1000 if level == "full" else 100
-    p_grid = [Fraction(k, 4) for k in range(4, 25)]
+def _random_moments(doms, rng, size):
+    worst = 0.0
+    fails = []
+    for _ in range(size.trials):
+        d = doms[int(rng.integers(len(doms)))]
+        alpha = tuple(int(rng.integers(-6, 7)) for _ in range(d.dim))
+        p = P_GRID[int(rng.integers(len(P_GRID)))]
+        m = dm.moment(d, alpha, p)
+        case = _oracle_case(d, alpha, p, m)
+        if m.is_finite:
+            worst = max(worst, case)
+        # non-strict: deeply divergent ladders plateau at inf
+        elif not (case is not None and case.diverging
+                  and all(b >= a * (1 - 1e-12)
+                          for a, b in zip(case.sequence, case.sequence[1:]))):
+            fails.append((str(d), alpha, p))
+    return (worst <= ORACLE_REL_TOL and not fails,
+            f"{size.trials} trials, worst rel {worst:.2e}, "
+            f"divergence failures {fails[:3]}")
 
-    def random_probes():
-        worst = 0.0
-        fails = []
-        for _ in range(n_trials):
-            d = doms[int(rng.integers(len(doms)))]
-            alpha = tuple(int(rng.integers(-6, 7)) for _ in range(d.dim))
-            p = p_grid[int(rng.integers(len(p_grid)))]
-            m = dm.moment(d, alpha, p)
-            monomial = qd.MonomialSumIntegrand([(1.0, alpha, (0,) * d.dim)])
-            if m.is_finite:
-                est = qd.integrate(d, qd.AbsPowerIntegrand(monomial, p),
-                                   qd.QuadConfig())
-                worst = max(worst, abs(est.value - float(m)) / float(m))
-            else:
-                try:
-                    probe = qd.divergence_probe(d, monomial, p, qd.QuadConfig())
-                except Inconclusive:
+
+def _holder_inclusion(doms, rng, size):
+    fails = []
+    for d in doms:
+        vol = float(dm.volume(d))
+        for _ in range(size.trials // 4):
+            alpha = tuple(int(rng.integers(-3, 4)) for _ in range(d.dim))
+            q = P_GRID[int(rng.integers(len(P_GRID) - 1))]
+            p = q + Fraction(int(rng.integers(1, 9)), 4)
+            mq, mp = dm.moment(d, alpha, q), dm.moment(d, alpha, p)
+            if not (mq.is_finite and mp.is_finite):
+                continue
+            lhs = float(mq) ** (1 / float(q))
+            rhs = (vol ** (1 / float(q) - 1 / float(p))
+                   * float(mp) ** (1 / float(p)))
+            if lhs > rhs * (1 + 1e-12):
+                fails.append((str(d), alpha, q, p))
+    return not fails, str(fails[:3])
+
+
+def _monotone_divergence(doms, rng, size):
+    fails = []
+    for d in doms:
+        for alpha in itertools.product(range(-4, 5), repeat=d.dim):
+            divergent_seen = False
+            for p in P_GRID:
+                fin = dm.moment_finite(d, [p * a for a in alpha])
+                if divergent_seen and fin:
                     fails.append((str(d), alpha, p))
-                    continue
-                seq = probe.sequence
-                # non-strict: deeply divergent ladders plateau at inf
-                if not (probe.diverging
-                        and all(b >= a * (1 - 1e-12) for a, b in zip(seq, seq[1:]))):
-                    fails.append((str(d), alpha, p))
-        ok = worst <= ORACLE_REL_TOL and not fails
-        return _result("domains", "random-moment-exactness", ok,
-                       f"{n_trials} trials, worst rel {worst:.2e}, "
-                       f"divergence failures {fails[:3]}")
+                divergent_seen = divergent_seen or not fin
+    return not fails, str(fails[:3])
 
-    out.append(_timed(random_probes))
 
-    def holder_inclusion():
-        fails = []
-        for d in doms:
-            vol = float(dm.volume(d))
-            for _ in range(n_trials // 4):
-                alpha = tuple(int(rng.integers(-3, 4)) for _ in range(d.dim))
-                q = p_grid[int(rng.integers(len(p_grid) - 1))]
-                p = q + Fraction(int(rng.integers(1, 9)), 4)
-                mq, mp = dm.moment(d, alpha, q), dm.moment(d, alpha, p)
-                if not (mq.is_finite and mp.is_finite):
-                    continue
-                lhs = float(mq) ** (1 / float(q))
-                rhs = (vol ** (1 / float(q) - 1 / float(p))
-                       * float(mp) ** (1 / float(p)))
-                if lhs > rhs * (1 + 1e-12):
-                    fails.append((str(d), alpha, q, p))
-        return _result("domains", "holder-inclusion", not fails, str(fails[:3]))
-
-    out.append(_timed(holder_inclusion))
-
-    def monotone_divergence():
-        fails = []
-        for d in doms:
-            for alpha in itertools.product(range(-4, 5), repeat=d.dim):
-                divergent_seen = False
-                for p in p_grid:
-                    fin = dm.moment(d, alpha, p).is_finite
-                    if divergent_seen and fin:
-                        fails.append((str(d), alpha, p))
-                    if not fin:
-                        divergent_seen = True
-        return _result("domains", "monotone-divergence-in-p", not fails,
-                       str(fails[:3]))
-
-    out.append(_timed(monotone_divergence))
-
-    def conjugate_involution():
-        for _ in range(200):
-            p = 1 + Fraction(int(rng.integers(5, 400)), 4)
-            q = dm.conjugate_exponent(p)
-            if dm.conjugate_exponent(q) != p or Fraction(1) / p + Fraction(1) / q != 1:
-                return _result("domains", "conjugate-involution", False, str(p))
-        return _result("domains", "conjugate-involution", True)
-
-    out.append(_timed(conjugate_involution))
-    return out
+def _conjugate_involution(doms, rng, size):
+    for _ in range(200):
+        p = 1 + Fraction(int(rng.integers(5, 400)), 4)
+        q = dm.conjugate_exponent(p)
+        if dm.conjugate_exponent(q) != p or 1 / p + 1 / q != 1:
+            return False, str(p)
+    return True, ""
 
 
 # ---------------------------------------------------------------------------
 # index-set invariants
 # ---------------------------------------------------------------------------
 
-def index_checks(doms: Sequence[DomainSpec], rng: np.random.Generator,
-                 level: str = "quick") -> List[CheckResult]:
-    out = []
-    radius = 6 if level == "full" else 4
+def _anti_monotone(doms, rng, size):
+    fails = []
+    for d in doms:
+        prev = None
+        for p in (Fraction(k, 3) for k in range(3, 16)):
+            cur = frozenset(ix.index_set_window(d, p, size.index_radius).members)
+            if prev is not None and not cur <= prev:
+                fails.append((str(d), p))
+            prev = cur
+    return not fails, str(fails)
 
-    def anti_monotone():
-        grid = [Fraction(k, 3) for k in range(3, 16)]
-        fails = []
-        for d in doms:
-            prev = None
-            for p in grid:
-                cur = frozenset(ix.index_set_window(d, p, radius).members)
-                if prev is not None and not cur <= prev:
-                    fails.append((str(d), p))
-                prev = cur
-        return _result("index_sets", "anti-monotonicity", not fails, str(fails))
 
-    out.append(_timed(anti_monotone))
-
-    def threshold_sound_complete():
-        fails = []
-        for d in doms:
-            ts = ix.thresholds(d, Fraction(1), Fraction(8), radius)
-            values = [t.value for t in ts]
-            # soundness is asserted inside thresholds(); completeness: no
-            # flips strictly between consecutive reported values
-            edges = [Fraction(1)] + values + [Fraction(8)]
-            for lo, hi in zip(edges, edges[1:]):
-                if hi <= lo:
-                    continue
-                for _ in range(5):
-                    num = int(rng.integers(1, 1000))
-                    a = lo + (hi - lo) * Fraction(num, 1001)
-                    b = lo + (hi - lo) * Fraction(num + 1, 1002)
-                    lo2, hi2 = min(a, b), max(a, b)
-                    if lo2 == hi2:
-                        continue
-                    cmpres = ix.sets_equal(d, lo2, hi2, radius)
-                    if not cmpres.equal and lo2 > lo and hi2 < hi:
-                        fails.append((str(d), lo2, hi2, cmpres.witness))
-        return _result("index_sets", "threshold-completeness", not fails,
-                       str(fails[:3]))
-
-    out.append(_timed(threshold_sound_complete))
-
-    def chain_and_stability():
-        fails = []
-        top = 12 if level == "full" else 6
-        for m in range(1, top):
-            for n in range(1, top + 1 - m):
-                if math.gcd(m, n) != 1:
-                    continue
-                d = dm.hartogs(m, n)
-                rep = ix.index_report(d)
-                expected = ix.hartogs_regularity_formula(m, n)
-                if not (rep.duality_bound == ix.IndexValue.exact(2)
-                        and rep.regularity_probe == ix.IndexValue.exact(expected)
-                        and rep.beta_upper == ix.IndexValue.exact(expected)):
-                    fails.append((str(d), str(rep.duality_bound),
-                                  str(rep.regularity_probe), str(rep.beta_upper)))
-                    continue
-                base = max(ix.default_window(d), m + n)
-                rep2 = ix.index_report(d, base + 2)
-                if (rep2.duality_bound, rep2.regularity_probe, rep2.beta_upper) != (
-                        rep.duality_bound, rep.regularity_probe, rep.beta_upper):
-                    fails.append((str(d), "window instability"))
-        return _result("index_sets", "hartogs-chain-and-window-stability",
-                       not fails, str(fails[:3]))
-
-    out.append(_timed(chain_and_stability))
-
-    def degenerate_unbounded():
-        fails = []
-        for kind in (dm.ball, dm.polydisc):
-            for n in (1, 2, 3):
-                rep = ix.index_report(kind(n))
-                vals = (rep.duality_bound.kind, rep.regularity_probe.kind,
-                        rep.beta_upper.kind)
-                if vals != ("unbounded",) * 3:
-                    fails.append((str(kind(n)), vals))
-        return _result("index_sets", "ball-polydisc-unbounded", not fails,
-                       str(fails))
-
-    out.append(_timed(degenerate_unbounded))
-
-    def duality_self_conjugate():
-        fails = []
-        for d in doms:
-            if d.family is not Family.HARTOGS:
+def _threshold_completeness(doms, rng, size):
+    radius = size.index_radius
+    fails = []
+    for d in doms:
+        ts = ix.thresholds(d, Fraction(1), Fraction(8), radius)
+        # soundness is asserted inside thresholds(); completeness: no flips
+        # strictly between consecutive reported values
+        edges = [Fraction(1)] + [t.value for t in ts] + [Fraction(8)]
+        for lo, hi in zip(edges, edges[1:]):
+            if hi <= lo:
                 continue
-            rad = ix.default_window(d)
-            bound, _w = ix.duality_bound(d, rad, Fraction(64))
-            if bound.kind != "exact":
-                continue
-            for k in range(1, 8):
-                p = Fraction(2) + Fraction(k, 7)
-                q = dm.conjugate_exponent(p)
-                if dm.conjugate_exponent(q) != p:
-                    fails.append((str(d), p, "involution"))
-                cond_p = (ix.sets_equal(d, p, 2, rad).equal
-                          and ix.sets_equal(d, q, 2, rad).equal)
-                # the scan condition is symmetric in (p, q) and must reproduce
-                # the reported bound: true strictly below it, false above
-                if p < bound.value and not cond_p:
-                    fails.append((str(d), p, "false below bound"))
-                if p > bound.value and cond_p:
-                    fails.append((str(d), p, "true above bound"))
-        return _result("index_sets", "duality-scan-self-conjugacy", not fails,
-                       str(fails[:3]))
+            for _ in range(5):
+                num = int(rng.integers(1, 1000))
+                a = lo + (hi - lo) * Fraction(num, 1001)
+                b = lo + (hi - lo) * Fraction(num + 1, 1002)
+                lo2, hi2 = min(a, b), max(a, b)
+                if lo2 == hi2:
+                    continue
+                cmpres = ix.sets_equal(d, lo2, hi2, radius)
+                if not cmpres.equal and lo2 > lo and hi2 < hi:
+                    fails.append((str(d), lo2, hi2, cmpres.witness))
+    return not fails, str(fails[:3])
 
-    out.append(_timed(duality_self_conjugate))
-    return out
+
+def _coprime_triangles(top: int):
+    """H(m, n) for coprime m, n >= 1 with m + n <= top, m ascending."""
+    return [(m, n) for m in range(1, top) for n in range(1, top + 1 - m)
+            if math.gcd(m, n) == 1]
+
+
+def _chain_and_stability(doms, rng, size):
+    fails = []
+    for m, n in _coprime_triangles(size.chain_top):
+        d = dm.hartogs(m, n)
+        rep = ix.index_report(d)
+        expected = ix.hartogs_regularity_formula(m, n)
+        if not (rep.duality_bound == ix.IndexValue.exact(2)
+                and rep.regularity_probe == ix.IndexValue.exact(expected)
+                and rep.beta_upper == ix.IndexValue.exact(expected)):
+            fails.append((str(d), str(rep.duality_bound),
+                          str(rep.regularity_probe), str(rep.beta_upper)))
+            continue
+        rep2 = ix.index_report(d, max(ix.default_window(d), m + n) + 2)
+        if (rep2.duality_bound, rep2.regularity_probe, rep2.beta_upper) != (
+                rep.duality_bound, rep.regularity_probe, rep.beta_upper):
+            fails.append((str(d), "window instability"))
+    return not fails, str(fails[:3])
+
+
+def _degenerate_unbounded(doms, rng, size):
+    fails = []
+    for kind in (dm.ball, dm.polydisc):
+        for n in (1, 2, 3):
+            rep = ix.index_report(kind(n))
+            vals = (rep.duality_bound.kind, rep.regularity_probe.kind,
+                    rep.beta_upper.kind)
+            if vals != ("unbounded",) * 3:
+                fails.append((str(kind(n)), vals))
+    return not fails, str(fails)
+
+
+def _duality_self_conjugate(doms, rng, size):
+    fails = []
+    for d in doms:
+        if d.family is not Family.HARTOGS:
+            continue
+        rad = ix.default_window(d)
+        bound, _w = ix.duality_bound(d, rad, Fraction(64))
+        if bound.kind != "exact":
+            continue
+        for k in range(1, 8):
+            p = Fraction(2) + Fraction(k, 7)
+            q = dm.conjugate_exponent(p)
+            if dm.conjugate_exponent(q) != p:
+                fails.append((str(d), p, "involution"))
+            cond_p = (ix.sets_equal(d, p, 2, rad).equal
+                      and ix.sets_equal(d, q, 2, rad).equal)
+            # the scan condition is symmetric in (p, q) and must reproduce
+            # the reported bound: true strictly below it, false above
+            if p < bound.value and not cond_p:
+                fails.append((str(d), p, "false below bound"))
+            if p > bound.value and cond_p:
+                fails.append((str(d), p, "true above bound"))
+    return not fails, str(fails[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -354,102 +333,82 @@ def _sample_point(d: DomainSpec, rng: np.random.Generator,
     return tuple(radii * phases)
 
 
-def kernel_checks(doms: Sequence[DomainSpec], rng: np.random.Generator,
-                  level: str = "quick") -> List[CheckResult]:
-    out = []
-    n_pairs = 50 if level == "full" else 10
-    radius = _kernel_radius(level)
+def _series_vs_closed(doms, rng, size):
+    worst = 0.0
+    where = None
+    for d in doms:
+        for _ in range(size.kernel_pairs):
+            z = _sample_point(d, rng, size.max_mod)
+            w = _sample_point(d, rng, size.max_mod)
+            s = kn.kernel_truncated(d, z, w, size.kernel_radius)
+            c = kn.kernel_closed_form(d, z, w)
+            rel = abs(s - c) / abs(c)
+            if rel > worst:
+                worst, where = rel, (str(d), z, w)
+    return worst < 1e-8, f"worst rel {worst:.2e} at {where}"
 
-    def series_vs_closed():
-        worst = 0.0
-        where = None
-        max_mod = 0.7 if level == "full" else 0.6  # radius-30 tail needs margin
-        for d in doms:
-            for _ in range(n_pairs):
-                z = _sample_point(d, rng, max_mod)
-                w = _sample_point(d, rng, max_mod)
-                s = kn.kernel_truncated(d, z, w, radius)
-                c = kn.kernel_closed_form(d, z, w)
-                rel = abs(s - c) / abs(c)
-                if rel > worst:
-                    worst, where = rel, (str(d), z, w)
-        return _result("kernel", "series-vs-closed-form", worst < 1e-8,
-                       f"worst rel {worst:.2e} at {where}")
 
-    out.append(_timed(series_vs_closed))
+def _hermitian_and_diagonal(doms, rng, size):
+    fails = []
+    for d in doms:
+        for _ in range(max(4, size.kernel_pairs // 5)):
+            z, w = _sample_point(d, rng), _sample_point(d, rng)
+            a = kn.kernel_truncated(d, z, w, 20)
+            b = kn.kernel_truncated(d, w, z, 20)
+            if abs(a - b.conjugate()) > 1e-14 * max(abs(a), 1e-30):
+                fails.append((str(d), "hermitian", z, w))
+            prev = None
+            for nn in (5, 10, 15, 20):
+                diag = kn.kernel_truncated(d, z, z, nn)
+                if abs(diag.imag) > 1e-15 * abs(diag) or diag.real <= 0:
+                    fails.append((str(d), "diagonal-positive", nn))
+                if prev is not None and diag.real < prev - 1e-12:
+                    fails.append((str(d), "diagonal-monotone", nn))
+                prev = diag.real
+    return not fails, str(fails[:3])
 
-    def hermitian_and_diagonal():
-        fails = []
-        for d in doms:
-            for _ in range(max(4, n_pairs // 5)):
-                z, w = _sample_point(d, rng), _sample_point(d, rng)
-                a = kn.kernel_truncated(d, z, w, 20)
-                b = kn.kernel_truncated(d, w, z, 20)
-                if abs(a - b.conjugate()) > 1e-14 * max(abs(a), 1e-30):
-                    fails.append((str(d), "hermitian", z, w))
-                prev = None
-                for nn in (5, 10, 15, 20):
-                    diag = kn.kernel_truncated(d, z, z, nn)
-                    if abs(diag.imag) > 1e-15 * abs(diag) or diag.real <= 0:
-                        fails.append((str(d), "diagonal-positive", nn))
-                    if prev is not None and diag.real < prev - 1e-12:
-                        fails.append((str(d), "diagonal-monotone", nn))
-                    prev = diag.real
-        return _result("kernel", "hermitian-symmetry-and-diagonal", not fails,
-                       str(fails[:3]))
 
-    out.append(_timed(hermitian_and_diagonal))
+def _reproduce_window(doms, rng, size):
+    fails = []
+    for d in doms:
+        z = _sample_point(d, rng)
+        for alpha in ix.index_set_window(d, 2, 5).members:
+            if kn.reproduce_check(d, alpha, z, 5) != 0.0:
+                fails.append((str(d), alpha))
+    return not fails, str(fails[:3])
 
-    def reproduce_window():
-        fails = []
-        for d in doms:
-            z = _sample_point(d, rng)
-            window = ix.index_set_window(d, 2, 5)
-            for alpha in window.members:
-                if kn.reproduce_check(d, alpha, z, 5) != 0.0:
-                    fails.append((str(d), alpha))
-        return _result("kernel", "reproducing-property-exact-zero", not fails,
-                       str(fails[:3]))
 
-    out.append(_timed(reproduce_window))
+def _density_monotone(doms, rng, size):
+    d = dm.polydisc(1)
+    fails = []
+    for a in range(4):
+        prev = math.inf
+        for k in (1, 2, 4, 8, 16):
+            pts = [(0.5 * np.exp(2j * math.pi * j / k),) for j in range(k)]
+            res = kn.density_residual(d, (a,), pts)
+            if res < -1e-15 or res > prev + 1e-12:
+                fails.append((a, k, res, prev))
+            prev = res
+        norm2 = float(dm.moment(d, (a,), 2))
+        if prev >= 1e-3 * norm2:
+            fails.append((a, "final residual too large", prev, norm2))
+    return not fails, str(fails[:3])
 
-    def density_monotone():
-        d = dm.polydisc(1)
-        fails = []
-        for a in range(4):
-            prev = math.inf
-            for k in (1, 2, 4, 8, 16):
-                pts = [(0.5 * np.exp(2j * math.pi * j / k),) for j in range(k)]
-                res = kn.density_residual(d, (a,), pts)
-                if res < -1e-15 or res > prev + 1e-12:
-                    fails.append((a, k, res, prev))
-                prev = res
-            norm2 = float(dm.moment(d, (a,), 2))
-            if prev >= 1e-3 * norm2:
-                fails.append((a, "final residual too large", prev, norm2))
-        return _result("kernel", "density-residual-monotone", not fails,
-                       str(fails[:3]))
 
-    out.append(_timed(density_monotone))
-
-    def pnorm_brackets():
-        d = dm.hartogs(1, 1)
-        rep = ix.index_report(d)
-        fails = []
-        for p in (Fraction(3), Fraction(7, 2), Fraction(9, 2), Fraction(5)):
-            try:
-                est = kn.kernel_pnorm_estimate(d, (0, 0.5), p)
-            except Inconclusive:
-                continue
-            if not est.diverging and not p < rep.beta_upper.value:
-                fails.append((p, "finite verdict above beta"))
-            if est.diverging and not p > rep.regularity_probe.value:
-                fails.append((p, "diverging verdict below regularity"))
-        return _result("kernel", "pnorm-probe-brackets-beta", not fails,
-                       str(fails))
-
-    out.append(_timed(pnorm_brackets))
-    return out
+def _pnorm_brackets(doms, rng, size):
+    d = dm.hartogs(1, 1)
+    rep = ix.index_report(d)
+    fails = []
+    for p in (Fraction(3), Fraction(7, 2), Fraction(9, 2), Fraction(5)):
+        try:
+            est = kn.kernel_pnorm_estimate(d, (0, 0.5), p)
+        except Inconclusive:
+            continue
+        if not est.diverging and not p < rep.beta_upper.value:
+            fails.append((p, "finite verdict above beta"))
+        if est.diverging and not p > rep.regularity_probe.value:
+            fails.append((p, "diverging verdict below regularity"))
+    return not fails, str(fails)
 
 
 # ---------------------------------------------------------------------------
@@ -474,127 +433,93 @@ def _random_mixed(d: DomainSpec, rng: np.random.Generator,
     return dp.MixedMonomialSum.make(terms)
 
 
-def projection_checks(doms: Sequence[DomainSpec], rng: np.random.Generator,
-                      level: str = "quick") -> List[CheckResult]:
-    out = []
-    n_alg = 200 if level == "full" else 40
+def _projection_algebra(doms, rng, size):
+    fails = []
+    for d in doms:
+        deltas = [a for a in ix.index_set_window(d, 2, 2).members
+                  if all(x >= 0 for x in a)]
+        for _ in range(size.algebra_trials):
+            f = _random_mixed(d, rng)
+            g = _random_mixed(d, rng)
+            bf, bg = dp.project(d, f), dp.project(d, g)
+            if dp.project(d, bf).terms != bf.terms:
+                fails.append((str(d), "idempotence", f.terms))
+            try:
+                if dp.pairing(d, bf, g) != dp.pairing(d, f, bg):
+                    fails.append((str(d), "self-adjointness", f.terms, g.terms))
+            except NotIntegrable:
+                pass  # a cross term fell outside L^1; identity undefined
+            delta = deltas[int(rng.integers(len(deltas)))]
+            e_delta = dp.MixedMonomialSum.monomial(QComplex(Fraction(1)), delta)
+            if dp.pairing(d, f, e_delta) != dp.pairing(d, bf, e_delta):
+                fails.append((str(d), "pairing-reproduction", f.terms, delta))
+    return not fails, str(fails[:2])
 
-    def projection_algebra():
-        fails = []
-        for d in doms:
-            deltas = [a for a in ix.index_set_window(d, 2, 2).members
-                      if all(x >= 0 for x in a)]
-            for _ in range(n_alg):
-                f = _random_mixed(d, rng)
-                g = _random_mixed(d, rng)
-                bf, bg = dp.project(d, f), dp.project(d, g)
-                if dp.project(d, bf).terms != bf.terms:
-                    fails.append((str(d), "idempotence", f.terms))
-                try:
-                    if dp.pairing(d, bf, g) != dp.pairing(d, f, bg):
-                        fails.append((str(d), "self-adjointness", f.terms,
-                                      g.terms))
-                except NotIntegrable:
-                    pass  # a cross term fell outside L^1; identity undefined
-                delta = deltas[int(rng.integers(len(deltas)))]
-                e_delta = dp.MixedMonomialSum.monomial(QComplex(Fraction(1)),
-                                                       delta)
-                if dp.pairing(d, f, e_delta) != dp.pairing(d, bf, e_delta):
-                    fails.append((str(d), "pairing-reproduction", f.terms,
-                                  delta))
-        return _result("projection", "algebra-exact-identities", not fails,
-                       str(fails[:2]))
 
-    out.append(_timed(projection_algebra))
+def _identity_on_allowable(doms, rng, size):
+    fails = []
+    for d in doms:
+        for alpha in ix.index_set_window(d, 2, 3).members:
+            e = dp.MixedMonomialSum.monomial(QComplex(Fraction(1)), alpha)
+            if dp.project(d, e).terms != e.terms:
+                fails.append((str(d), alpha))
+    return not fails, str(fails[:3])
 
-    def identity_on_allowable():
-        fails = []
-        for d in doms:
-            window = ix.index_set_window(d, 2, 3)
-            for alpha in window.members:
-                e = dp.MixedMonomialSum.monomial(QComplex(Fraction(1)), alpha)
-                if dp.project(d, e).terms != e.terms:
-                    fails.append((str(d), alpha))
-        return _result("projection", "identity-on-allowable", not fails,
-                       str(fails[:3]))
 
-    out.append(_timed(identity_on_allowable))
+def _witness_criticality(doms, rng, size):
+    fails = []
+    for m, n in _coprime_triangles(size.witness_top):
+        d = dm.hartogs(m, n)
+        _val, (alpha, gamma) = ix.regularity_probe(d, ix.default_window(d))
+        crit = ix.hartogs_regularity_formula(m, n)
+        for j in range(1, size.witness_steps + 1):
+            below = crit - Fraction(j, 100)
+            above = crit + Fraction(j, 100)
+            if below > 1 and dp.projection_ratio(d, alpha, gamma, below).divergent:
+                fails.append((str(d), below, "divergent below"))
+            if not dp.projection_ratio(d, alpha, gamma, above).divergent:
+                fails.append((str(d), above, "finite above"))
+        if not dp.projection_ratio(d, alpha, gamma, crit).divergent:
+            fails.append((str(d), crit, "finite at critical"))
+    return not fails, str(fails[:3])
 
-    def witness_criticality():
-        fails = []
-        grid_n = 50 if level == "full" else 12
-        tops = 12 if level == "full" else 5
-        for m in range(1, tops):
-            for n in range(1, tops + 1 - m):
-                if math.gcd(m, n) != 1:
-                    continue
-                d = dm.hartogs(m, n)
-                _val, wit = ix.regularity_probe(d, ix.default_window(d))
-                alpha, gamma = wit
-                crit = ix.hartogs_regularity_formula(m, n)
-                for j in range(1, grid_n + 1):
-                    below = crit - Fraction(j, 100)
-                    above = crit + Fraction(j, 100)
-                    if below > 1:
-                        r = dp.projection_ratio(d, alpha, gamma, below)
-                        if r.divergent:
-                            fails.append((str(d), below, "divergent below"))
-                    r = dp.projection_ratio(d, alpha, gamma, above)
-                    if not r.divergent:
-                        fails.append((str(d), above, "finite above"))
-                r = dp.projection_ratio(d, alpha, gamma, crit)
-                if not r.divergent:
-                    fails.append((str(d), crit, "finite at critical"))
-        return _result("projection", "witness-criticality", not fails,
-                       str(fails[:3]))
 
-    out.append(_timed(witness_criticality))
+def _inequalities(doms, rng, size):
+    fails = []
+    for d in doms:
+        # tensor meshes grow exponentially with dimension; shrink the
+        # per-axis budget there (Lyapunov's shared-mesh verdicts stay
+        # sound; its base rule 8 x 4 doubles once, to 16 x 8)
+        cfg = lya_cfg = None
+        if d.dim >= 3:
+            cfg = qd.QuadConfig(radial_nodes=8, angular_nodes=8,
+                                rel_tol=1e-5, max_doublings=1)
+            lya_cfg = qd.QuadConfig(radial_nodes=8, angular_nodes=4, max_doublings=0)
+        for trial in range(size.inequality_trials):
+            f = _random_laurent(d, rng, trial)
+            p = Fraction(int(rng.integers(9, int(TRIAL_P_MAX * 4) + 1)), 4)
+            q = Fraction(int(rng.integers(5, 8)), 4)    # in (1, 2)
+            theta = Fraction(int(rng.integers(1, 8)), 8)
+            if not dp.lyapunov_check(d, f, p, q, theta, lya_cfg).holds:
+                fails.append((str(d), "lyapunov", f.terms, p, q, theta))
+            g = _random_laurent(d, rng, trial)
+            if (g.p_integrable(d, dm.conjugate_exponent(p))
+                    and not dp.holder_check(d, f, g, p, cfg).holds):
+                fails.append((str(d), "holder", f.terms, g.terms, p))
+    return not fails, str(fails[:2])
 
-    def inequalities():
-        n_trials = 500 if level == "full" else 50
-        fails = []
-        for d in doms:
-            # tensor meshes grow exponentially with dimension; shrink the
-            # per-axis budget there (Lyapunov's shared-mesh verdicts stay
-            # sound; its base rule 8 x 4 doubles once, to 16 x 8)
-            cfg = lya_cfg = None
-            if d.dim >= 3:
-                cfg = qd.QuadConfig(radial_nodes=8, angular_nodes=8,
-                                    rel_tol=1e-5, max_doublings=1)
-                lya_cfg = qd.QuadConfig(radial_nodes=8, angular_nodes=4, max_doublings=0)
-            for trial in range(n_trials):
-                f = _random_laurent(d, rng, trial)
-                p = Fraction(int(rng.integers(9, int(TRIAL_P_MAX * 4) + 1)), 4)
-                q = Fraction(int(rng.integers(5, 8)), 4)    # in (1, 2)
-                theta = Fraction(int(rng.integers(1, 8)), 8)
-                chk = dp.lyapunov_check(d, f, p, q, theta, lya_cfg)
-                if not chk.holds:
-                    fails.append((str(d), "lyapunov", f.terms, p, q, theta))
-                g = _random_laurent(d, rng, trial)
-                if g.p_integrable(d, dm.conjugate_exponent(p)):
-                    chk2 = dp.holder_check(d, f, g, p, cfg)
-                    if not chk2.holds:
-                        fails.append((str(d), "holder", f.terms, g.terms, p))
-        return _result("projection", "lyapunov-and-holder", not fails,
-                       str(fails[:2]))
 
-    out.append(_timed(inequalities))
-
-    def injectivity():
-        fails = []
-        for d in doms:
-            if dp.injectivity_witness_scan(d, 2, 4) is not None:
-                fails.append((str(d), "witness at p=2"))
-            if d.family is Family.HARTOGS:
-                wit = dp.injectivity_witness_scan(
-                    d, Fraction(2) + Fraction(1, 2), ix.default_window(d))
-                if wit is None:
-                    fails.append((str(d), "no witness above the bound"))
-        return _result("projection", "injectivity-witness-scan", not fails,
-                       str(fails))
-
-    out.append(_timed(injectivity))
-    return out
+def _injectivity(doms, rng, size):
+    fails = []
+    for d in doms:
+        if dp.injectivity_witness_scan(d, 2, 4) is not None:
+            fails.append((str(d), "witness at p=2"))
+        if d.family is Family.HARTOGS:
+            wit = dp.injectivity_witness_scan(
+                d, Fraction(2) + Fraction(1, 2), ix.default_window(d))
+            if wit is None:
+                fails.append((str(d), "no witness above the bound"))
+    return not fails, str(fails)
 
 
 #: upper end of the exponent grid used by the inequality trials; samplers
@@ -635,6 +560,31 @@ def _random_laurent(d: DomainSpec, rng: np.random.Generator,
 # driver
 # ---------------------------------------------------------------------------
 
+#: every check after the bootstrap, in the order it runs and draws from the
+#: generator; each is called as check(doms, rng, size) -> (passed, detail)
+CHECKS = (
+    ("domains", "random-moment-exactness", _random_moments),
+    ("domains", "holder-inclusion", _holder_inclusion),
+    ("domains", "monotone-divergence-in-p", _monotone_divergence),
+    ("domains", "conjugate-involution", _conjugate_involution),
+    ("index_sets", "anti-monotonicity", _anti_monotone),
+    ("index_sets", "threshold-completeness", _threshold_completeness),
+    ("index_sets", "hartogs-chain-and-window-stability", _chain_and_stability),
+    ("index_sets", "ball-polydisc-unbounded", _degenerate_unbounded),
+    ("index_sets", "duality-scan-self-conjugacy", _duality_self_conjugate),
+    ("kernel", "series-vs-closed-form", _series_vs_closed),
+    ("kernel", "hermitian-symmetry-and-diagonal", _hermitian_and_diagonal),
+    ("kernel", "reproducing-property-exact-zero", _reproduce_window),
+    ("kernel", "density-residual-monotone", _density_monotone),
+    ("kernel", "pnorm-probe-brackets-beta", _pnorm_brackets),
+    ("projection", "algebra-exact-identities", _projection_algebra),
+    ("projection", "identity-on-allowable", _identity_on_allowable),
+    ("projection", "witness-criticality", _witness_criticality),
+    ("projection", "lyapunov-and-holder", _inequalities),
+    ("projection", "injectivity-witness-scan", _injectivity),
+)
+
+
 @dataclass
 class VerifySummary:
     results: List[CheckResult]
@@ -657,25 +607,26 @@ class VerifySummary:
 def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
                seed: int = 20240901,
                moment_fn: Optional[Callable] = None) -> VerifySummary:
-    """Run the bootstrap oracle, then every invariant suite.
+    """Run the bootstrap oracle, then every entry of ``CHECKS``.
 
-    Downstream suites are skipped when the bootstrap fails: nothing that
-    depends on the moment formulas can be trusted at that point.  A domain
-    whose kernel window or bootstrap box exceeds ``MAX_WINDOW_POINTS``
-    raises ``ParseError`` before any check runs.
+    The checks are skipped when the bootstrap fails: nothing that depends on
+    the moment formulas can be trusted at that point.  A domain whose kernel
+    window or bootstrap box exceeds ``MAX_WINDOW_POINTS`` raises
+    ``ParseError`` before any check runs.
     """
-    if level not in ("quick", "full"):
+    if level not in SIZES:
         raise ValueError("level must be 'quick' or 'full'")
+    size = SIZES[level]
     for d in doms:
-        ix.check_radius(_kernel_radius(level), dim=d.dim)
-        ix.check_radius(_moment_grid(level)[0], dim=d.dim)
-    rng = np.random.default_rng(seed)
+        ix.check_radius(size.kernel_radius, dim=d.dim)
+        ix.check_radius(size.moment_radius, dim=d.dim)
     results = bootstrap_oracle(doms, level, moment_fn=moment_fn)
-    bootstrap_ok = all(r.passed for r in results)
-    if not bootstrap_ok:
+    if not all(r.passed for r in results):
         return VerifySummary(results, False, True)
-    results += domain_checks(doms, rng, level)
-    results += index_checks(doms, rng, level)
-    results += kernel_checks(doms, rng, level)
-    results += projection_checks(doms, rng, level)
+    rng = np.random.default_rng(seed)
+    for suite, name, check in CHECKS:
+        t0 = time.perf_counter()
+        passed, detail = check(doms, rng, size)
+        results.append(CheckResult(suite, name, bool(passed), detail,
+                                   time.perf_counter() - t0))
     return VerifySummary(results, True, False)
