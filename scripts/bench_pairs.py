@@ -8,10 +8,11 @@ benchmark command of ``BENCHMARK.json`` (with ``--trace 0``) once per seed in
 that tree and once in this checkout's working tree, the change.  The parent
 runs first on even pairs and second on odd ones, so a slow spell of the host
 falls on both sides alike.  ``--out`` gets, per workload, every run's metrics,
-and per end-to-end metric each side's median and quartiles and the share of
-pairs the change won (ties count for neither side).  A workload already in
-``--out`` is replaced; the others are kept, so one file can collect several
-invocations.
+per end-to-end metric each side's median and quartiles and the share of
+pairs the change won (ties count for neither side), and per side the share of
+failed operations and the seeds of runs not ``correct`` (a request raised or
+answered wrongly).  A workload already in ``--out`` is replaced; the others
+are kept, so one file can collect several invocations.
 """
 
 from __future__ import annotations
@@ -61,8 +62,17 @@ def run_once(tree: Path, command: list, workload: str, seed: int,
 
 def summarize(pairs: list, metrics: list) -> dict:
     """Per end-to-end metric: each side's median and quartiles, and the
-    share of pairs in which the change read better."""
-    out = {}
+    share of pairs in which the change read better.  Per side also
+    ``failed_frac``, the share of attempted operations that failed over all
+    its runs, and ``incorrect_runs``, the seeds of its runs with ``correct``
+    false."""
+    out = {"failed_frac": {}, "incorrect_runs": {}}
+    for side in ("parent", "change"):
+        runs = [pair[side] for pair in pairs]
+        out["failed_frac"][side] = (sum(run["failed"] for run in runs)
+                                    / sum(run["attempted"] for run in runs))
+        out["incorrect_runs"][side] = [run["seed"] for run in runs
+                                       if not run["correct"]]
     for spec in metrics:
         name, higher = spec["name"], spec["better"] == "higher"
         sides = {side: [pair[side]["metrics"][name] for pair in pairs]

@@ -15,7 +15,7 @@ Reports carry no timestamps or thread counts, so identical arguments and
 seed give byte-identical stdout; timing goes to stderr.  Inputs are capped
 so that no short argv runs without bound.  ``run`` is the one place errors
 become exit codes, read from the error class (``errors``); a rejected argv
-exits 2.
+exits 2.  A warning raised by a handler is one stderr line, ``warning: ...``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -397,7 +398,13 @@ def run(argv=None) -> int:
     try:
         if "BERGMAN_SEED" in os.environ:  # the environment wins over --seed
             args.seed = _parse_int(os.environ["BERGMAN_SEED"], "BERGMAN_SEED")
-        code = args.fn(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # this run's own filter
+            try:
+                code = args.fn(args)
+            finally:  # also when the handler raises
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
     except BergmanError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code

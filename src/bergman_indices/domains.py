@@ -168,17 +168,6 @@ class Moment:
     def __float__(self) -> float:
         return float(self.value) if self.value is not None else math.inf
 
-    def __str__(self):
-        return str(self.value) if self.value is not None else "divergent"
-
-    @staticmethod
-    def divergent() -> "Moment":
-        return Moment(None)
-
-    @staticmethod
-    def finite(value: ExactValue) -> "Moment":
-        return Moment(value)
-
 
 def _check_dim(d: DomainSpec, seq: Sequence) -> None:
     if len(seq) != d.dim:
@@ -204,18 +193,17 @@ def radial_moment(d: DomainSpec, c: Sequence) -> Moment:
     """
     c = [as_fraction(ci) for ci in c]
     if not moment_finite(d, c):
-        return Moment.divergent()
+        return Moment(None)
     if d.family is Family.POLYDISC:
         coeff = math.prod((Fraction(2) / (ci + 2) for ci in c), start=Fraction(1))
-        return Moment.finite(make_exact(coeff, 2 * d.dim))
+        return Moment(make_exact(coeff, 2 * d.dim))
     if d.family is Family.HARTOGS:
         c1, c2 = c
         outer = d.n * (c1 + 2) + d.m * (c2 + 2)
-        return Moment.finite(make_exact(Fraction(4 * d.m) / ((c1 + 2) * outer), 4))
+        return Moment(make_exact(Fraction(4 * d.m) / ((c1 + 2) * outer), 4))
     # ball: Dirichlet integral over the simplex of squared radii
-    return Moment.finite(
-        make_exact(1, 2 * d.dim, gamma_num=tuple(ci / 2 + 1 for ci in c),
-                   gamma_den=(sum(c, Fraction(0)) / 2 + d.dim + 1,)))
+    return Moment(make_exact(1, 2 * d.dim, gamma_num=tuple(ci / 2 + 1 for ci in c),
+                             gamma_den=(sum(c, Fraction(0)) / 2 + d.dim + 1,)))
 
 
 def moment(d: DomainSpec, alpha: Sequence[int], p) -> Moment:

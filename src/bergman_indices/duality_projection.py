@@ -33,7 +33,8 @@ from .domains import (DomainSpec, MultiIndex, check_exponent,
                       conjugate_exponent, holomorphy_ok, moment, moment_finite,
                       radial_moment)
 from .errors import ChainViolation, NotIntegrable, ParseError
-from .exact import ExactMix, ExactValue, QComplex, as_fraction
+from .exact import (ExactMix, ExactValue, QComplex, as_fraction,
+                    format_fraction)
 from .index_sets import critical_table, member
 from .quadrature import QuadConfig, lp_norm, lp_norms, pth_root
 
@@ -78,12 +79,6 @@ class MixedMonomialSum:
         gamma = tuple(gamma) if gamma is not None else (0,) * len(alpha)
         return MixedMonomialSum.make([(c, alpha, gamma)])
 
-    @property
-    def dim(self) -> int:
-        if not self.terms:
-            raise ValueError("empty sum has no dimension")
-        return len(self.terms[0][1])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -101,7 +96,6 @@ class MixedMonomialSum:
             [(complex(q), alpha, gamma) for q, alpha, gamma in self.terms])
 
     def as_term_dicts(self) -> list:
-        from .exact import format_fraction
         return [{"c": [float(q.re), float(q.im)],
                  "c_exact": [format_fraction(q.re), format_fraction(q.im)],
                  "alpha": list(alpha), "gamma": list(gamma)}

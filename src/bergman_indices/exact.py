@@ -86,11 +86,6 @@ class ExactValue:
             raise ValueError("ExactValue must be strictly positive")
 
     @property
-    def is_rational_pi(self) -> bool:
-        """True when the value is rational * integer power of pi."""
-        return not self.gamma_num and not self.gamma_den and self.pi_half % 2 == 0
-
-    @property
     def pi_power(self) -> Fraction:
         return Fraction(self.pi_half, 2)
 
@@ -107,16 +102,13 @@ class ExactValue:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, ExactValue):
-            return make_exact(
-                self.coeff / other.coeff,
-                self.pi_half - other.pi_half,
-                self.gamma_num + other.gamma_den,
-                self.gamma_den + other.gamma_num,
-            )
-        return make_exact(self.coeff / as_fraction(other), self.pi_half,
-                          self.gamma_num, self.gamma_den)
+    def __truediv__(self, other: "ExactValue") -> "ExactValue":
+        return make_exact(
+            self.coeff / other.coeff,
+            self.pi_half - other.pi_half,
+            self.gamma_num + other.gamma_den,
+            self.gamma_den + other.gamma_num,
+        )
 
     def __float__(self) -> float:
         v = float(self.coeff) * math.pi ** (self.pi_half // 2)
@@ -147,16 +139,6 @@ class ExactValue:
             d["gamma_num"] = [format_fraction(a) for a in self.gamma_num]
             d["gamma_den"] = [format_fraction(b) for b in self.gamma_den]
         return d
-
-    def __str__(self):
-        s = format_fraction(self.coeff)
-        if self.pi_half:
-            s += f" * pi^{format_fraction(self.pi_power)}"
-        for a in self.gamma_num:
-            s += f" * G({format_fraction(a)})"
-        for b in self.gamma_den:
-            s += f" / G({format_fraction(b)})"
-        return s
 
 
 def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValue:
@@ -216,9 +198,6 @@ class QComplex:
     def __add__(self, other: "QComplex") -> "QComplex":
         return QComplex(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "QComplex") -> "QComplex":
-        return QComplex(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other):
         if isinstance(other, QComplex):
             return QComplex(self.re * other.re - self.im * other.im,
@@ -227,9 +206,6 @@ class QComplex:
         return QComplex(self.re * q, self.im * q)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return QComplex(-self.re, -self.im)
 
     def conjugate(self) -> "QComplex":
         return QComplex(self.re, -self.im)

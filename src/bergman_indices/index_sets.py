@@ -46,6 +46,7 @@ from typing import Optional, Tuple
 from .domains import (DomainSpec, Family, MultiIndex, check_exponent,
                       conjugate_exponent, holomorphy_ok, moment_finite)
 from .errors import ChainViolation, ParseError, WindowTooSmall
+from .exact import format_fraction
 
 #: the most lattice points a window may have where it is walked
 MAX_WINDOW_POINTS = 10 ** 6
@@ -213,7 +214,6 @@ class IndexValue:
         return IndexValue("at_least", Fraction(value))
 
     def as_dict(self) -> dict:
-        from .exact import format_fraction
         if self.kind == "unbounded":
             return {"kind": "unbounded"}
         return {"kind": self.kind, "value": format_fraction(self.value)}

@@ -74,6 +74,9 @@ LOG_RULE_CACHE_SIZE = 128  # built log-piece rules kept; a scan meets dozens
 #: largest endpoint-clearing map power; raising it is ROADMAP direction 1,
 #: since above it steep triangles' axes converge only algebraically
 MAP_POWER_CAP = 12
+#: most mesh points of one tensor pass: the largest known to converge has
+#: 1.07e9 (kernel p = 7/2 on H(1,1)); its next doubling, 1.7e10, runs minutes
+MAX_PASS_POINTS = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -511,7 +514,8 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
     """Per exponent of ``g``, the sums over ``blocks`` of
     the block integrals and error estimates; a block, per-axis log piece
     indices or None for all of (0, 1)^dim, refines on its own, doubling the
-    radial nodes and the inexact angular ones."""
+    radial nodes and the inexact angular ones.  A pass of more than
+    ``MAX_PASS_POINTS`` mesh points raises ``Inconclusive`` unevaluated."""
     ang_base, ang_exact = _angular_counts(g, cfg)
     hints = _axis_hints(d, g.base, g.p)
     ang_cap = 256 if d.dim <= 2 else 48
@@ -519,6 +523,10 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
     def run(block, k):  # the cap applies from the first doubling on
         ang_counts = [m if exact or not k else min(m << k, ang_cap)
                       for m, exact in zip(ang_base, ang_exact)]
+        points = (cfg.radial_nodes << k) ** d.dim * math.prod(ang_counts)
+        if points > MAX_PASS_POINTS:
+            raise Inconclusive(f"quadrature pass of {points:,} mesh points exceeds "
+                               f"the bound of {MAX_PASS_POINTS:,}")
         return _tensor_integrate(d, g, hints, cfg.radial_nodes << k, ang_counts, block)
 
     totals = err_totals = [0.0] * len(g.ps)

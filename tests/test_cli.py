@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import time
 import warnings
@@ -140,6 +141,17 @@ def test_project_subcommand(capsys):
     projected = payload["result"]["projected"]
     assert projected == [{"c": [0.5, 0.0], "c_exact": ["1/2", "0"],
                           "alpha": [0, -1], "gamma": [0, 0]}]
+
+
+def test_project_terms_from_stdin_and_file_match_inline(capsys, monkeypatch, tmp_path):
+    terms = json.dumps([{"c": [1, 0], "alpha": [0, 0], "gamma": [0, 1]}])
+    path = tmp_path / "terms.json"
+    path.write_text(terms)
+    monkeypatch.setattr("sys.stdin", io.StringIO(terms))
+    outputs = [run_json(capsys, ["project", "hartogs:1/1", "--terms", source])
+               for source in (terms, "-", str(path))]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_all_json_commands_validate_against_schema(capsys):
@@ -306,6 +318,24 @@ def test_kernel_beyond_float_range_is_inconclusive(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["info", "hartogs:2/4"], "hartogs:2/4 reduced to hartogs:1/2"),
+    (["kernel", "hartogs:1/1", "--z", "0,0.9999999999999",
+      "--w", "0,0.9999999999999", "--window", "2"],
+     "kernel denominator nearly singular at z="),
+])
+def test_warning_is_one_stderr_line(capsys, argv, message):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    check_schema(json.loads(captured.out))
+    warning, timing = captured.err.splitlines()
+    assert warning.startswith(f"warning: {message}")
+    assert timing.startswith("elapsed_ms=")
+    if argv[0] == "info":  # the report of the reduced domain, unchanged
+        assert run_json(capsys, ["info", "hartogs:1/2"])[1] == captured.out
+
+
 def test_kernel_pnorm_above_dimension_two_needs_z_zero(capsys):
     """At z != 0 a C^3 p-norm ran past 300 s; it is refused up front."""
     t0 = time.perf_counter()
@@ -382,7 +412,7 @@ def test_verify_negative_control():
     def corrupt(d, alpha, p):
         m = dm.moment(d, alpha, p)
         if m.is_finite:
-            return dm.Moment.finite(m.value * 1.001)
+            return dm.Moment(m.value * 1.001)
         return m
 
     summary = vf.run_verify([dm.polydisc(1)], level="quick", moment_fn=corrupt)
@@ -395,7 +425,7 @@ def test_verify_cli_negative_control_exit_nonzero(capsys, monkeypatch):
     def corrupt(d, alpha, p):
         m = real_moment(d, alpha, p)
         if m.is_finite:
-            return dm.Moment.finite(m.value * 1.000001)
+            return dm.Moment(m.value * 1.000001)
         return m
 
     real_moment = dm.moment
@@ -428,6 +458,15 @@ def test_verify_quick_json_is_pinned(capsys):
     code, out = run_json(capsys, ["verify", "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_QUICK_SHA256
+
+
+def test_verify_table_has_one_pass_row_per_check(capsys):
+    code, out = run_json(capsys, ["verify", "polydisc:1"])
+    assert code == 0
+    *rows, overall = out.splitlines()
+    names = ["moments-vs-quadrature[polydisc:1]"] + [name for _s, name, _c in vf.CHECKS]
+    assert [row.split()[:3:2] for row in rows] == [["[PASS]", n] for n in names]
+    assert overall == "overall: PASS"
 
 
 def test_verify_json_identical_with_cold_and_warm_axis_memo(capsys):

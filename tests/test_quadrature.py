@@ -142,6 +142,21 @@ def test_separable_path_refines_to_budget():
             == qd.integrate(H11, g, qd.QuadConfig(max_doublings=0)))
 
 
+def test_pass_bound_refuses_a_mesh_before_evaluating_it(monkeypatch):
+    f = qd.MonomialSumIntegrand([(1.0, (0, 0), (0, 0)), (0.5, (1, 0), (0, 0))])
+    g = qd.AbsPowerIntegrand(f, 3)
+    cfg = qd.QuadConfig(radial_nodes=8, angular_nodes=8)  # 512, 4,096, 32,768 points
+    assert qd.integrate(H11, g, cfg).value == 5.867337186583313
+    passes = []
+    evaluate = qd._tensor_integrate
+    monkeypatch.setattr(qd, "_tensor_integrate",
+                        lambda *args: passes.append(args[3]) or evaluate(*args))
+    monkeypatch.setattr(qd, "MAX_PASS_POINTS", 10_000)
+    with pytest.raises(Inconclusive, match="pass of 32,768 mesh points"):
+        qd.integrate(H11, g, cfg)
+    assert passes == [8, 16]  # radial nodes of the passes that ran
+
+
 def test_ladder_budget_floor_and_cap():
     # the ladder runs at rel_tol >= 1e-6 and max_doublings <= 1
     for f, p in [(_monomial((0, -1), 2), 3),
