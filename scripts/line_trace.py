@@ -78,7 +78,6 @@ def run_pytest() -> int:
 
 def run_bench(workload: str, seed: int, seconds: int) -> int:
     """One closed loop of ``workload``; the number of requests not ok."""
-    sys.path[:0] = [str(ROOT / "bench")]
     import run
     import spans
     import workloads
@@ -131,7 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.pytest or args.bench or args.load):
         parser.error("nothing to trace: give --pytest, --bench or --load")
-    sys.path[:0] = [str(ROOT / "src")]
+    sys.path[:0] = [str(ROOT / "src")] + ([str(ROOT / "bench")] if args.bench else [])
     sys.dont_write_bytecode = True
 
     tracer = Tracer(PACKAGE)
