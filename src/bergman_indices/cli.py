@@ -13,14 +13,17 @@ and everything else prints a JSON report under the envelope
 with exact rationals as "num/den" strings and pi powers kept symbolic.
 Reports carry no timestamps or thread counts, so identical arguments and
 seed give byte-identical stdout; timing goes to stderr.  Inputs are capped
-so that no short argv runs without bound.  ``run`` is the one place errors
-become exit codes, read from the error class (``errors``); a rejected argv
-exits 2.  A warning raised by a handler is one stderr line, ``warning: ...``.
+so that no short argv runs without bound.  The grammar is built once per
+process.  ``run`` parses the domain, or verify's list, for the handler; it
+is the one place errors become exit codes, read from the error class
+(``errors``), so a rejected argv exits 2; and it prints each warning as one
+stderr line, ``warning: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,11 +86,11 @@ def _parse_point(text: str, dim: int):
         raise ParseError(f"malformed point {text!r}: {exc}") from None
 
 
-def _emit(args, command: str, domain, result: dict) -> None:
+def _emit(args, domain, result: dict) -> None:
     report = {
         "schema": SCHEMA_ID,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": args.seed,
         "domain": domain.spec_string() if domain is not None else None,
         "result": result,
@@ -95,10 +98,10 @@ def _emit(args, command: str, domain, result: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
-def _emit_rows(args, command: str, domain, head: dict, columns, rows) -> None:
+def _emit_rows(args, domain, head: dict, columns, rows) -> None:
     """A row table as a JSON report (``head`` plus "rows") or as CSV."""
     if args.format == "json":
-        _emit(args, command, domain,
+        _emit(args, domain,
               {**head, "rows": [dict(zip(columns, row)) for row in rows]})
     else:
         print(",".join(columns))
@@ -110,10 +113,9 @@ def _emit_rows(args, command: str, domain, head: dict, columns, rows) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_info(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_info(args, d) -> int:
     vol = dm.volume(d)
-    _emit(args, "info", d, {
+    _emit(args, d, {
         "family": d.family.value,
         "dim": d.dim,
         "axis_meets_hyperplane": list(d.axis_meets_hyperplane),
@@ -122,11 +124,10 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_index_set(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_index_set(args, d) -> int:
     p = parse_fraction(args.p)
     window = ix.index_set_window(d, p, args.window)
-    _emit(args, "index-set", d, {
+    _emit(args, d, {
         "p": format_fraction(p),
         "window": args.window,
         "count": len(window),
@@ -135,11 +136,10 @@ def cmd_index_set(args) -> int:
     return 0
 
 
-def cmd_thresholds(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_thresholds(args, d) -> int:
     ts = ix.thresholds(d, parse_fraction(args.plo), parse_fraction(args.phi),
                        args.window)
-    _emit(args, "thresholds", d, {
+    _emit(args, d, {
         "p_lo": args.plo,
         "p_hi": args.phi,
         "window": args.window,
@@ -152,15 +152,13 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def cmd_indices(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_indices(args, d) -> int:
     rep = ix.index_report(d, args.window, parse_fraction(args.p_cap))
-    _emit(args, "indices", d, rep.as_dict())
+    _emit(args, d, rep.as_dict())
     return 0
 
 
-def cmd_kernel(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_kernel(args, d) -> int:
     z = _parse_point(args.z, d.dim)
     w = _parse_point(args.w, d.dim)
     if args.pnorm is not None and d.dim > MAX_PNORM_DIM and any(z):
@@ -182,7 +180,7 @@ def cmd_kernel(args) -> int:
         result["pnorm"] = {"p": format_fraction(p), "value": est.value,
                            "diverging": est.diverging,
                            "sequence": list(est.sequence)}
-    _emit(args, "kernel", d, result)
+    _emit(args, d, result)
     return 0
 
 
@@ -194,8 +192,7 @@ def _point_count(k: int, name: str) -> int:
     return k
 
 
-def cmd_density(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_density(args, d) -> int:
     alpha = _parse_exponents(args.alpha, "--alpha")
     if args.points:
         try:
@@ -216,8 +213,7 @@ def cmd_density(args) -> int:
                     d, alpha, [(args.radius * np.exp(2j * np.pi * j / k),)
                                for j in range(k)]))
                 for k in ks]
-    _emit_rows(args, "density", d, {"alpha": list(alpha)}, ("k", "residual"),
-               rows)
+    _emit_rows(args, d, {"alpha": list(alpha)}, ("k", "residual"), rows)
     return 0
 
 
@@ -238,19 +234,17 @@ def _load_terms(text: str):
     return dp.MixedMonomialSum.make(terms)
 
 
-def cmd_project(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_project(args, d) -> int:
     f = _load_terms(args.terms)
     bf = dp.project(d, f)
-    _emit(args, "project", d, {
+    _emit(args, d, {
         "input": f.as_term_dicts(),
         "projected": bf.as_term_dicts(),
     })
     return 0
 
 
-def cmd_probe(args) -> int:
-    d = dm.parse_domain(args.domain)
+def cmd_probe(args, d) -> int:
     alpha = _parse_exponents(args.alpha, "--alpha")
     gamma = _parse_exponents(args.gamma, "--gamma")
     p_lo, p_hi = parse_fraction(args.plo), parse_fraction(args.phi)
@@ -270,18 +264,16 @@ def cmd_probe(args) -> int:
         except NotIntegrable as exc:
             verdict = f"not-integrable: {exc}"
         rows.append((format_fraction(p), verdict))
-    _emit_rows(args, "probe", d, {"alpha": list(alpha), "gamma": list(gamma)},
+    _emit_rows(args, d, {"alpha": list(alpha), "gamma": list(gamma)},
                ("p", "ratio"), rows)
     return 0
 
 
-def cmd_verify(args) -> int:
-    domain_specs = args.domains or ["polydisc:1", "ball:2", "hartogs:1/1"]
-    doms = [dm.parse_domain(s) for s in domain_specs]
+def cmd_verify(args, doms) -> int:
     level = "full" if args.full else "quick"
     summary = vf.run_verify(doms, level=level, seed=args.seed)
     if args.format == "json":
-        _emit(args, "verify", None, {
+        _emit(args, None, {
             "level": level,
             "domains": [d.spec_string() for d in doms],
             "ok": summary.ok,
@@ -313,6 +305,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parsing leaves the grammar unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bergman-indices",
@@ -322,13 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, domain=True):
+    def command(name, fn, summary, default_domains=None):
         sp = sub.add_parser(name, help=summary)
-        if domain:
+        if default_domains is None:
             sp.add_argument("domain", help=dm.DOMAIN_GRAMMAR)
         else:
-            sp.add_argument("domains", nargs="*", help="domain specs (default: "
-                            "polydisc:1 ball:2 hartogs:1/1)")
+            sp.add_argument("domains", nargs="*", default=default_domains,
+                            help="domain specs (default: "
+                                 f"{' '.join(default_domains)})")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored (evaluation is single-threaded)")
@@ -382,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = command("verify", cmd_verify, "bootstrap oracle and invariant suites",
-                 domain=False)
+                 default_domains=("polydisc:1", "ball:2", "hartogs:1/1"))
     sp.add_argument("--full", action="store_true")
     sp.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -401,7 +395,9 @@ def run(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")  # this run's own filter
             try:
-                code = args.fn(args)
+                target = (dm.parse_domain(args.domain) if "domain" in args
+                          else [dm.parse_domain(s) for s in args.domains])
+                code = args.fn(args, target)
             finally:  # also when the handler raises
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)

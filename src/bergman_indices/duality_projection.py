@@ -39,8 +39,11 @@ from .index_sets import critical_table, member
 from .quadrature import QuadConfig, lp_norm, lp_norms, pth_root
 
 
-def _as_qcomplex(c) -> QComplex:
-    return c if isinstance(c, QComplex) else QComplex.from_complex(c)
+def _check_term(alpha: MultiIndex, gamma: MultiIndex, dim: int) -> None:
+    if len(alpha) != dim or len(gamma) != dim:
+        raise ParseError("inconsistent term dimensions")
+    if any(g < 0 for g in gamma):
+        raise ParseError("conjugate exponents gamma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,9 @@ class MixedMonomialSum:
             alpha, gamma = tuple(alpha), tuple(gamma)
             if dim is None:
                 dim = len(alpha)
-            if len(alpha) != dim or len(gamma) != dim:
-                raise ParseError("inconsistent term dimensions")
-            if any(g < 0 for g in gamma):
-                raise ParseError("conjugate exponents gamma must be >= 0")
+            _check_term(alpha, gamma, dim)
             key = (alpha, gamma)
-            q = _as_qcomplex(c)
+            q = c if isinstance(c, QComplex) else QComplex.from_complex(c)
             merged[key] = merged.get(key, QComplex()) + q
         out = tuple((q, a, g) for (a, g), q in sorted(merged.items())
                     if not q.is_zero())
@@ -143,11 +143,19 @@ def pairing(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum) -> ExactMix
     return result
 
 
-def _rational_ratio(num: ExactValue, den: ExactValue) -> Fraction:
-    ratio = num / den
-    if ratio.pi_half != 0 or ratio.gamma_num or ratio.gamma_den:
-        raise ChainViolation(f"projection ratio not rational: {ratio}")
-    return ratio.coeff
+def _project_term(d: DomainSpec, alpha, gamma) -> Optional[tuple]:
+    """(ratio, delta) with B(z^alpha zbar^gamma) = ratio * z^delta for a term
+    in L^2, or None when delta is not allowable at 2 and the image is 0."""
+    delta = tuple(a - g for a, g in zip(alpha, gamma))
+    if not member(d, delta, 2):
+        return None
+    # at exponents alpha + gamma + delta = 2 alpha; finite by Cauchy-Schwarz,
+    # since the term and z^delta both lie in L^2
+    num = radial_moment(d, [2 * a for a in alpha]).value
+    den = moment(d, delta, 2).value
+    if num.key() != den.key():  # canonical forms: the pi and Gamma parts
+        raise ChainViolation(f"projection ratio not rational: {num / den}")
+    return num.coeff / den.coeff, delta
 
 
 def project(d: DomainSpec, f: MixedMonomialSum) -> MixedMonomialSum:
@@ -160,14 +168,10 @@ def project(d: DomainSpec, f: MixedMonomialSum) -> MixedMonomialSum:
     for q, alpha, gamma in f.terms:
         if not moment_finite(d, [2 * (a + g) for a, g in zip(alpha, gamma)]):
             raise NotIntegrable(f"term alpha={alpha} gamma={gamma} not in L^2")
-        delta = tuple(a - g for a, g in zip(alpha, gamma))
-        if not member(d, delta, 2):
-            continue
-        # finite by Cauchy-Schwarz: the term and z^delta both lie in L^2
-        cross = radial_moment(d, [a + g + dl for a, g, dl
-                                  in zip(alpha, gamma, delta)])
-        ratio = _rational_ratio(cross.value, moment(d, delta, 2).value)
-        out.append((q * ratio, delta, (0,) * len(delta)))
+        image = _project_term(d, alpha, gamma)
+        if image is not None:
+            ratio, delta = image
+            out.append((q * ratio, delta, (0,) * len(delta)))
     return MixedMonomialSum.make(out) if out else MixedMonomialSum(())
 
 
@@ -192,16 +196,17 @@ def projection_ratio(d: DomainSpec, alpha, gamma, p) -> ProjectionRatio:
     normp = radial_moment(d, [p * e for e in mods])
     if not normp.is_finite:
         raise NotIntegrable(f"witness monomial is not in L^{p}")
-    bf = project(d, MixedMonomialSum.monomial(1, alpha, gamma))
-    if bf.is_zero():
+    _check_term(alpha, gamma, len(alpha))
+    image = _project_term(d, alpha, gamma)
+    if image is None:
         return ProjectionRatio(False, 0.0)
-    (q, delta, _zero), = bf.terms
+    ratio, delta = image
     mdp = moment(d, delta, p)
     if not mdp.is_finite:
         return ProjectionRatio(True, None)
     # in logarithms: for large exponents the moments leave the float range
     # although the ratio does not
-    log_ratio = (ExactValue(q.abs2()).log() / 2
+    log_ratio = (ExactValue(ratio * ratio).log() / 2
                  + (mdp.value.log() - normp.value.log()) / float(p))
     return ProjectionRatio(False, math.exp(log_ratio))
 

@@ -31,7 +31,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +45,9 @@ from .quadrature import (BlackBoxIntegrand, ProbeResult, QuadConfig,
                          divergence_probe, integrate, AbsPowerIntegrand, pth_root)
 
 GRAM_COND_LIMIT = 1e12  # density_residual rejects a Gram matrix beyond it
+# the divergence ladder's budget: classification tolerates ~1e-3 per level,
+# so the ladder stays cheap whatever budget the final integral gets
+PROBE_CFG = QuadConfig(radial_nodes=16, angular_nodes=16, rel_tol=1e-4)
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,7 @@ class KernelSeries:
     radius: int
     terms: Tuple[Tuple[MultiIndex, ExactValue], ...]  # (alpha, 1/||e_alpha||^2)
     #: the inverse norms as floats, in the order of ``terms``
-    coeffs: Tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(inv) for _a, inv in self.terms))
+    coeffs: Tuple[float, ...]
 
     def inverse_norm(self, alpha) -> Optional[ExactValue]:
         alpha = tuple(alpha)
@@ -74,7 +74,7 @@ def kernel_series(d: DomainSpec, radius: int) -> KernelSeries:
     window = index_set_window(d, 2, radius)
     terms = tuple((alpha, EXACT_ONE / moment(d, alpha, 2).value)
                   for alpha in window.members)
-    return KernelSeries(d, radius, terms)
+    return KernelSeries(d, radius, terms, tuple(float(inv) for _a, inv in terms))
 
 
 def _require_inside(d: DomainSpec, z, name: str) -> tuple:
@@ -277,20 +277,18 @@ def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
                           cfg: Optional[QuadConfig] = None) -> PNormEstimate:
     """Quadrature estimate of ||K(., z)||_p with divergence detection.
 
-    Runs the corner-cutoff refinement ladder of the quadrature module on the
-    closed-form kernel section; a diverging verdict reports the last (growing)
-    estimate.  ``radius`` is ignored: it is kept so that positional callers
-    written for the former series integrand still work.
+    Runs the corner-cutoff refinement ladder of the quadrature module at
+    ``PROBE_CFG`` on the closed-form kernel section; a diverging verdict
+    reports the last (growing) estimate, a converging one the cutoff-free
+    value at the budget ``cfg``.  ``radius`` is ignored: it is kept so that
+    positional callers written for the former series integrand still work.
     """
     p = check_exponent(p)
     z = _require_inside(d, z, "z")
     if cfg is None:
         cfg = QuadConfig(radial_nodes=24, angular_nodes=32, rel_tol=1e-9)
     integrand = _kernel_integrand(d, z)
-    # classification tolerates ~1e-3 per level; keep the ladder cheap
-    probe_cfg = replace(cfg, radial_nodes=16, angular_nodes=16,
-                        rel_tol=max(cfg.rel_tol, 1e-4))
-    probe: ProbeResult = divergence_probe(d, integrand, p, probe_cfg)
+    probe: ProbeResult = divergence_probe(d, integrand, p, PROBE_CFG)
     if probe.diverging:
         return PNormEstimate(probe.sequence[-1], True, probe.sequence)
     # the ladder converged; report the cutoff-free value at full budget

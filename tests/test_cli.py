@@ -282,6 +282,26 @@ def test_flag_inventory():
     assert sum(map(len, flags.values())) == 43
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_verify_default_domains_are_declared_in_the_parser(capsys, monkeypatch):
+    ran = []
+
+    def record(doms, level, seed):
+        ran.append([d.spec_string() for d in doms])
+        return vf.VerifySummary([], True, False)
+
+    monkeypatch.setattr(vf, "run_verify", record)
+    code, out = run_json(capsys, ["verify", "--format", "json"])
+    assert code == 0
+    assert ran == [["polydisc:1", "ball:2", "hartogs:1/1"]]
+    assert json.loads(out)["result"]["domains"] == ran[0]
+    assert cli.build_parser().parse_args(["verify"]).domains == (
+        "polydisc:1", "ball:2", "hartogs:1/1")
+
+
 def test_verify_rejects_oversized_domain_before_any_check(capsys, monkeypatch):
     def no_check(*_args, **_kwargs):
         raise AssertionError("a check ran before the window caps")
@@ -351,6 +371,29 @@ def test_kernel_pnorm_above_dimension_two_needs_z_zero(capsys):
                                   "--w", "0,0,0", "--pnorm", "2"])
     assert code == 0
     assert json.loads(out)["result"]["pnorm"]["diverging"] is False
+
+
+def test_probe_negative_gamma_is_one_line(capsys):
+    """The rejection comes after the L^2 and L^p checks, as one line."""
+    code = cli.run(["probe", "hartogs:1/1", "--alpha", "2,0", "--gamma=-1,0",
+                    "--plo", "2", "--phi", "3", "--steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: conjugate exponents gamma must be >= 0\n"
+
+
+def test_indices_one_sided_chain(capsys):
+    """A p cap below the duality bound leaves two indices one-sided; the
+    chain compares each with the exact regularity probe, which runs both
+    one-sided branches of ``index_sets._comparable_le``."""
+    code, out = run_json(capsys, ["indices", "hartogs:1/3", "--window", "3",
+                                  "--p-cap", "5/2"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["duality_bound"] == {"kind": "at_least", "value": "5/2"}
+    assert result["regularity_probe"] == {"kind": "exact", "value": "8/3"}
+    assert result["beta_upper"] == {"kind": "at_least", "value": "5/2"}
 
 
 def test_probe_ratio_of_large_exponents(capsys):

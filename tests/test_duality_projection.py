@@ -11,7 +11,7 @@ from bergman_indices import duality_projection as dp
 from bergman_indices import index_sets as ix
 from bergman_indices import verify as vf
 from bergman_indices.errors import NotIntegrable, ParseError
-from bergman_indices.exact import QComplex
+from bergman_indices.exact import ExactValue, QComplex
 from bergman_indices.quadrature import QuadConfig, lp_norm
 
 H11 = dm.hartogs(1, 1)
@@ -86,6 +86,64 @@ def test_projection_ratio_witness():
 def test_projection_ratio_vanishing_projection():
     r = dp.projection_ratio(B2, (0, 0), (1, 0), 2)
     assert not r.divergent and r.ratio == 0.0
+
+
+def _ratio_via_project(d, alpha, gamma, p):
+    """||Bf||_p / ||f||_p rebuilt from ``project`` of the one-term sum."""
+    bf = dp.project(d, dp.MixedMonomialSum.monomial(1, alpha, gamma))
+    if bf.is_zero():
+        return dp.ProjectionRatio(False, 0.0)
+    (q, delta, _zero), = bf.terms
+    mdp = dm.moment(d, delta, p)
+    if not mdp.is_finite:
+        return dp.ProjectionRatio(True, None)
+    normp = dm.radial_moment(d, [p * (a + g) for a, g in zip(alpha, gamma)])
+    return dp.ProjectionRatio(False, math.exp(
+        ExactValue(q.abs2()).log() / 2
+        + (mdp.value.log() - normp.value.log()) / float(p)))
+
+
+def test_projection_ratio_matches_project_round_trip():
+    """Witnesses and seeded random monomials, p in quarter steps: the same
+    repr as the projection of the one-term sum, or the same L^2 / L^p error."""
+    rng = np.random.default_rng(20240901)
+    compared = 0
+    for spec in ("polydisc:2", "ball:2", "hartogs:1/1", "hartogs:3/2",
+                 "hartogs:2/5"):
+        d = dm.parse_domain(spec)
+        _val, witness = ix.regularity_probe(d, ix.default_window(d))
+        monomials = [witness] if witness is not None else []
+        monomials += [(tuple(int(a) for a in rng.integers(-3, 5, 2)),
+                       tuple(int(g) for g in rng.integers(0, 4, 2)))
+                      for _ in range(8)]
+        for alpha, gamma in monomials:
+            mods = [a + g for a, g in zip(alpha, gamma)]
+            for k in range(4, 25):
+                p = Fraction(k, 4)
+                if not dm.moment_finite(d, [2 * e for e in mods]):
+                    message = "witness monomial is not in L^2"
+                elif not dm.moment_finite(d, [p * e for e in mods]):
+                    message = f"witness monomial is not in L^{p}"
+                else:
+                    assert (repr(dp.projection_ratio(d, alpha, gamma, p))
+                            == repr(_ratio_via_project(d, alpha, gamma, p)))
+                    compared += 1
+                    continue
+                with pytest.raises(NotIntegrable) as err:
+                    dp.projection_ratio(d, alpha, gamma, p)
+                assert str(err.value) == message
+    assert compared > 300
+
+
+def test_projection_ratio_error_order():
+    """Not in L^2, then not in L^p, then a negative gamma."""
+    for gamma, p, error, message in [
+            ((0, -2), 3, NotIntegrable, "witness monomial is not in L^2"),
+            ((0, -1), 4, NotIntegrable, "witness monomial is not in L^4"),
+            ((0, -1), 3, ParseError, "conjugate exponents gamma must be >= 0")]:
+        with pytest.raises(error) as err:
+            dp.projection_ratio(H11, (0, 0), gamma, p)
+        assert str(err.value) == message
 
 
 def test_witness_criticality_dense_grid():
