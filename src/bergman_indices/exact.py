@@ -213,9 +213,6 @@ class QComplex:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 

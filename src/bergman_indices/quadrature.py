@@ -25,7 +25,7 @@ fractional powers.  Level L of the divergence ladder cuts each axis at
 [10^(-2(j+1)), 10^(-2j)], j < L, accurate for any power profile.
 
 Both integrand kinds declare the two facts the rules read of them:
-``modulus_exponents`` (the leading power in each |z_i|, or None) and
+``modulus_exponents`` (the leading power in each |z_i|) and
 ``angular_bandwidth`` (the trigonometric degree per torus axis, None where
 unbounded).  The angular rule is the uniform trapezoid, exact for
 trigonometric polynomials below the node count, and |f|^p is one only for
@@ -177,23 +177,20 @@ class MonomialSumIntegrand:
 
 
 class BlackBoxIntegrand:
-    """Vectorized pointwise evaluator z -> value with optional declarations.
+    """Vectorized pointwise evaluator z -> value with its two declarations.
 
     ``angular_bandwidth`` bounds the trigonometric degree per axis (None for
-    an axis means unbounded; None for the whole tuple is stored as None per
-    axis); ``modulus_exponents`` declares the leading power of the value in
-    each |z_i| as that modulus tends to 0, which steers the radial maps.
+    an axis means unbounded); ``modulus_exponents`` declares the leading
+    power of the value in each |z_i| as that modulus tends to 0, which
+    steers the radial maps.
     """
 
-    def __init__(self, fn: Callable, dim: int,
-                 angular_bandwidth: Optional[Sequence] = None,
-                 modulus_exponents: Optional[Sequence] = None):
+    def __init__(self, fn: Callable, dim: int, angular_bandwidth: Sequence,
+                 modulus_exponents: Sequence):
         self.fn = fn
         self.dim = dim
-        self.angular_bandwidth = (tuple(angular_bandwidth)
-                                  if angular_bandwidth is not None else (None,) * dim)
-        self.modulus_exponents = (tuple(as_fraction(s) for s in modulus_exponents)
-                                  if modulus_exponents is not None else None)
+        self.angular_bandwidth = tuple(angular_bandwidth)
+        self.modulus_exponents = tuple(as_fraction(s) for s in modulus_exponents)
 
     def eval_polar(self, radii, thetas):
         zs = tuple(radii[i] * np.exp(1j * thetas[i]) for i in range(self.dim))
@@ -379,9 +376,9 @@ def _angular_counts(g: AbsPowerIntegrand, cfg: QuadConfig) -> Tuple[list, list]:
 def _axis_hints(d: DomainSpec, f, p) -> list:
     """Leading (0-end, 1-end) exponents of |f|^p * measure per box axis, as
     integer pairs (num, den) in lowest terms: |f|^p has modulus exponents
-    p * s_i, s = ``f.modulus_exponents`` (0 if undeclared), here c_i / den
-    with the denominators of s cleared."""
-    s = f.modulus_exponents or (0,) * d.dim
+    p * s_i, s = ``f.modulus_exponents``, here c_i / den with the
+    denominators of s cleared."""
+    s = f.modulus_exponents
     scale = math.lcm(*(si.denominator for si in s))
     c, den = [p.numerator * int(si * scale) for si in s], p.denominator * scale
     if d.family is Family.POLYDISC:
@@ -515,7 +512,8 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
     the block integrals and error estimates; a block, per-axis log piece
     indices or None for all of (0, 1)^dim, refines on its own, doubling the
     radial nodes and the inexact angular ones.  A pass of more than
-    ``MAX_PASS_POINTS`` mesh points raises ``Inconclusive`` unevaluated."""
+    ``MAX_PASS_POINTS`` mesh points raises ``Inconclusive`` unevaluated, and
+    a pass whose sums hold a NaN raises ``NaNOnGrid`` before the next runs."""
     ang_base, ang_exact = _angular_counts(g, cfg)
     hints = _axis_hints(d, g.base, g.p)
     ang_cap = 256 if d.dim <= 2 else 48
@@ -527,14 +525,15 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
         if points > MAX_PASS_POINTS:
             raise Inconclusive(f"quadrature pass of {points:,} mesh points exceeds "
                                f"the bound of {MAX_PASS_POINTS:,}")
-        return _tensor_integrate(d, g, hints, cfg.radial_nodes << k, ang_counts, block)
+        sums = _tensor_integrate(d, g, hints, cfg.radial_nodes << k, ang_counts, block)
+        if any(v != v for v in sums):  # NaN: no later pass can agree with it
+            raise NaNOnGrid("integrand produced NaN on the quadrature grid")
+        return sums
 
     totals = err_totals = [0.0] * len(g.ps)
     for block in blocks:
         values, errs = _refine(partial(run, block), cfg.rel_tol,
                                cfg.max_doublings)
-        if any(v != v for v in values):  # NaN
-            raise NaNOnGrid("integrand produced NaN on the quadrature grid")
         totals = [t + v for t, v in zip(totals, values)]
         err_totals = [t + e for t, e in zip(err_totals, errs)]
     return totals, err_totals

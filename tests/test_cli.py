@@ -383,6 +383,33 @@ def test_probe_negative_gamma_is_one_line(capsys):
     assert captured.err == "error: conjugate exponents gamma must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "polydisc:2", "--z", "0.1", "--w", "0,0"],
+     "error: point '0.1' needs 2 comma-separated components\n"),
+    (["kernel", "polydisc:2", "--z", "0.1,zz", "--w", "0,0"],
+     "error: malformed point '0.1,zz': "),
+    (["density", "polydisc:2", "--ks", "1,2"],
+     "error: --ks point sets need a one-dimensional domain; "),
+])
+def test_point_and_dimension_rejections_are_one_line(capsys, argv, message):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_probe_skips_nonpositive_exponents(capsys):
+    code = cli.run(["probe", "hartogs:1/1", "--alpha", "0,-1", "--gamma", "0,0",
+                    "--plo", "-1", "--phi", "5", "--steps", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = [line.split(",", 1) for line in captured.out.strip().splitlines()[1:]]
+    assert rows == [["1", "1.0"], ["2", "1.0"], ["3", "1.0"],
+                    ["4", "not-integrable: witness monomial is not in L^4"],
+                    ["5", "not-integrable: witness monomial is not in L^5"]]
+
+
 def test_indices_one_sided_chain(capsys):
     """A p cap below the duality bound leaves two indices one-sided; the
     chain compares each with the exact regularity probe, which runs both

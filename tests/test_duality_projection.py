@@ -99,7 +99,7 @@ def _ratio_via_project(d, alpha, gamma, p):
         return dp.ProjectionRatio(True, None)
     normp = dm.radial_moment(d, [p * (a + g) for a, g in zip(alpha, gamma)])
     return dp.ProjectionRatio(False, math.exp(
-        ExactValue(q.abs2()).log() / 2
+        ExactValue(q.re * q.re + q.im * q.im).log() / 2
         + (mdp.value.log() - normp.value.log()) / float(p)))
 
 

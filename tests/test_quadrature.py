@@ -122,9 +122,58 @@ def test_nan_in_one_cutoff_block_raises():
         return out
 
     # finite on level 1's box (1e-2, 1)^2; level 2 adds NaN blocks
+    box = qd.BlackBoxIntegrand(nan_below, 2, (None,) * 2, (0,) * 2)
     with pytest.raises(NaNOnGrid):
-        qd.divergence_probe(H11, qd.BlackBoxIntegrand(nan_below, 2), 2,
-                            qd.QuadConfig(radial_nodes=4, angular_nodes=4))
+        qd.divergence_probe(H11, box, 2, qd.QuadConfig(radial_nodes=4, angular_nodes=4))
+
+
+def _piecewise_inverse(masses):
+    """A polydisc:1 black box whose |f|^2 is c_j / |z|^2 on log piece j,
+    [10^(-2(j+1)), 10^(-2j)], for the ladder's pieces j < 7: piece j
+    carries mass 4 pi ln(10) c_j."""
+    c = np.sqrt(np.asarray(masses))
+
+    def fn(z):
+        return c[np.floor(-np.log10(np.abs(z)) / 2).astype(int)] / z
+
+    return qd.BlackBoxIntegrand(fn, 1, (0,), (-1,))
+
+
+def test_ladder_reads_a_steady_slow_contraction_as_stable():
+    # increments contract by 0.8: too slow to settle at 3 levels, steady at 4
+    masses = [0.8 ** j for j in range(qd.MAX_LADDER_LEVELS)]
+    probe = qd.divergence_probe(dm.polydisc(1), _piecewise_inverse(masses), 2, CFG)
+    assert probe.stable and not probe.diverging
+    assert len(probe.sequence) == 4
+    unit = 4 * PI * math.log(10)
+    for level, norm in enumerate(probe.sequence, 1):
+        assert norm ** 2 == pytest.approx(unit * sum(masses[:level]), rel=1e-12)
+
+
+def test_ladder_with_rising_contraction_is_inconclusive_at_its_deepest_level():
+    # increment ratios 0.72, 0.76, ..., 0.92: each exceeds the last by more
+    # than the 0.02 a steady contraction allows, and none reaches 0.98
+    masses = list(itertools.accumulate([1, 0.72, 0.76, 0.80, 0.84, 0.88, 0.92],
+                                       lambda m, r: m * r))
+    with pytest.raises(Inconclusive, match="did not stabilize or diverge") as exc:
+        qd.divergence_probe(dm.polydisc(1), _piecewise_inverse(masses), 2, CFG)
+    norms = str(exc.value).split(": ", 1)[1]
+    assert norms.count(",") == qd.MAX_LADDER_LEVELS - 1
+
+
+def test_mesh_blocks_split_the_angles_of_an_oversized_row():
+    # one radial row of 32 x 256 x 256 points exceeds the 2M chunk budget
+    d = dm.polydisc(2)
+    hints = qd._axis_hints(d, _monomial((0, 0), 2), Fraction(2))
+    chunks = list(qd._mesh_blocks(d, hints, 32, [256, 256], None))
+    assert len(chunks) == 64
+    sizes = [math.prod(np.broadcast_shapes(*(np.shape(a) for a in (*radii, *angles, w))))
+             for radii, angles, w in chunks]
+    assert sum(sizes) == 32 * 32 * 256 * 256
+    full = np.arange(256) * (2 * PI / 256)
+    for row in range(32):  # per radial row, the angle slices tile the first axis
+        pair = chunks[2 * row:2 * row + 2]
+        assert np.array_equal(np.concatenate([a[0].ravel() for _r, a, _w in pair]), full)
 
 
 def test_separable_path_refines_to_budget():
@@ -227,17 +276,23 @@ def test_lp_norms_at_mixed_parity_match_lp_norm():
             assert abs(norm - want) <= 1e-9, (str(d), p)
 
 
-def test_nan_rejected():
+def test_nan_rejected(monkeypatch):
     def bad(w1, w2):
         with np.errstate(invalid="ignore"):
             return (w1 - w1) / (w1 - w1)  # NaN everywhere
 
     cfg = qd.QuadConfig(radial_nodes=4, angular_nodes=4, max_doublings=0)
+    box = qd.BlackBoxIntegrand(bad, 2, (None,) * 2, (0,) * 2)
+    passes = []
+    evaluate = qd._tensor_integrate
+    monkeypatch.setattr(qd, "_tensor_integrate",
+                        lambda *args: passes.append(args[3]) or evaluate(*args))
     with pytest.raises(ValueError):  # |bad|^2
-        qd.integrate(H11, qd.AbsPowerIntegrand(qd.BlackBoxIntegrand(bad, 2), 2), cfg)
+        qd.integrate(H11, qd.AbsPowerIntegrand(box, 2), cfg)
+    assert passes == [4]  # the NaN pass is refused before the next one runs
     # integrate takes only |f|^p: a bare integrand is a one-line TypeError
     with pytest.raises(TypeError, match="AbsPowerIntegrand") as bare:
-        qd.integrate(H11, qd.BlackBoxIntegrand(bad, 2), cfg)
+        qd.integrate(H11, box, cfg)
     assert "\n" not in str(bare.value)
 
 
@@ -476,16 +531,17 @@ def test_integer_axis_hints_match_fraction_formulas():
               Fraction(rng.randint(1, 40), 4))
              for d in doms + triangles for _ in range(12)]
     # a black box declaring fractional modulus exponents takes the tensor path
-    box = qd.BlackBoxIntegrand(None, 2, modulus_exponents=(Fraction(1, 3), -2.5))
+    box = qd.BlackBoxIntegrand(None, 2, (None,) * 2, (Fraction(1, 3), -2.5))
     box_hints = qd._axis_hints(dm.hartogs(3, 5), box, Fraction(7, 4))
     checks = [(qd._axis_hints(d, _monomial(alpha, d.dim), p),
                _fraction_hints(d, [p * a for a in alpha]))
               for d, alpha, p in cases]
     checks.append((box_hints, _fraction_hints(
         dm.hartogs(3, 5), [Fraction(7, 12), Fraction(-35, 8)])))
-    # undeclared exponents read as 0; a sum's are its least alpha+gamma per axis
+    # declared zero exponents; a sum's are its least alpha+gamma per axis
     for d in doms + triangles[:4]:
-        checks.append((qd._axis_hints(d, qd.BlackBoxIntegrand(None, d.dim), Fraction(7, 4)),
+        zero = qd.BlackBoxIntegrand(None, d.dim, (None,) * d.dim, (0,) * d.dim)
+        checks.append((qd._axis_hints(d, zero, Fraction(7, 4)),
                        _fraction_hints(d, [Fraction(0)] * d.dim)))
         terms = [(1.0, tuple(range(d.dim)), (1,) * d.dim), (1.0, (2,) * d.dim, (0,) * d.dim)]
         checks.append((qd._axis_hints(d, qd.MonomialSumIntegrand(terms), Fraction(5, 2)),
