@@ -43,8 +43,8 @@ from .quadrature import QuadConfig
 
 SCHEMA_ID = "bergman-indices/1"
 DEFAULT_SEED = 20240901
-# input caps; exact moments of z^alpha at exponent p fold Gamma products of
-# size about p * |alpha|, so probe bounds both
+# input caps; a ball moment of z^alpha at exponent p folds Gamma products of
+# size p * sum|alpha_i| / 2: probe bounds p, |alpha_i| and (ball) that size
 MAX_EXPONENT = 1000  # |alpha_i| and gamma_i of a monomial
 MAX_PROBE_P = 64
 MAX_PROBE_STEPS = 256
@@ -250,6 +250,10 @@ def cmd_probe(args, d) -> int:
     p_lo, p_hi = parse_fraction(args.plo), parse_fraction(args.phi)
     if max(p_lo, p_hi) > MAX_PROBE_P:
         raise ParseError(f"--plo and --phi must be at most {MAX_PROBE_P}")
+    if (d.family is dm.Family.BALL and max(p_lo, p_hi) * sum(map(abs, alpha + gamma))
+            > 2 * MAX_PROBE_P * MAX_EXPONENT):
+        raise ParseError("on the ball, p * sum(|alpha_i| + gamma_i) / 2 must be at "
+                         f"most {MAX_PROBE_P * MAX_EXPONENT}")
     steps = args.steps
     if not 1 <= steps <= MAX_PROBE_STEPS:
         raise ParseError(f"--steps must lie in [1, {MAX_PROBE_STEPS}], got {steps}")

@@ -88,7 +88,7 @@ class MixedMonomialSum:
     def p_integrable(self, d: DomainSpec, p) -> bool:
         """Exact check that every term lies in L^p."""
         p = check_exponent(p)
-        return all(moment_finite(d, [p * (a + g) for a, g in zip(alpha, gamma)])
+        return all(moment_finite(d, [a + g for a, g in zip(alpha, gamma)], p)
                    for _q, alpha, gamma in self.terms)
 
     def as_integrand(self) -> quadrature.MonomialSumIntegrand:
@@ -151,7 +151,7 @@ def _project_term(d: DomainSpec, alpha, gamma) -> Optional[tuple]:
         return None
     # at exponents alpha + gamma + delta = 2 alpha; finite by Cauchy-Schwarz,
     # since the term and z^delta both lie in L^2
-    num = radial_moment(d, [2 * a for a in alpha]).value
+    num = moment(d, alpha, 2).value
     den = moment(d, delta, 2).value
     if num.key() != den.key():  # canonical forms: the pi and Gamma parts
         raise ChainViolation(f"projection ratio not rational: {num / den}")
@@ -191,9 +191,9 @@ def projection_ratio(d: DomainSpec, alpha, gamma, p) -> ProjectionRatio:
     alpha, gamma = tuple(alpha), tuple(gamma)
     p = check_exponent(p)
     mods = [a + g for a, g in zip(alpha, gamma)]
-    if not moment_finite(d, [2 * e for e in mods]):
+    if not moment_finite(d, mods, 2):
         raise NotIntegrable("witness monomial is not in L^2")
-    normp = radial_moment(d, [p * e for e in mods])
+    normp = moment(d, mods, p)
     if not normp.is_finite:
         raise NotIntegrable(f"witness monomial is not in L^{p}")
     _check_term(alpha, gamma, len(alpha))
@@ -222,7 +222,7 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p,
     if len(f.terms) == 1:
         q, alpha, gamma = f.terms[0]
         mods = [a + g for a, g in zip(alpha, gamma)]
-        m = radial_moment(d, [p * e for e in mods])
+        m = moment(d, mods, p)
         if not m.is_finite:
             raise NotIntegrable(f"monomial not in L^{p}")
         return abs(complex(q)) * pth_root(float(m), p)

@@ -58,13 +58,18 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _product(factors: range) -> int:
+    """A balanced product tree over leaves of at most 64 factors."""
+    if len(factors) <= 64:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
+
+
 def _rising(a: Fraction, k: int) -> Fraction:
     """a (a+1) ... (a+k-1), multiplied in integers with one final gcd."""
     p, q = a.numerator, a.denominator
-    factors = range(p, p + k * q, q)
-    while len(factors) > 64:  # a balanced product tree for big factorials
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return Fraction(math.prod(factors), q ** k)
+    return Fraction(_product(range(p, p + k * q, q)), q ** k)
 
 
 @dataclass(frozen=True)

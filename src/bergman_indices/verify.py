@@ -188,7 +188,7 @@ def _monotone_divergence(doms, rng, size):
         for alpha in itertools.product(range(-4, 5), repeat=d.dim):
             divergent_seen = False
             for p in P_GRID:
-                fin = dm.moment_finite(d, [p * a for a in alpha])
+                fin = dm.moment_finite(d, alpha, p)
                 if divergent_seen and fin:
                     fails.append((str(d), alpha, p))
                 divergent_seen = divergent_seen or not fin

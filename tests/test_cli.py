@@ -229,6 +229,8 @@ def test_usage_errors_exit_2(capsys):
     ["probe", "hartogs:1/1", "--alpha", "0,0", "--gamma", "0,1",
      "--phi", "100000"],
     ["project", "ball:2", "--terms", '[{"c": [1, 0], "alpha": [100000, 100000]}]'],
+    ["probe", "ball:6", "--alpha", "1000,1000,1000,1000,1000,1000",
+     "--gamma", "0,0,0,0,0,0", "--plo", "64", "--phi", "64", "--steps", "1"],
     ["info", "ball:100000000"],
     ["info", "hartogs:1001/1"],
     # valid values: kernel takes no quadrature flag

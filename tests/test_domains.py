@@ -8,6 +8,7 @@ import pytest
 
 from bergman_indices import domains as dm
 from bergman_indices.errors import DimensionMismatch, ParseError
+from bergman_indices.exact import make_exact
 
 H11 = dm.hartogs(1, 1)
 PI = math.pi
@@ -162,3 +163,61 @@ def test_moment_finite_matches_radial_moment():
             assert dm.moment_finite(d, c) == dm.radial_moment(d, c).is_finite
     with pytest.raises(DimensionMismatch):
         dm.moment_finite(H11, (1,))
+
+
+def _closed_form(d, c):
+    """The module docstring's closed forms in Fraction arithmetic (None when
+    divergent), canonicalized by ``make_exact``."""
+    c = [Fraction(ci) for ci in c]
+    if d.family is dm.Family.HARTOGS:
+        outer = d.n * (c[0] + 2) + d.m * (c[1] + 2)
+        if c[0] + 2 <= 0 or outer <= 0:
+            return None
+        return make_exact(4 * d.m / ((c[0] + 2) * outer), 4)
+    if any(ci + 2 <= 0 for ci in c):
+        return None
+    if d.family is dm.Family.POLYDISC:
+        return make_exact(math.prod(2 / (ci + 2) for ci in c), 2 * d.dim)
+    return make_exact(1, 2 * d.dim, [ci / 2 + 1 for ci in c],
+                      [sum(c) / 2 + d.dim + 1])
+
+
+def test_moment_memo_matches_closed_forms(monkeypatch):
+    rng = random.Random(1717)
+    doms = ([dm.polydisc(k) for k in (1, 2, 3)] + [dm.ball(k) for k in (1, 2, 3)]
+            + [dm.hartogs(m, n) for m, n in ((1, 1), (2, 1), (3, 2), (5, 3))])
+    cases = []  # (function, domain, arguments, reference)
+    for d in doms:
+        for den in (1, 2, 4, 3):  # int, half-, quarter- and third-integers
+            for _ in range(15):
+                c = [Fraction(rng.randint(-12, 12), den) for _ in range(d.dim)]
+                cases.append((dm.radial_moment, d, (c,), _closed_form(d, c)))
+        for p in (1, 2, Fraction(3, 2), Fraction(5, 4), Fraction(7, 3)):
+            for _ in range(6):
+                alpha = tuple(rng.randint(-6, 6) for _ in range(d.dim))
+                cases.append((dm.moment, d, (alpha, p),
+                              _closed_form(d, [p * a for a in alpha])))
+    refs = [want for _f, _d, _a, want in cases]
+    assert None in refs and any(w is not None and w.gamma_num for w in refs)
+    assert len(cases) <= dm.MOMENT_MEMO_SIZE
+    assert dm._moment.cache_info().maxsize == dm.MOMENT_MEMO_SIZE
+
+    def check_all(clear: bool):
+        for fn, d, args, want in cases:
+            if clear:
+                dm._moment.cache_clear()
+            assert fn(d, *args).value == want, (d, args)
+            if fn is dm.moment:
+                assert dm.moment_finite(d, *args) == (want is not None)
+
+    check_all(clear=True)   # every call on an empty memo
+    dm._moment.cache_clear()
+    check_all(clear=False)  # while the memo fills
+    misses = dm._moment.cache_info().misses
+    built = []
+    new = Fraction.__new__
+    with monkeypatch.context() as patch:  # a hit builds no Fraction
+        patch.setattr(Fraction, "__new__",
+                      lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        check_all(clear=False)  # warm
+    assert dm._moment.cache_info().misses == misses and not built
