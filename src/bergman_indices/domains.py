@@ -194,10 +194,13 @@ def _shifted(d: DomainSpec, c: Sequence, p=1) -> Tuple[tuple, int]:
     """p * c (p > 0) as (s, den) with s_i = den * (p * c_i + 2), den > 0 least."""
     _check_dim(d, c)
     q = p if type(p) is int and p > 0 else check_exponent(p)
-    c = [ci if type(ci) is int else as_fraction(ci) for ci in c]
-    lcm = math.lcm(*(ci.denominator for ci in c))
-    den = lcm * q.denominator
-    s = [q.numerator * ci.numerator * (lcm // ci.denominator) + 2 * den for ci in c]
+    if all(type(ci) is int for ci in c):  # the common case: lcm 1, one gcd
+        den, s = q.denominator, [q.numerator * ci + 2 * q.denominator for ci in c]
+    else:
+        c = [ci if type(ci) is int else as_fraction(ci) for ci in c]
+        lcm = math.lcm(*(ci.denominator for ci in c))
+        den = lcm * q.denominator
+        s = [q.numerator * ci.numerator * (lcm // ci.denominator) + 2 * den for ci in c]
     g = math.gcd(den, *s)
     return tuple(si // g for si in s), den // g
 

@@ -35,7 +35,7 @@ from .domains import (DomainSpec, MultiIndex, check_exponent,
 from .errors import ChainViolation, NotIntegrable, ParseError
 from .exact import (ExactMix, ExactValue, QComplex, as_fraction,
                     format_fraction)
-from .index_sets import critical_table, member
+from .index_sets import critical_slice, member
 from .quadrature import QuadConfig, lp_norm, lp_norms, pth_root
 
 
@@ -310,5 +310,5 @@ def injectivity_witness_scan(d: DomainSpec, p, radius: int) -> Optional[MultiInd
         raise ParseError("scan is defined for p >= 2")
     q = Fraction(2) if p == 2 else conjugate_exponent(p)
     # gamma is a member at q and not at p exactly when its flip lies in (q, p]
-    return min((gamma for t, gamma in critical_table(d, radius) if q < t <= p),
+    return min((gamma for _t, gamma in critical_slice(d, radius, q, p)),
                default=None)

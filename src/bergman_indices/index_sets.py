@@ -26,11 +26,11 @@ exponents at all, which is the structural proof behind the unbounded verdicts.
 
 Every flip exponent comes from one table per (domain, window), built by
 ``critical_table`` in a single pass over the integer slopes, sorted as integers;
-thresholds, the three indices and the injectivity witness scan all read it,
-and a 4-entry cache lets a report's three indices share one pass.  The soundness
-check on a reported threshold is the witness's own flip, decided through the
-moment-based ``member``; the full window comparison (``sets_equal``) is left
-to the threshold-completeness check of ``verify``.
+thresholds, the three indices and the injectivity witness scan all read it
+(most by bisection), and a 4-entry cache lets a report's indices share one
+pass.  The soundness check on a reported threshold is the witness's own flip,
+decided through the moment-based ``member``; the full window comparison
+(``sets_equal``) is left to the threshold-completeness check of ``verify``.
 
 All predicates in this module are exact rational comparisons.
 """
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -100,21 +101,28 @@ def critical_table(d: DomainSpec, radius: int) -> Tuple[Tuple[Fraction, MultiInd
     Returns (value, witness) pairs in ascending value, the witness being the
     lex-smallest window index that is a member for p below the value and not
     at it.  Only the triangle has finite flips, at 2(m+n)/k for the integer
-    slope -k = n*alpha_1 + m*alpha_2 < 0 of a holomorphic index (alpha_1 >= 0),
-    so one lex-order walk over the holomorphic half of the window keeps the
-    first index of each slope; other domains return () without scanning.
+    slope -k = n*alpha_1 + m*alpha_2 < 0 of a holomorphic index (alpha_1 >= 0).
+    The rows alpha_1 < min(m, radius + 1) hold each such slope once (m, n
+    coprime); a row alpha_1 >= m repeats row alpha_1 - m's at lex-larger
+    indices, and its other slopes exceed m*radius.  Other domains return ().
     """
     if d.family is not Family.HARTOGS:
         check_radius(radius)
         return ()
     check_radius(radius, dim=2)
-    first: dict = {}
-    for alpha in itertools.product(range(radius + 1), range(-radius, radius + 1)):
-        slope = d.n * alpha[0] + d.m * alpha[1]
-        if slope < 0:
-            first.setdefault(slope, alpha)
-    return tuple((Fraction(2 * (d.m + d.n), -slope), alpha)  # rises with slope
-                 for slope, alpha in sorted(first.items()))
+    m, n = d.m, d.n
+    flips = sorted((n * a1 + m * a2, (a1, a2)) for a1 in range(min(m, radius + 1))
+                   for a2 in range(-radius, -(n * a1 // m)))  # slopes unique
+    return tuple((Fraction(2 * (m + n), -slope), alpha)  # rises with slope
+                 for slope, alpha in flips)
+
+
+def critical_slice(d: DomainSpec, radius: int, lo, hi=None) -> tuple:
+    """The rows of ``critical_table`` with lo < value <= hi (None: no upper
+    bound), found by bisection."""
+    table = critical_table(d, radius)
+    return table[slice(*(t if t is None else bisect_right(table, t, key=lambda row: row[0])
+                         for t in (lo, hi)))]
 
 
 @dataclass(frozen=True)
@@ -256,27 +264,19 @@ def duality_bound(d: DomainSpec, radius: int, p_cap) -> Tuple[IndexValue, list]:
     check_radius(radius, 2)
     if structurally_p_independent(d):
         return IndexValue.unbounded(), []
-    crits = dict(critical_table(d, radius))  # ascending in the exponent
-    two = Fraction(2)
-    if two in crits:
-        return IndexValue.exact(2), [(crits[two], "enters_below_2")]
-    above = [t for t in crits if two < t <= p_cap][:1]
-    below = [t for t in crits if 1 < t < two][-1:]
-    candidates = ([(t, crits[t], "threshold_above_2") for t in above]
-                  + [(conjugate_exponent(t), crits[t], "conjugate_threshold_below_2")
-                     for t in below])
+    below = critical_slice(d, radius, 1, 2)[-1:]  # the last flip in (1, 2]
+    if below and below[0][0] == 2:
+        return IndexValue.exact(2), [(below[0][1], "enters_below_2")]
+    candidates = ([(t, alpha, "threshold_above_2")
+                   for t, alpha in critical_slice(d, radius, 2, p_cap)[:1]]
+                  + [(conjugate_exponent(t), alpha, "conjugate_threshold_below_2")
+                     for t, alpha in below])
     if not candidates:
         return IndexValue.at_least(p_cap), []
     bound, witness, role = min(candidates, key=lambda c: c[0])
     if bound > p_cap:
         return IndexValue.at_least(p_cap), []
     return IndexValue.exact(bound), [(witness, role)]
-
-
-def _first_flip_above_two(d: DomainSpec, radius: int) -> Optional[Tuple[Fraction, MultiIndex]]:
-    """Smallest flip exponent above 2 with its witness, an index allowable at 2."""
-    return next(((t, alpha) for t, alpha in critical_table(d, radius) if t > 2),
-                None)
 
 
 def regularity_probe(d: DomainSpec, radius: int) -> Tuple[IndexValue, Optional[tuple]]:
@@ -291,7 +291,7 @@ def regularity_probe(d: DomainSpec, radius: int) -> Tuple[IndexValue, Optional[t
     check_radius(radius, 2)
     if structurally_p_independent(d):
         return IndexValue.unbounded(), None
-    best = _first_flip_above_two(d, radius)
+    best = next(iter(critical_slice(d, radius, 2)), None)
     if best is None:
         raise WindowTooSmall(
             f"no divergence-direction index allowable at 2 within radius "
@@ -317,7 +317,7 @@ def beta_upper(d: DomainSpec, radius: int, p_cap) -> Tuple[IndexValue, Optional[
     check_radius(radius, 2)
     if structurally_p_independent(d):
         return IndexValue.unbounded(), None
-    best = _first_flip_above_two(d, radius)
+    best = next(iter(critical_slice(d, radius, 2)), None)
     if best is None or best[0] > p_cap:
         return IndexValue.at_least(p_cap), None
     return IndexValue.exact(best[0]), best[1]

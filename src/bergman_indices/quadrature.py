@@ -43,10 +43,13 @@ share one frequency).  All sums run in a fixed order: results are bit-stable.
 
 A single monomial's moment is a product of one-dimensional axis integrals
 int u^e (1-u)^b du, and a scan of moments or ladders meets the same ones
-again and again; ``_integrate_axis`` memoizes them in an LRU of
-``AXIS_MEMO_SIZE`` = 4,096 entries, keyed on everything the rule reads, so
-every value is bit-identical to a fresh computation; the key is ints and
-floats only, e and b the reduced (num, den) pairs of ``_axis_hints``.
+again and again.  Two LRU memos of ``AXIS_MEMO_SIZE`` = 4,096 entries keep
+them, keyed on all the rule reads, so each value is bit-identical to a fresh
+one: ``_integrate_axis`` on (e, b, radial_nodes, rel_tol, max_doublings) and
+``_ladder_axis`` on (e, b, radial_nodes, pieces), e and b as (num, den).  Each
+rule is built once, read-only, in an LRU of ``RULE_CACHE_SIZE`` = 512 entries:
+``_log_piece`` on (n, j), which ``_log_rule`` joins and tensor blocks read, and
+``_mapped_rule`` on (n, k, l), k and l the map powers, behind ``_axis_rule``.
 """
 
 from __future__ import annotations
@@ -64,13 +67,14 @@ from .errors import Inconclusive, NaNOnGrid, ParseError
 from .exact import as_fraction
 
 TWO_PI = 2.0 * math.pi
+TORUS_AXIS = {Family.BALL: math.pi}  # else 2 pi; the ball's simplex map carries 1/2
 LADDER_LEVELS = 3  # cutoffs the divergence ladder reads its first verdict at
 MAX_LADDER_LEVELS = 7  # the divergence ladder's deepest cutoff, 1e-14
 STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
-#: entries of the memo of separable axis integrals: on a moment-oracle scan,
-#: 4,096 of them (about 1.3 MB) answer 78% of the calls, an unbounded memo 90%
+#: entries of each memo of separable axis integrals: on a moment-oracle scan,
+#: 4,096 answer 80% of the ladder's calls (unbounded, 90%) and 91% of the rest
 AXIS_MEMO_SIZE = 4096
-LOG_RULE_CACHE_SIZE = 128  # built log-piece rules kept; a scan meets dozens
+RULE_CACHE_SIZE = 512  # entries of each rule cache; a moment-oracle scan meets ~300
 #: largest endpoint-clearing map power; raising it is ROADMAP direction 1,
 #: since above it steep triangles' axes converge only algebraically
 MAP_POWER_CAP = 12
@@ -84,7 +88,7 @@ class QuadConfig:
     """Quadrature budgets.
 
     Each rule (a tensor block, or a box axis of a single monomial's
-    separable path) runs its base size and then up to ``max_doublings + 1``
+    ``integrate``) runs its base size and then up to ``max_doublings + 1``
     doubled sizes, stopping once two successive ones agree to ``rel_tol``
     (at every exponent, when there are several); so ``max_doublings=0``
     still doubles once.  Budgets out of range, and node counts or doublings
@@ -271,28 +275,37 @@ def _pick_power(num: int, den: int) -> int:
     return min(MAP_POWER_CAP, max(1, -(-3 * den // (num + den))))
 
 
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _mapped_rule(n: int, k: int, l: int):
+    """n-node Gauss-Legendre under the map of powers (k, l), read-only."""
+    x, w = _leggauss01(n)
+    u, du = _beta_map(x, k, l)
+    w = w * du
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def _axis_rule(n: int, e0: Tuple[int, int], e1: Tuple[int, int]):
     """Nodes/weights for int_0^1 phi(u) du with phi ~ u^e0 near 0, (1-u)^e1
     near 1, the exponents as integer pairs (num, den) in lowest terms."""
-    x, w = _leggauss01(n)
-    u, du = _beta_map(x, _pick_power(*e0), _pick_power(*e1))
-    return u, w * du
+    return _mapped_rule(n, _pick_power(*e0), _pick_power(*e1))
 
 
-@lru_cache(maxsize=LOG_RULE_CACHE_SIZE)
-def _log_rule(n: int, first: int, stop: int):
-    """n-node Gauss-Legendre in log(u) on each log piece j of an axis,
-    [10^(-2(j+1)), 10^(-2j)], first <= j < stop, deepest piece first, as
-    one read-only (nodes, weights) pair; it clears any power profile."""
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _log_piece(n: int, j: int):
+    """n-node Gauss-Legendre in log(u) on log piece j, [10^(-2(j+1)), 10^(-2j)]."""
     x, w = _leggauss01(n)
-    parts = []
-    for j in reversed(range(first, stop)):
-        a, b = math.log(10.0 ** (-2 * (j + 1))), math.log(10.0 ** (-2 * j))
-        u = np.exp(a + (b - a) * x)
-        parts.append((u, (b - a) * w * u))
-    u, w = (np.concatenate(arrays) for arrays in zip(*parts))
+    a, b = math.log(10.0 ** (-2 * (j + 1))), math.log(10.0 ** (-2 * j))
+    u = np.exp(a + (b - a) * x)
+    w = (b - a) * w * u
     u.flags.writeable = w.flags.writeable = False
     return u, w
+
+
+def _log_rule(n: int, pieces: int):
+    """Log pieces j < ``pieces``, deepest first: one rule on (10^(-2 pieces), 1)."""
+    parts = (_log_piece(n, j) for j in reversed(range(pieces)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _refine(run: Callable[[int], list], rel_tol: float,
@@ -311,48 +324,57 @@ def _refine(run: Callable[[int], list], rel_tol: float,
     return values, errs
 
 
-@lru_cache(maxsize=AXIS_MEMO_SIZE)
-def _integrate_axis(e_num: int, e_den: int, b_num: int, b_den: int,
-                    radial_nodes: int, rel_tol: float, max_doublings: int,
-                    pieces: int) -> Tuple[float, float]:
-    """(value, error) of int u^e (1-u)^b du, e = e_num/e_den and b = b_num/b_den
-    in lowest terms, over (0, 1) or with ``pieces`` over (10^(-2 pieces), 1),
-    refined under the ``QuadConfig`` budgets the rule reads; a deeply
-    divergent cutoff integral may overflow to inf, a clear growth signal.
-    Memoized (module docstring) on ints and floats, keeping no config alive."""
-    def run(k):
-        n = base_n << k
-        u, w = (_log_rule(n, 0, pieces) if pieces
-                else _axis_rule(n, (e_num, e_den), (b_num, b_den)))
-        with np.errstate(over="ignore"):
-            vals = u ** (e_num / e_den)  # int / int rounds as float(Fraction)
-            if b_num:
-                vals = vals * (1.0 - u) ** (b_num / b_den)
-            return [float(np.sum(w * vals))]
+def _axis_sum(e_num: int, e_den: int, b_num: int, b_den: int, u, w) -> float:
+    """int u^e (1-u)^b du on the rule (u, w); a divergent cutoff may overflow to inf."""
+    with np.errstate(over="ignore"):
+        vals = u ** (e_num / e_den)  # int / int rounds as float(Fraction)
+        if b_num:
+            vals = vals * (1.0 - u) ** (b_num / b_den)
+        return float(np.sum(w * vals))
 
-    # floor((k (|e| + 1) + l (|b| + 1)) / 2), k and l the map powers
-    base_n = max(radial_nodes,
-                 (_pick_power(e_num, e_den) * (abs(e_num) + e_den) * b_den
-                  + _pick_power(b_num, b_den) * (abs(b_num) + b_den) * e_den)
-                 // (2 * e_den * b_den) + 8)
-    (value,), (error,) = _refine(run, rel_tol, max_doublings)
+
+def _base_nodes(e_num: int, e_den: int, b_num: int, b_den: int, radial_nodes: int):
+    """Axis rule size floor((k (|e| + 1) + l (|b| + 1)) / 2) + 8 >= radial_nodes."""
+    return max(radial_nodes,
+               (_pick_power(e_num, e_den) * (abs(e_num) + e_den) * b_den
+                + _pick_power(b_num, b_den) * (abs(b_num) + b_den) * e_den)
+               // (2 * e_den * b_den) + 8)
+
+
+@lru_cache(maxsize=AXIS_MEMO_SIZE)
+def _integrate_axis(e_num: int, e_den: int, b_num: int, b_den: int, radial_nodes: int,
+                    rel_tol: float, max_doublings: int) -> Tuple[float, float]:
+    """(value, error) of int_0^1 u^e (1-u)^b du, e = e_num/e_den and
+    b = b_num/b_den in lowest terms, on the mapped rule refined under the
+    ``QuadConfig`` budgets it reads; memoized, keeping no config alive."""
+    e, b = (e_num, e_den), (b_num, b_den)
+    n = _base_nodes(*e, *b, radial_nodes)
+    (value,), (error,) = _refine(lambda k: [_axis_sum(*e, *b, *_axis_rule(n << k, e, b))],
+                                 rel_tol, max_doublings)
     return value, error
 
 
+@lru_cache(maxsize=AXIS_MEMO_SIZE)
+def _ladder_axis(e_num: int, e_den: int, b_num: int, b_den: int,
+                 radial_nodes: int, pieces: int) -> float:
+    """int u^e (1-u)^b du over (10^(-2 pieces), 1), base size doubled; memoized."""
+    n = _base_nodes(e_num, e_den, b_num, b_den, radial_nodes) << 1
+    return _axis_sum(e_num, e_den, b_num, b_den, *_log_rule(n, pieces))
+
+
 def _separable_moment(d: DomainSpec, coeff: complex, p: float, hints,
-                      cfg: QuadConfig, pieces: int = 0) -> IntegralResult:
+                      cfg: QuadConfig) -> IntegralResult:
     """Quadrature of |c z^alpha zbar^gamma|^p dV, the single monomial with
     coefficient ``coeff`` whose p-th power has the ``_axis_hints``
-    ``hints``, over the box or, with ``pieces``, the ladder's box cut at
-    10^(-2 pieces): a product of per-axis rules (``_integrate_axis``), times
-    2 pi per torus axis (pi on the ball, whose simplex map carries 1/2)."""
+    ``hints``: a product of per-axis rules (``_integrate_axis``), times 2 pi
+    per torus axis."""
     value, rel_err = 1.0, 0.0
     for e0, e1 in hints:
         v, e = _integrate_axis(*e0, *e1, cfg.radial_nodes, cfg.rel_tol,
-                               cfg.max_doublings, pieces)
+                               cfg.max_doublings)
         value *= v
         rel_err += e / abs(v) if v else math.inf
-    value *= (math.pi if d.family is Family.BALL else TWO_PI) ** d.dim
+    value *= TORUS_AXIS.get(d.family, TWO_PI) ** d.dim
     scale = abs(coeff) ** p
     return IntegralResult(scale * value, scale * (rel_err * abs(value)))
 
@@ -403,7 +425,7 @@ def _radial_mesh(d: DomainSpec, hints, n: int, block):
     prod r_i dr_i measure so that  integral g dV = sum weight * angular(g).
     """
     axes = ([_axis_rule(n, e0, e1) for e0, e1 in hints] if block is None
-            else [_log_rule(n, j, j + 1) for j in block])
+            else [_log_piece(n, j) for j in block])
     dim = d.dim
     shapes = [[-1 if k == i else 1 for k in range(dim)] for i in range(dim)]
     grids = [u.reshape(shape) for (u, _w), shape in zip(axes, shapes)]
@@ -593,22 +615,14 @@ def lp_norm(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> float:
     return lp_norms(d, f, [p], cfg)[0]
 
 
-@lru_cache(maxsize=16)
-def _probe_configs(cfg: QuadConfig) -> Tuple[QuadConfig, QuadConfig]:
-    """The ladder's config for ``cfg`` and its separable axes' config."""
-    probe_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6),
-                        max_doublings=min(cfg.max_doublings, 1))
-    return probe_cfg, replace(probe_cfg, max_doublings=0)
-
-
 def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> ProbeResult:
     """Corner-cutoff refinement ladder deciding finite versus divergent.
 
     The cutoffs are 1e-2, 1e-4, ...: the verdict is first read at
     ``LADDER_LEVELS`` = 3 levels, and the ladder deepens one level at a time
     while it is undecided, down to ``MAX_LADDER_LEVELS`` = 7.  A level needs
-    only ~1e-3 accuracy, so the ladder runs at ``rel_tol`` >= 1e-6 and
-    ``max_doublings`` <= 1.  The verdict is read from the p-th-power
+    only ~1e-3 accuracy, so the tensor ladder runs at ``rel_tol`` >= 1e-6
+    and ``max_doublings`` <= 1.  The verdict is read from the p-th-power
     integrals: geometric contraction of the increments means convergence
     (stable); non-contracting increments under monotone growth mean the mass
     below the cutoff does not run out (diverging); else ``Inconclusive``.
@@ -616,26 +630,29 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     The boxes nest: level L adds the blocks whose deepest log piece is piece
     L-1.  On the tensor path only those are integrated, and their sum is
     added to the previous level's, so the ladder never decreases.  A single
-    monomial takes the separable rule on each level's cut box, doubled once:
-    its base rules fit the exponents, and where they do not agree (the ball's
-    uncut u_0 -> 1 end) a 4x rule gains nothing and costs O(n^2) memory to build.
-    Its integer axis hints are built once per probe, the derived configs
-    once per ``cfg``, each level's rule once per (nodes, level), and its axis
-    integrals come from the memo (module docstring)."""
+    monomial takes the separable rule on each level's cut box, doubled once
+    (``_ladder_axis``): its base rules fit the exponents, and where they do
+    not agree (the ball's uncut u_0 -> 1 end) a 4x rule gains nothing and
+    costs O(n^2) memory to build.  The base rule is not run: its one product,
+    an error estimate, would go unread, so ``rel_tol`` and ``max_doublings``
+    do not reach it.  Axis hints are built once per probe, and axis integrals
+    and rules come from the memos (module docstring)."""
     p = as_fraction(p)
-    g = AbsPowerIntegrand(f, p)
-    probe_cfg, axis_cfg = _probe_configs(cfg)
     integrals: list = []
     separable = isinstance(f, MonomialSumIntegrand) and len(f.terms) == 1
     if separable:  # set up once; each level differs only in its piece count
-        coeff, p_float = f.terms[0][0], float(p)
-        hints = _axis_hints(d, f, p)
+        scale = abs(f.terms[0][0]) ** float(p)
+        hints, torus = _axis_hints(d, f, p), TORUS_AXIS.get(d.family, TWO_PI) ** d.dim
+    else:
+        g, probe_cfg = AbsPowerIntegrand(f, p), replace(
+            cfg, rel_tol=max(cfg.rel_tol, 1e-6), max_doublings=min(cfg.max_doublings, 1))
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):
             if separable:
-                integrals.append(_separable_moment(
-                    d, coeff, p_float, hints, axis_cfg, pieces=level + 1).value)
+                axes = (_ladder_axis(*e0, *e1, cfg.radial_nodes, level + 1)
+                        for e0, e1 in hints)
+                integrals.append(scale * (math.prod(axes, start=1.0) * torus))
                 continue
             new = [b for b in itertools.product(range(level + 1), repeat=d.dim)
                    if level in b]

@@ -542,7 +542,14 @@ def test_verify_table_has_one_pass_row_per_check(capsys):
 
 
 def test_verify_json_identical_with_cold_and_warm_axis_memo(capsys):
-    qd._integrate_axis.cache_clear()
+    """The separable memos and rule caches hold only fresh bits: a verify run
+    from empty ones prints what a run from warm ones prints."""
+    caches = ((qd._integrate_axis, qd.AXIS_MEMO_SIZE), (qd._ladder_axis, qd.AXIS_MEMO_SIZE),
+              (qd._log_piece, qd.RULE_CACHE_SIZE), (qd._mapped_rule, qd.RULE_CACHE_SIZE),
+              (qd._leggauss01, None))
+    for cache, size in caches:
+        assert cache.cache_info().maxsize == size
+        cache.cache_clear()
     outputs = [run_json(capsys, ["verify", "hartogs:1/1", "--format", "json"])
                for _ in range(2)]
     assert outputs[0][0] == 0

@@ -176,6 +176,10 @@ AGREEMENT_DOMAINS = (
     [dm.hartogs(m, n) for m in range(1, 9) for n in range(1, 10 - m)
      if math.gcd(m, n) == 1]
     + [dm.polydisc(k) for k in (1, 2, 3)] + [dm.ball(k) for k in (1, 2, 3)])
+#: triangles with a large m or n, at radii below and above m: the critical
+#: table walks only the rows alpha_1 < min(m, radius + 1)
+WIDE_RADII = {dm.hartogs(12, 1): (3, 11, 12, 13), dm.hartogs(1, 12): (1, 2, 5, 13),
+              dm.hartogs(11, 5): (4, 10, 11, 12, 16)}
 INJECTIVITY_PS = (Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4))
 WINDOW_PS = (Fraction(1), Fraction(2), Fraction(7, 2))
 
@@ -273,12 +277,13 @@ def reference_indices(d, box, flips, radius, p_cap):
     return dual, reg, beta
 
 
-@pytest.mark.parametrize("d", AGREEMENT_DOMAINS, ids=str)
+@pytest.mark.parametrize("d", AGREEMENT_DOMAINS + list(WIDE_RADII), ids=str)
 def test_lattice_queries_match_member_scans(d):
     from bergman_indices import duality_projection as dp
 
-    full_box, full_inside, full_flips = reference_lattice(d, max(AGREEMENT_RADII))
-    for radius in AGREEMENT_RADII:
+    radii = WIDE_RADII.get(d, AGREEMENT_RADII)
+    full_box, full_inside, full_flips = reference_lattice(d, max(radii))
+    for radius in radii:
         # windows nest, so each radius reads the largest box restricted to it
         box = [a for a in full_box if max(map(abs, a)) <= radius]
         flips = {a: full_flips[a] for a in box}

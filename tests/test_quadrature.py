@@ -458,9 +458,23 @@ def test_even_p_norms_match_exact_expansion():
                                 rel=1e-10)
 
 
+#: the separable path's memos, each with its bound, and its unbounded
+#: Gauss-Legendre cache
+SEPARABLE_CACHES = ((qd._integrate_axis, qd.AXIS_MEMO_SIZE),
+                    (qd._ladder_axis, qd.AXIS_MEMO_SIZE),
+                    (qd._log_piece, qd.RULE_CACHE_SIZE),
+                    (qd._mapped_rule, qd.RULE_CACHE_SIZE),
+                    (qd._leggauss01, None))
+
+
+def clear_separable_caches():
+    for cache, _size in SEPARABLE_CACHES:
+        cache.cache_clear()
+
+
 def test_axis_memo_is_bit_identical_and_bounded():
     """Single-monomial integrals and ladders read the same bits whether each
-    call starts from an empty axis memo or from a warm one."""
+    call starts from empty axis memos and rule caches or from warm ones."""
     rng = random.Random(2405)
     cases = []
     for d in (dm.polydisc(2), dm.ball(3), dm.hartogs(3, 2)):
@@ -473,7 +487,7 @@ def test_axis_memo_is_bit_identical_and_bounded():
         for d, alpha, p in cases:
             f = _monomial(alpha, d.dim)
             if clear_each:
-                qd._integrate_axis.cache_clear()
+                clear_separable_caches()
             if dm.moment_finite(d, [p * a for a in alpha]):
                 res = qd.integrate(d, qd.AbsPowerIntegrand(f, p), CFG)
                 out.append((res.value, res.error_estimate))
@@ -484,19 +498,64 @@ def test_axis_memo_is_bit_identical_and_bounded():
         return [repr(x) for x in out]
 
     cold = scan(clear_each=True)
-    qd._integrate_axis.cache_clear()
+    clear_separable_caches()
     filling = scan(clear_each=False)
-    hits = qd._integrate_axis.cache_info().hits
+    hits = [qd._integrate_axis.cache_info().hits, qd._ladder_axis.cache_info().hits]
     warm = scan(clear_each=False)
-    assert qd._integrate_axis.cache_info().hits > hits
+    assert qd._integrate_axis.cache_info().hits > hits[0]
+    assert qd._ladder_axis.cache_info().hits > hits[1]
     assert cold == filling == warm
     n_finite = sum(dm.moment_finite(d, [p * a for a in alpha])
                    for d, alpha, p in cases)
     assert 0 < n_finite < len(cases)  # finite and divergent p both met
-    info = qd._integrate_axis.cache_info()
-    assert info.maxsize is not None and info.maxsize == qd.AXIS_MEMO_SIZE
-    assert 0 < info.currsize <= info.maxsize
-    assert isinstance(qd._integrate_axis(1, 1, 0, 1, 64, 1e-9, 3, 0), tuple)
+    for cache, size in SEPARABLE_CACHES[:-1]:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.maxsize == size
+        assert 0 < info.currsize <= info.maxsize
+    assert (qd.AXIS_MEMO_SIZE, qd.RULE_CACHE_SIZE) == (4096, 512)
+    assert isinstance(qd._integrate_axis(1, 1, 0, 1, 64, 1e-9, 3), tuple)
+    assert isinstance(qd._ladder_axis(1, 1, 0, 1, 64, 3), float)
+    # the cached rules are shared, so they are read-only
+    assert not any(a.flags.writeable for a in qd._log_piece(64, 0) + qd._mapped_rule(64, 2, 3))
+
+
+def test_separable_ladder_builds_one_rule_size_per_axis_and_level(monkeypatch):
+    """Each level of a single monomial's ladder reads one rule per axis, twice
+    the axis's base size on the cut box, and builds no other: one
+    Gauss-Legendre size per axis and level, and a sequence equal bit for bit
+    to the levels summed here on ``_log_rule``."""
+    cases = [(dm.polydisc(2), (1, -1), Fraction(3)),
+             (dm.ball(3), (0, -1, 2), Fraction(5, 2)),
+             (dm.hartogs(3, 2), (2, -3), Fraction(2)),
+             (dm.hartogs(3, 2), (1, 0), Fraction(3, 2))]
+    real = qd._leggauss01
+    for d, alpha, p in cases:
+        f = _monomial(alpha, d.dim)
+        hints = qd._axis_hints(d, f, p)
+        sizes = []
+        for (e_num, e_den), (b_num, b_den) in hints:  # the base size, in Fractions
+            e, b = Fraction(e_num, e_den), Fraction(b_num, b_den)
+            lift = _fraction_pick_power(e) * (abs(e) + 1) + _fraction_pick_power(b) * (abs(b) + 1)
+            sizes.append(2 * max(CFG.radial_nodes, math.floor(lift / 2) + 8))
+        clear_separable_caches()
+        built = []
+        monkeypatch.setattr(qd, "_leggauss01", lambda n: built.append(n) or real(n))
+        probe = qd.divergence_probe(d, f, p, CFG)
+        monkeypatch.setattr(qd, "_leggauss01", real)
+        levels = len(probe.sequence)
+        assert sorted(built) == sorted(n for n in set(sizes) for _level in range(levels))
+        want = []
+        for level in range(1, levels + 1):
+            value = 1.0
+            for ((e_num, e_den), (b_num, b_den)), n in zip(hints, sizes):
+                u, w = qd._log_rule(n, level)
+                vals = u ** (e_num / e_den)
+                if b_num:
+                    vals = vals * (1.0 - u) ** (b_num / b_den)
+                value *= float(np.sum(w * vals))
+            value *= (PI if d.family is dm.Family.BALL else 2 * PI) ** d.dim
+            want.append(float(value) ** (1.0 / float(p)))
+        assert probe.sequence == tuple(want), (str(d), alpha, p)
 
 
 def _fraction_hints(d, profile):
