@@ -217,8 +217,11 @@ def projection_ratio(d: DomainSpec, alpha, gamma, p) -> ProjectionRatio:
 
 def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p,
                  cfg: Optional[QuadConfig] = None) -> float:
-    """L^p norm of a monomial sum: exact for single terms and at p = 2."""
+    """L^p norm of a monomial sum: exact for single terms and at p = 2, and 0
+    for the zero function, the empty sum."""
     p = check_exponent(p)
+    if f.is_zero():
+        return 0.0
     if len(f.terms) == 1:
         q, alpha, gamma = f.terms[0]
         mods = [a + g for a, g in zip(alpha, gamma)]
@@ -262,10 +265,10 @@ def lyapunov_check(d: DomainSpec, f: MixedMonomialSum, p, q, theta,
             raise NotIntegrable(f"test function is not in the {name}-Bergman space")
     r = 1 / ((1 - theta) / p + theta / q)
 
-    # exact moments for a single monomial, otherwise one ``lp_norms`` run:
+    # exact moments for a single monomial or none, else one ``lp_norms`` run:
     # by default the base rule, 12 radial x 8 angular nodes, doubled once
     # (the angular axes only unless every exponent is even)
-    if len(f.terms) == 1:
+    if len(f.terms) <= 1:
         nr = laurent_norm(d, f, r)
         np_, nq = laurent_norm(d, f, p), laurent_norm(d, f, q)
     else:

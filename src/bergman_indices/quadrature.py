@@ -42,14 +42,13 @@ when it is built, so its mesh carries k angular axes (none when all terms
 share one frequency).  All sums run in a fixed order: results are bit-stable.
 
 A single monomial's moment is a product of one-dimensional axis integrals
-int u^e (1-u)^b du, and a scan of moments or ladders meets the same ones
-again and again.  Two LRU memos of ``AXIS_MEMO_SIZE`` = 4,096 entries keep
-them, keyed on all the rule reads, so each value is bit-identical to a fresh
-one: ``_integrate_axis`` on (e, b, radial_nodes, rel_tol, max_doublings) and
-``_ladder_axis`` on (e, b, radial_nodes, pieces), e and b as (num, den).  Each
-rule is built once, read-only, in an LRU of ``RULE_CACHE_SIZE`` = 512 entries:
-``_log_piece`` on (n, j), which ``_log_rule`` joins and tensor blocks read, and
-``_mapped_rule`` on (n, k, l), k and l the map powers, behind ``_axis_rule``.
+int u^e (1-u)^b du, which a scan of moments or ladders meets again and
+again.  One LRU memo, ``_axis_integral``, keeps each such sum on its n-node
+rule, keyed on (e, b, n, pieces), e and b as (num, den): the mapped rule at
+pieces = 0, else the box cut at 10^(-2 pieces) on the joined log rule.
+``integrate`` refines over its hits, so no key holds a budget.  Each rule is
+built once, read-only: ``_mapped_rule`` on (n, k, l), k and l the map powers,
+and ``_log_rule`` on (n, pieces), built on its rule of one piece fewer.
 """
 
 from __future__ import annotations
@@ -71,9 +70,9 @@ TORUS_AXIS = {Family.BALL: math.pi}  # else 2 pi; the ball's simplex map carries
 LADDER_LEVELS = 3  # cutoffs the divergence ladder reads its first verdict at
 MAX_LADDER_LEVELS = 7  # the divergence ladder's deepest cutoff, 1e-14
 STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
-#: entries of each memo of separable axis integrals: on a moment-oracle scan,
-#: 4,096 answer 80% of the ladder's calls (unbounded, 90%) and 91% of the rest
-AXIS_MEMO_SIZE = 4096
+#: entries of the memo of separable axis sums: on a moment-oracle scan,
+#: 8,192 answer 85% of its calls (4,096: 77%; unbounded: 90%, in 21,533)
+AXIS_MEMO_SIZE = 8192
 RULE_CACHE_SIZE = 512  # entries of each rule cache; a moment-oracle scan meets ~300
 #: largest endpoint-clearing map power; raising it is ROADMAP direction 1,
 #: since above it steep triangles' axes converge only algebraically
@@ -238,29 +237,22 @@ def _leggauss01(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-@lru_cache(maxsize=None)
-def _beta_map_coeffs(k: int, l: int):
-    """Ascending coefficients of u = I_x(k, l) (a degree k+l-1 polynomial),
-    each the correctly rounded float of the exact rational."""
+def _beta_map(x: np.ndarray, k: int, l: int):
+    """Evaluate the endpoint-clearing map u = I_x(k, l), a degree k+l-1
+    polynomial with each coefficient the correctly rounded float of the exact
+    rational, and its derivative at GL nodes."""
+    if k == 1 and l == 1:
+        return x, np.ones_like(x)
+    if l == 1:
+        return x ** k, k * x ** (k - 1)
     # d/dx I_x(k,l) = x^(k-1) (1-x)^(l-1) / B(k,l), and 1/B(k,l) is an integer
     inv_b = math.factorial(k + l - 1) // (math.factorial(k - 1) * math.factorial(l - 1))
     coeffs = np.zeros(k + l)
     for j in range(l):
         coeffs[k + j] = (-1) ** j * math.comb(l - 1, j) * inv_b / (k + j)
-    return coeffs
-
-
-def _beta_map(x: np.ndarray, k: int, l: int):
-    """Evaluate the endpoint-clearing map and its derivative at GL nodes."""
-    if k == 1 and l == 1:
-        return x, np.ones_like(x)
-    if l == 1:
-        return x ** k, k * x ** (k - 1)
-    coeffs = _beta_map_coeffs(k, l)
     u = np.polynomial.polynomial.polyval(x, coeffs)
     np.clip(u, 0.0, 1.0, out=u)  # round-off can overshoot the endpoints
-    inv_b = coeffs[k] * k  # leading derivative normalization, = 1/B(k,l)
-    du = inv_b * x ** (k - 1) * (1.0 - x) ** (l - 1)
+    du = coeffs[k] * k * x ** (k - 1) * (1.0 - x) ** (l - 1)  # coeffs[k] k = 1/B(k,l)
     return u, du
 
 
@@ -291,21 +283,23 @@ def _axis_rule(n: int, e0: Tuple[int, int], e1: Tuple[int, int]):
     return _mapped_rule(n, _pick_power(*e0), _pick_power(*e1))
 
 
-@lru_cache(maxsize=RULE_CACHE_SIZE)
 def _log_piece(n: int, j: int):
     """n-node Gauss-Legendre in log(u) on log piece j, [10^(-2(j+1)), 10^(-2j)]."""
     x, w = _leggauss01(n)
     a, b = math.log(10.0 ** (-2 * (j + 1))), math.log(10.0 ** (-2 * j))
     u = np.exp(a + (b - a) * x)
-    w = (b - a) * w * u
+    return u, (b - a) * w * u
+
+
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _log_rule(n: int, pieces: int):
+    """Log pieces j < ``pieces``, deepest first: one read-only rule on
+    (10^(-2 pieces), 1), the new piece joined to the rule of one piece fewer."""
+    u, w = _log_piece(n, pieces - 1)
+    if pieces > 1:
+        u, w = map(np.concatenate, zip((u, w), _log_rule(n, pieces - 1)))
     u.flags.writeable = w.flags.writeable = False
     return u, w
-
-
-def _log_rule(n: int, pieces: int):
-    """Log pieces j < ``pieces``, deepest first: one rule on (10^(-2 pieces), 1)."""
-    parts = (_log_piece(n, j) for j in reversed(range(pieces)))
-    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _refine(run: Callable[[int], list], rel_tol: float,
@@ -342,40 +336,38 @@ def _base_nodes(e_num: int, e_den: int, b_num: int, b_den: int, radial_nodes: in
 
 
 @lru_cache(maxsize=AXIS_MEMO_SIZE)
-def _integrate_axis(e_num: int, e_den: int, b_num: int, b_den: int, radial_nodes: int,
-                    rel_tol: float, max_doublings: int) -> Tuple[float, float]:
-    """(value, error) of int_0^1 u^e (1-u)^b du, e = e_num/e_den and
-    b = b_num/b_den in lowest terms, on the mapped rule refined under the
-    ``QuadConfig`` budgets it reads; memoized, keeping no config alive."""
-    e, b = (e_num, e_den), (b_num, b_den)
-    n = _base_nodes(*e, *b, radial_nodes)
-    (value,), (error,) = _refine(lambda k: [_axis_sum(*e, *b, *_axis_rule(n << k, e, b))],
-                                 rel_tol, max_doublings)
-    return value, error
+def _axis_integral(e_num: int, e_den: int, b_num: int, b_den: int, n: int,
+                   pieces: int) -> float:
+    """int u^e (1-u)^b du, e = e_num/e_den and b = b_num/b_den in lowest
+    terms, on the n-node mapped rule (``pieces`` = 0) or, over
+    (10^(-2 pieces), 1), on the n-node joined log rule; memoized."""
+    rule = (_log_rule(n, pieces) if pieces
+            else _axis_rule(n, (e_num, e_den), (b_num, b_den)))
+    return _axis_sum(e_num, e_den, b_num, b_den, *rule)
 
 
-@lru_cache(maxsize=AXIS_MEMO_SIZE)
-def _ladder_axis(e_num: int, e_den: int, b_num: int, b_den: int,
-                 radial_nodes: int, pieces: int) -> float:
-    """int u^e (1-u)^b du over (10^(-2 pieces), 1), base size doubled; memoized."""
-    n = _base_nodes(e_num, e_den, b_num, b_den, radial_nodes) << 1
-    return _axis_sum(e_num, e_den, b_num, b_den, *_log_rule(n, pieces))
+def _separable(d: DomainSpec, f, p, radial_nodes: int):
+    """(|c|^p, torus factor, axes) of |f|^p dV for a single monomial f with
+    coefficient c, an axis being its ``_axis_hints`` pair joined into one
+    tuple and its base rule size; None for any other f."""
+    if not (isinstance(f, MonomialSumIntegrand) and len(f.terms) == 1):
+        return None
+    axes = [(e0 + e1, _base_nodes(*e0, *e1, radial_nodes))
+            for e0, e1 in _axis_hints(d, f, p)]
+    return abs(f.terms[0][0]) ** float(p), TORUS_AXIS.get(d.family, TWO_PI) ** d.dim, axes
 
 
-def _separable_moment(d: DomainSpec, coeff: complex, p: float, hints,
-                      cfg: QuadConfig) -> IntegralResult:
-    """Quadrature of |c z^alpha zbar^gamma|^p dV, the single monomial with
-    coefficient ``coeff`` whose p-th power has the ``_axis_hints``
-    ``hints``: a product of per-axis rules (``_integrate_axis``), times 2 pi
-    per torus axis."""
+def _separable_moment(scale: float, torus: float, axes, cfg: QuadConfig) -> IntegralResult:
+    """Quadrature of |c z^alpha zbar^gamma|^p dV from its ``_separable`` set-up:
+    a product of per-axis mapped rules, each refined over ``_axis_integral``,
+    times the torus factor."""
     value, rel_err = 1.0, 0.0
-    for e0, e1 in hints:
-        v, e = _integrate_axis(*e0, *e1, cfg.radial_nodes, cfg.rel_tol,
-                               cfg.max_doublings)
+    for e, n in axes:
+        (v,), (err,) = _refine(lambda k: [_axis_integral(*e, n << k, 0)],
+                               cfg.rel_tol, cfg.max_doublings)
         value *= v
-        rel_err += e / abs(v) if v else math.inf
-    value *= TORUS_AXIS.get(d.family, TWO_PI) ** d.dim
-    scale = abs(coeff) ** p
+        rel_err += err / abs(v) if v else math.inf
+    value *= torus
     return IntegralResult(scale * value, scale * (rel_err * abs(value)))
 
 
@@ -574,10 +566,9 @@ def integrate(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig = QuadConfig(
     """
     if not isinstance(g, AbsPowerIntegrand):
         raise TypeError(f"integrate takes an AbsPowerIntegrand, not {type(g).__name__}")
-    if isinstance(g.base, MonomialSumIntegrand) and len(g.base.terms) == 1:
-        coeff = g.base.terms[0][0]
-        results = [_separable_moment(d, coeff, float(p), _axis_hints(d, g.base, p), cfg)
-                   for p in g.ps]
+    setups = [_separable(d, g.base, p, cfg.radial_nodes) for p in g.ps]
+    if setups[0]:
+        results = [_separable_moment(*setup, cfg) for setup in setups]
     else:
         results = [IntegralResult(v, e) for v, e in zip(*_block_sum(d, g, cfg))]
     return results if g.several else results[0]
@@ -630,29 +621,26 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     The boxes nest: level L adds the blocks whose deepest log piece is piece
     L-1.  On the tensor path only those are integrated, and their sum is
     added to the previous level's, so the ladder never decreases.  A single
-    monomial takes the separable rule on each level's cut box, doubled once
-    (``_ladder_axis``): its base rules fit the exponents, and where they do
+    monomial takes the separable rule on each level's cut box at twice each
+    axis's base size: its base rules fit the exponents, and where they do
     not agree (the ball's uncut u_0 -> 1 end) a 4x rule gains nothing and
     costs O(n^2) memory to build.  The base rule is not run: its one product,
     an error estimate, would go unread, so ``rel_tol`` and ``max_doublings``
-    do not reach it.  Axis hints are built once per probe, and axis integrals
-    and rules come from the memos (module docstring)."""
+    do not reach it.  The ``_separable`` set-up is built once per probe, and
+    axis sums and rules come from the memos (module docstring)."""
     p = as_fraction(p)
     integrals: list = []
-    separable = isinstance(f, MonomialSumIntegrand) and len(f.terms) == 1
-    if separable:  # set up once; each level differs only in its piece count
-        scale = abs(f.terms[0][0]) ** float(p)
-        hints, torus = _axis_hints(d, f, p), TORUS_AXIS.get(d.family, TWO_PI) ** d.dim
-    else:
+    separable = _separable(d, f, p, cfg.radial_nodes)  # levels differ in pieces only
+    if not separable:
         g, probe_cfg = AbsPowerIntegrand(f, p), replace(
             cfg, rel_tol=max(cfg.rel_tol, 1e-6), max_doublings=min(cfg.max_doublings, 1))
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):
             if separable:
-                axes = (_ladder_axis(*e0, *e1, cfg.radial_nodes, level + 1)
-                        for e0, e1 in hints)
-                integrals.append(scale * (math.prod(axes, start=1.0) * torus))
+                scale, torus, axes = separable
+                sums = (_axis_integral(*e, n << 1, level + 1) for e, n in axes)
+                integrals.append(scale * (math.prod(sums, start=1.0) * torus))
                 continue
             new = [b for b in itertools.product(range(level + 1), repeat=d.dim)
                    if level in b]

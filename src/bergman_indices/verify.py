@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,15 +104,12 @@ def _oracle_case(d: DomainSpec, alpha, p, m: dm.Moment):
                                    for a, b in itertools.pairwise(probe.sequence))
 
 
-def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
-                     moment_fn: Optional[Callable] = None) -> List[CheckResult]:
+def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick") -> List[CheckResult]:
     """Exact moments versus quadrature on the lattice window and p grid.
 
     Finite moments must match to ``ORACLE_REL_TOL`` relative error; divergent
-    verdicts must be confirmed by the corner-cutoff ladder.  ``moment_fn``
-    exists so a corrupted formula can be injected as a negative control.
+    verdicts must be confirmed by the corner-cutoff ladder.
     """
-    moment_fn = moment_fn or dm.moment
     size = SIZES[level]
     out = []
     for d in doms:
@@ -122,7 +119,7 @@ def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick",
         box = range(-size.moment_radius, size.moment_radius + 1)
         for alpha in itertools.product(box, repeat=d.dim):
             for p in size.moment_ps:
-                m = moment_fn(d, alpha, p)
+                m = dm.moment(d, alpha, p)
                 case = _oracle_case(d, alpha, p, m)
                 if m.is_finite:
                     n_fin += 1
@@ -605,8 +602,7 @@ class VerifySummary:
 
 
 def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
-               seed: int = 20240901,
-               moment_fn: Optional[Callable] = None) -> VerifySummary:
+               seed: int = 20240901) -> VerifySummary:
     """Run the bootstrap oracle, then every entry of ``CHECKS``.
 
     The checks are skipped when the bootstrap fails: nothing that depends on
@@ -620,7 +616,7 @@ def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
     for d in doms:
         ix.check_radius(size.kernel_radius, dim=d.dim)
         ix.check_radius(size.moment_radius, dim=d.dim)
-    results = bootstrap_oracle(doms, level, moment_fn=moment_fn)
+    results = bootstrap_oracle(doms, level)
     if not all(r.passed for r in results):
         return VerifySummary(results, False, True)
     rng = np.random.default_rng(seed)

@@ -479,15 +479,17 @@ def test_exact_and_float_renderings_agree(capsys):
         float(coeff) * math.pi ** float(pi_power), rel=1e-12)
 
 
-def test_verify_negative_control():
+def test_verify_negative_control(monkeypatch):
     """A corrupted moment formula must break the bootstrap and abort."""
     def corrupt(d, alpha, p):
-        m = dm.moment(d, alpha, p)
+        m = real_moment(d, alpha, p)
         if m.is_finite:
             return dm.Moment(m.value * 1.001)
         return m
 
-    summary = vf.run_verify([dm.polydisc(1)], level="quick", moment_fn=corrupt)
+    real_moment = dm.moment
+    monkeypatch.setattr(vf.dm, "moment", corrupt)
+    summary = vf.run_verify([dm.polydisc(1)], level="quick")
     assert not summary.ok
     assert summary.aborted and not summary.bootstrap_ok
 
@@ -541,15 +543,9 @@ def test_verify_table_has_one_pass_row_per_check(capsys):
     assert overall == "overall: PASS"
 
 
-def test_verify_json_identical_with_cold_and_warm_axis_memo(capsys):
-    """The separable memos and rule caches hold only fresh bits: a verify run
-    from empty ones prints what a run from warm ones prints."""
-    caches = ((qd._integrate_axis, qd.AXIS_MEMO_SIZE), (qd._ladder_axis, qd.AXIS_MEMO_SIZE),
-              (qd._log_piece, qd.RULE_CACHE_SIZE), (qd._mapped_rule, qd.RULE_CACHE_SIZE),
-              (qd._leggauss01, None))
-    for cache, size in caches:
-        assert cache.cache_info().maxsize == size
-        cache.cache_clear()
+def test_verify_json_identical_with_cold_and_warm_axis_memo(capsys, clear_separable_caches):
+    """The separable axis memo and rule caches hold only fresh bits: a verify
+    run from empty ones prints what a run from warm ones prints."""
     outputs = [run_json(capsys, ["verify", "hartogs:1/1", "--format", "json"])
                for _ in range(2)]
     assert outputs[0][0] == 0

@@ -171,6 +171,22 @@ def test_laurent_norm_exact_paths():
     assert dp.laurent_norm(H11, two_term, 2) == pytest.approx(exact2, rel=1e-14)
 
 
+def test_zero_function_has_norm_zero():
+    """The projection of z-bar on the disc is the empty sum, the zero
+    function: its norm is 0 at every p and both inequalities hold with 0."""
+    d = dm.polydisc(1)
+    zero = dp.project(d, dp.MixedMonomialSum.monomial(1, (0,), (1,)))
+    one = dp.laurent([(1, (0,))])
+    assert zero.is_zero()
+    for p in (Fraction(3, 2), 2, 3, 4):
+        assert dp.laurent_norm(d, zero, p) == 0.0
+    chk = dp.lyapunov_check(d, zero, 3, Fraction(3, 2), Fraction(1, 2))
+    assert chk.holds and chk.lhs == chk.rhs == 0.0
+    for f, g in ((zero, one), (one, zero)):
+        chk = dp.holder_check(d, f, g, 3)
+        assert chk.holds and chk.lhs == chk.rhs == 0.0
+
+
 def test_lyapunov_single_monomial_and_constant():
     chk = dp.lyapunov_check(H11, dp.MixedMonomialSum.monomial(1, (1, -1)),
                             3, Fraction(3, 2), Fraction(1, 2))

@@ -191,6 +191,33 @@ def test_separable_path_refines_to_budget():
             == qd.integrate(H11, g, qd.QuadConfig(max_doublings=0)))
 
 
+def test_other_budgets_on_the_same_rules_reuse_every_axis_sum(monkeypatch,
+                                                              clear_separable_caches):
+    """The axis memo holds no budget: a second ``integrate`` of a monomial
+    under another ``rel_tol`` or ``max_doublings`` that runs the same rule
+    sizes computes no axis sum, and reads the bits of a cold run."""
+    g = qd.AbsPowerIntegrand(_monomial((1, -1), 2), 3)  # exact maps: stop at 2n
+    budgets = [CFG, qd.QuadConfig(max_doublings=0), qd.QuadConfig(rel_tol=1e-6),
+               qd.QuadConfig(rel_tol=1e-12, max_doublings=5)]
+
+    def run(cfg):
+        res = qd.integrate(H11, g, cfg)
+        return repr((res.value, res.error_estimate))
+
+    cold = []
+    for cfg in budgets:
+        clear_separable_caches()
+        cold.append(run(cfg))
+    clear_separable_caches()
+    sums, axis_sum = [], qd._axis_sum
+    monkeypatch.setattr(qd, "_axis_sum", lambda *args: sums.append(args) or axis_sum(*args))
+    warm = [run(budgets[0])]
+    assert len(sums) == 4  # two axes, each at n and 2n nodes
+    warm += [run(cfg) for cfg in budgets[1:]]
+    assert len(sums) == 4
+    assert warm == cold
+
+
 def test_pass_bound_refuses_a_mesh_before_evaluating_it(monkeypatch):
     f = qd.MonomialSumIntegrand([(1.0, (0, 0), (0, 0)), (0.5, (1, 0), (0, 0))])
     g = qd.AbsPowerIntegrand(f, 3)
@@ -458,23 +485,9 @@ def test_even_p_norms_match_exact_expansion():
                                 rel=1e-10)
 
 
-#: the separable path's memos, each with its bound, and its unbounded
-#: Gauss-Legendre cache
-SEPARABLE_CACHES = ((qd._integrate_axis, qd.AXIS_MEMO_SIZE),
-                    (qd._ladder_axis, qd.AXIS_MEMO_SIZE),
-                    (qd._log_piece, qd.RULE_CACHE_SIZE),
-                    (qd._mapped_rule, qd.RULE_CACHE_SIZE),
-                    (qd._leggauss01, None))
-
-
-def clear_separable_caches():
-    for cache, _size in SEPARABLE_CACHES:
-        cache.cache_clear()
-
-
-def test_axis_memo_is_bit_identical_and_bounded():
+def test_axis_memo_is_bit_identical_and_bounded(clear_separable_caches):
     """Single-monomial integrals and ladders read the same bits whether each
-    call starts from empty axis memos and rule caches or from warm ones."""
+    call starts from an empty axis memo and rule caches or from warm ones."""
     rng = random.Random(2405)
     cases = []
     for d in (dm.polydisc(2), dm.ball(3), dm.hartogs(3, 2)):
@@ -500,25 +513,25 @@ def test_axis_memo_is_bit_identical_and_bounded():
     cold = scan(clear_each=True)
     clear_separable_caches()
     filling = scan(clear_each=False)
-    hits = [qd._integrate_axis.cache_info().hits, qd._ladder_axis.cache_info().hits]
+    hits = qd._axis_integral.cache_info().hits
     warm = scan(clear_each=False)
-    assert qd._integrate_axis.cache_info().hits > hits[0]
-    assert qd._ladder_axis.cache_info().hits > hits[1]
+    assert qd._axis_integral.cache_info().hits > hits
     assert cold == filling == warm
     n_finite = sum(dm.moment_finite(d, [p * a for a in alpha])
                    for d, alpha, p in cases)
     assert 0 < n_finite < len(cases)  # finite and divergent p both met
-    for cache, size in SEPARABLE_CACHES[:-1]:
+    for cache in (qd._axis_integral, qd._mapped_rule, qd._log_rule):
         info = cache.cache_info()
-        assert info.maxsize is not None and info.maxsize == size
-        assert 0 < info.currsize <= info.maxsize
-    assert isinstance(qd._integrate_axis(1, 1, 0, 1, 64, 1e-9, 3), tuple)
-    assert isinstance(qd._ladder_axis(1, 1, 0, 1, 64, 3), float)
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    assert isinstance(qd._axis_integral(1, 1, 0, 1, 64, 0), float)
+    assert isinstance(qd._axis_integral(1, 1, 0, 1, 64, 3), float)
     # the cached rules are shared, so they are read-only
-    assert not any(a.flags.writeable for a in qd._log_piece(64, 0) + qd._mapped_rule(64, 2, 3))
+    assert not any(a.flags.writeable for a in qd._log_rule(64, 1) + qd._log_rule(64, 3)
+                   + qd._mapped_rule(64, 2, 3))
 
 
-def test_separable_ladder_builds_one_rule_size_per_axis_and_level(monkeypatch):
+def test_separable_ladder_builds_one_rule_size_per_axis_and_level(monkeypatch,
+                                                                  clear_separable_caches):
     """Each level of a single monomial's ladder reads one rule per axis, twice
     the axis's base size on the cut box, and builds no other: one
     Gauss-Legendre size per axis and level, and a sequence equal bit for bit
