@@ -10,8 +10,11 @@ argv.  The argvs are quick and full ``verify --format json``, the ball
 ``probe`` at alpha = (1000, 1000) and every ``kernel ... --pnorm`` argv that
 CHANGES.md names; two of those pass flags that no longer exist and exit 2.
 The last line is ``all: <sha256>`` over the lines before it, so two
-checkouts print the same outputs when their last lines agree.  Nothing under
-``bench/`` is read.  One run takes about two minutes on two cores.
+checkouts print the same outputs when their last lines agree.  On stderr,
+one line per argv gives its wall time and its peak resident set size (the
+``ru_maxrss`` of ``os.wait4`` on the child), which the digests leave out.
+Nothing under ``bench/`` is read.  One run takes about two minutes on two
+cores.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
+import threading
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,12 +55,26 @@ ARGVS = [
 
 
 def digest_line(argv: list, env: dict) -> str:
-    """``<stdout sha256> exit <code> stderr <sha256>  <argv>`` for one run."""
-    proc = subprocess.run([sys.executable, "-m", "bergman_indices.cli", *argv],
-                          capture_output=True, env=env, timeout=900)
-    stderr = b"".join(line for line in proc.stderr.splitlines(keepends=True)
+    """``<stdout sha256> exit <code> stderr <sha256>  <argv>`` for one run,
+    whose wall time and peak RSS go to stderr; a run is killed after 900 s."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "bergman_indices.cli", *argv],
+                                stdout=out, stderr=err, env=env)
+        timer = threading.Timer(900, proc.kill)
+        timer.start()
+        _pid, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        timer.cancel()
+        wall = time.perf_counter() - start
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
+    print(f"{wall:8.2f} s {usage.ru_maxrss / 1024:8.1f} MB  {' '.join(argv)}",
+          file=sys.stderr, flush=True)
+    stderr = b"".join(line for line in stderr.splitlines(keepends=True)
                       if not line.startswith(b"elapsed_ms="))
-    return (f"{hashlib.sha256(proc.stdout).hexdigest()} exit {proc.returncode} "
+    return (f"{hashlib.sha256(stdout).hexdigest()} exit {proc.returncode} "
             f"stderr {hashlib.sha256(stderr).hexdigest()}  {' '.join(argv)}")
 
 

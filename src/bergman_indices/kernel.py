@@ -127,13 +127,8 @@ def _power(v, e: int):
 
 
 def _closed_form(d: DomainSpec, xs):
-    """Resummed kernel on the products x_i = w_i conj(z_i) (module docstring).
-
-    Complex numbers or arrays that broadcast.  On the triangle at most two
-    and a half blocks of the full shape are alive at once: factors in y alone
-    keep the shape of y, and the numerator and denominator are built in
-    place.
-    """
+    """Resummed kernel on the products x_i = w_i conj(z_i) (module docstring),
+    complex numbers or arrays that broadcast."""
     if d.family is Family.POLYDISC:
         value = 1.0
         for x in xs:
@@ -144,35 +139,24 @@ def _closed_form(d: DomainSpec, xs):
                 * (1.0 - sum(xs)) ** (-(d.dim + 1)))
     m, n = d.m, d.n
     x, y = xs
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     y_n, x_m = _power(y, n), _power(x, m)
 
     def coefficient(r):
-        """B_r ((r+1) y^n + (m-r-1) x^m) for r < m-1, as a new full block."""
+        """B_r ((r+1) y^n + (m-r-1) x^m) for r < m-1."""
         c = -(-n * (r + 1) // m)
         k = n * (r + 1) + m * (1 - c)
         b = _power(y, n - c) * (k + (m - k) * y)
-        out = np.multiply(y_n, r + 1, out=np.empty(shape, dtype=complex))
-        out += (m - r - 1) * x_m
-        out *= b
-        return out
+        return (y_n * (r + 1) + (m - r - 1) * x_m) * b
 
     # times y^(2n), the numerator is  sum_r x^r B_r ((r+1) y^n + (m-r-1) x^m)
     # with B_r = y^(n-c_r) (k_r + (m-k_r) y), where B_(m-1) = m, and the
-    # denominator is  pi^2 m (1-y)^2 (y^n - x^m)^2.  Horner in x, in place
-    # once the sum has the full shape.
+    # denominator is  pi^2 m (1-y)^2 (y^n - x^m)^2, in Horner form in x.
+    # numpy divides: Python's complex division rounds differently
     total = m * m * y_n
     for r in reversed(range(m - 1)):
-        if np.shape(total) == shape:
-            total *= x
-        else:
-            total = total * x
-        total += coefficient(r)
-    den = math.pi ** 2 * m * (1.0 - y) ** 2
-    s = np.asarray(y_n - x_m)
-    s *= s
-    s *= den
-    return np.divide(total, s, out=s)
+        total = total * x + coefficient(r)
+    s = y_n - x_m
+    return np.divide(total, s * s * (math.pi ** 2 * m * (1.0 - y) ** 2))
 
 
 @_in_float_range

@@ -32,7 +32,9 @@ trigonometric polynomials below the node count, and |f|^p is one only for
 even p (at several exponents, only if all are).  One loop, ``_refine``,
 doubles every rule until two successive ones agree to ``rel_tol``: each
 separable axis and each tensor block, whose mesh sums take |f| once per
-chunk and raise it to each exponent p.
+chunk and raise it to each exponent p.  Chunks of about 2M points fix the
+order of every sum; each is filled in slabs of ``SLAB_POINTS``, which bound a
+pass's temporaries and leave every bit as it is.
 |sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
 differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
 basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
@@ -80,6 +82,9 @@ MAP_POWER_CAP = 12
 #: most mesh points of one tensor pass: the largest known to converge has
 #: 1.07e9 (kernel p = 7/2 on H(1,1)); its next doubling, 1.7e10, runs minutes
 MAX_PASS_POINTS = 2 ** 31
+#: most mesh points evaluated at once: a pass's complex temporaries stay a few
+#: MB, cache-sized, while its chunks (about 2M points) fix the order of its sums
+SLAB_POINTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,7 @@ class MonomialSumIntegrand:
             self.angular_bandwidth = tuple(max(c) - min(c) for c in zip(*self._coords))
 
     def eval_polar(self, radii, thetas):
-        shape = np.broadcast_shapes(
-            *(np.shape(r) for r in radii), *(np.shape(t) for t in thetas))
-        out = np.zeros(shape, dtype=complex)
+        out = None
         for (c, alpha, gamma), coords in zip(self.terms, self._coords):
             term = c  # radial factors first: they are small blocks
             for r, a, g in zip(radii, alpha, gamma):
@@ -175,7 +178,7 @@ class MonomialSumIntegrand:
             for t, f in zip(thetas, coords):
                 if f:
                     term = term * np.exp(1j * f * t)
-            out += term
+            out = term if out is None else out + term
         return out
 
 
@@ -222,8 +225,8 @@ class AbsPowerIntegrand:
         vals = np.abs(self.base.eval_polar(radii, thetas))
         # divergent probes may overflow to inf; the ladder reads that as growth
         with np.errstate(over="ignore"):
-            if len(self.ps) == 1:  # in place: the complex block is freed first
-                return [np.power(vals, float(self.p), out=vals)]
+            if len(self.ps) == 1:
+                return [np.power(vals, float(self.p))]
             return [vals ** float(p) for p in self.ps]
 
 
@@ -504,16 +507,51 @@ def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block):
             yield r_slice, angles, w_slice
 
 
+def _slabs(shape):
+    """Index tuples that tile a C-ordered array of ``shape`` in order, in runs
+    of whole rows of the first axis of at most ``SLAB_POINTS`` points; a row
+    larger than that is split likewise on the next axis, and so on."""
+    axis = 0
+    while axis < len(shape) - 1 and math.prod(shape[axis + 1:]) > SLAB_POINTS:
+        axis += 1
+    step = max(1, SLAB_POINTS // math.prod(shape[axis + 1:]))
+    for lead in itertools.product(*map(range, shape[:axis])):
+        for start in range(0, shape[axis], step):
+            yield tuple(slice(i, i + 1) for i in lead) + (slice(start, start + step),)
+
+
+def _chunk_values(g: AbsPowerIntegrand, radii, angles, weight) -> list:
+    """weight * |f|^p on one mesh chunk, one array per exponent, in the shape
+    of the chunk's mesh; a chunk of more than ``SLAB_POINTS`` points is filled
+    slab by slab.  Element-wise ufuncs round each point alike on any slab."""
+    mesh = np.broadcast(weight, *radii, *angles)
+    if mesh.size <= SLAB_POINTS:
+        return [weight * v for v in g.powers(radii, angles)]
+    shape = mesh.shape
+
+    def cut(a, idx):  # a broadcasts over the mesh: slice its axes of size > 1
+        lead = len(shape) - a.ndim
+        return a[tuple(s if n > 1 else slice(None) for s, n in zip(idx[lead:], a.shape))]
+
+    values = [np.empty(shape) for _p in g.ps]
+    for idx in _slabs(shape):
+        powers = g.powers([cut(r, idx) for r in radii], [cut(t, idx) for t in angles])
+        w = cut(weight, idx)
+        for out, v in zip(values, powers):
+            np.multiply(w, v, out=out[idx])
+    return values
+
+
 def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
                       ang_counts, block) -> list:
-    """Mesh sums of ``g``, one per exponent."""
+    """Mesh sums of ``g``, one per exponent: one ``np.sum`` per chunk."""
     totals = [0.0] * len(g.ps)
     for radii, angles, weight in _mesh_blocks(d, hints, n_radial, ang_counts, block):
         # the chunk's values die with this statement, before the next chunk;
         # an overflowed value times a zero weight is NaN, raised as NaNOnGrid
         with np.errstate(invalid="ignore", over="ignore"):
-            totals = [t + float(np.sum(weight * v))
-                      for t, v in zip(totals, g.powers(radii, angles))]
+            totals = [t + float(np.sum(v))
+                      for t, v in zip(totals, _chunk_values(g, radii, angles, weight))]
     # trapezoid weight of the angular mesh, times 2 pi per unseen angle
     ang_w = (math.prod(TWO_PI / m_i for m_i in ang_counts)
              * TWO_PI ** (d.dim - len(ang_counts)))

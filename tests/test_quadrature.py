@@ -4,12 +4,14 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bergman_indices import domains as dm
+from bergman_indices import kernel as kn
 from bergman_indices import quadrature as qd
 from bergman_indices.errors import Inconclusive, NaNOnGrid, ParseError
 
@@ -174,6 +176,87 @@ def test_mesh_blocks_split_the_angles_of_an_oversized_row():
     for row in range(32):  # per radial row, the angle slices tile the first axis
         pair = chunks[2 * row:2 * row + 2]
         assert np.array_equal(np.concatenate([a[0].ravel() for _r, a, _w in pair]), full)
+
+
+def _whole_chunk_sums(d, g, n_radial, ang_counts, block):
+    """The tensor pass with each chunk of ``_mesh_blocks`` evaluated whole:
+    one ``weight * v`` per chunk and exponent, as before slabs."""
+    hints = qd._axis_hints(d, g.base, g.p)
+    totals = [0.0] * len(g.ps)
+    for radii, angles, weight in qd._mesh_blocks(d, hints, n_radial, ang_counts, block):
+        with np.errstate(invalid="ignore", over="ignore"):
+            totals = [t + float(np.sum(weight * v))
+                      for t, v in zip(totals, g.powers(radii, angles))]
+    ang_w = (math.prod(2 * PI / m for m in ang_counts)
+             * (2 * PI) ** (d.dim - len(ang_counts)))
+    return [t * ang_w for t in totals]
+
+
+def _first_slabs(d, g, n_radial, ang_counts, block):
+    """The slab index tuples of the first chunk of the mesh."""
+    hints = qd._axis_hints(d, g.base, g.p)
+    radii, angles, weight = next(qd._mesh_blocks(d, hints, n_radial, ang_counts, block))
+    return list(qd._slabs(np.broadcast_shapes(
+        *(a.shape for a in (weight, *radii, *angles)))))
+
+
+def _slab_case(name):
+    """(domain, integrand, radial nodes, angular counts, block) of a slab test."""
+    laurent = qd.MonomialSumIntegrand([(1.0, (0, -1), (0, 0)), (0.7j, (2, 2), (0, 0))])
+    if name == "two-term sum":  # 128 x 128 x 32: slabs of 8 rows on axis 0
+        return H11, qd.AbsPowerIntegrand(laurent, Fraction(5, 2)), 128, [32], None
+    if name == "lyapunov":
+        ps = [Fraction(140, 59), Fraction(5, 2), Fraction(7, 4)]
+        return H11, qd.AbsPowerIntegrand(laurent, ps), 64, [32], None
+    if name == "kernel":  # rows of 16 x 64 x 64 points: split on the second axis
+        section = kn._kernel_integrand(dm.hartogs(2, 1), (0.05, 0.5))
+        return dm.hartogs(2, 1), qd.AbsPowerIntegrand(section, 3), 16, [64, 64], (0, 0)
+    # the mesh of test_mesh_blocks_split_the_angles_of_an_oversized_row
+    f = qd.MonomialSumIntegrand([(1.0, (0, 0), (0, 0)), (0.5, (1, 0), (0, 0)),
+                                 (0.25j, (0, 1), (0, 0))])
+    return dm.polydisc(2), qd.AbsPowerIntegrand(f, Fraction(3, 2)), 32, [256, 256], None
+
+
+@pytest.mark.parametrize("name, split_axis", [("two-term sum", 0), ("lyapunov", 0),
+                                              ("kernel", 1), ("angle-split", 2)])
+def test_slabs_keep_every_bit_of_whole_chunk_sums(name, split_axis, monkeypatch):
+    d, g, n, ang_counts, block = _slab_case(name)
+    if name == "angle-split":  # the first radial row: two chunks of 1M points
+        chunks = qd._mesh_blocks
+        monkeypatch.setattr(qd, "_mesh_blocks",
+                            lambda *args: itertools.islice(chunks(*args), 2))
+    slabs = _first_slabs(d, g, n, ang_counts, block)
+    assert len(slabs) > 1 and len(slabs[0]) == split_axis + 1
+    want = _whole_chunk_sums(d, g, n, ang_counts, block)
+    hints = qd._axis_hints(d, g.base, g.p)
+    assert qd._tensor_integrate(d, g, hints, n, ang_counts, block) == want
+
+
+def test_slabs_tile_their_chunk_in_order():
+    for shape in [(3, 5), (40, 64, 32), (1, 16, 64, 64), (1, 32, 244, 256), (2, 300000)]:
+        covered = np.zeros(shape, dtype=int)
+        for order, idx in enumerate(qd._slabs(shape), 1):
+            block = covered[idx]
+            assert block.size <= max(qd.SLAB_POINTS, shape[-1])
+            assert not block.any()
+            block[...] = order
+        flat = covered.ravel()  # C order: slabs are consecutive runs
+        assert flat.all() and (np.diff(flat) >= 0).all()
+
+
+def test_tensor_pass_peak_memory_stays_below_40_mb():
+    # H(2,1) kernel section, p = 3, 32 radial x 64 x 64 angular nodes:
+    # 4.2M points in three chunks; whole-chunk evaluation peaked at 64 MB
+    d = dm.hartogs(2, 1)
+    g = qd.AbsPowerIntegrand(kn._kernel_integrand(d, (0.05, 0.5)), 3)
+    hints = qd._axis_hints(d, g.base, g.p)
+    tracemalloc.start()
+    try:
+        qd._tensor_integrate(d, g, hints, 32, [64, 64], (0, 0))
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_separable_path_refines_to_budget():
