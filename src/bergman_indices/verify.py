@@ -586,19 +586,18 @@ CHECKS = (
 class VerifySummary:
     results: List[CheckResult]
     bootstrap_ok: bool
-    aborted: bool
+
+    @property
+    def aborted(self) -> bool:
+        return not self.bootstrap_ok
 
     @property
     def ok(self) -> bool:
         return all(r.passed for r in self.results)
 
     def matrix_lines(self) -> List[str]:
-        lines = []
-        for r in self.results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"[{status}] {r.suite:12s} {r.name:42s} "
-                         f"({r.elapsed:6.2f}s) {r.detail}")
-        return lines
+        return [f"[{'PASS' if r.passed else 'FAIL'}] {r.suite:12s} {r.name:42s} "
+                f"({r.elapsed:6.2f}s) {r.detail}" for r in self.results]
 
 
 def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
@@ -618,11 +617,11 @@ def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
         ix.check_radius(size.moment_radius, dim=d.dim)
     results = bootstrap_oracle(doms, level)
     if not all(r.passed for r in results):
-        return VerifySummary(results, False, True)
+        return VerifySummary(results, False)
     rng = np.random.default_rng(seed)
     for suite, name, check in CHECKS:
         t0 = time.perf_counter()
         passed, detail = check(doms, rng, size)
         results.append(CheckResult(suite, name, bool(passed), detail,
                                    time.perf_counter() - t0))
-    return VerifySummary(results, True, False)
+    return VerifySummary(results, True)

@@ -197,3 +197,109 @@ def test_pnorm_beyond_float_range_is_inconclusive():
     with warnings.catch_warnings(), pytest.raises(Inconclusive):
         warnings.simplefilter("error")
         kn.kernel_pnorm_estimate(dm.hartogs(1, 25), (0, 0.5), 2)
+
+
+# ---------------------------------------------------------------------------
+# series oracles for ||K(., z)||_p^p, independent of the quadrature
+# ---------------------------------------------------------------------------
+
+def _series(c, x, weight):
+    """(sum, tail bound) of sum_k ((c)_k / k!)^2 x^k weight(k), for c >= 1,
+    0 <= x < 1 and a positive weight that does not grow with k.  Term k + 1
+    is at most term k times rho_k = ((c + k) / (k + 1))^2 x, which falls with
+    k, so once rho_k < 1 the terms after term k sum to at most
+    term_k rho_k / (1 - rho_k)."""
+    total, coef, k = 0.0, 1.0, 0
+    while True:
+        term = coef * weight(k)
+        total += term
+        rho = ((c + k) / (k + 1)) ** 2 * x
+        if rho < 1 and term * rho / (1 - rho) <= 1e-15 * total:
+            return total, term * rho / (1 - rho)
+        coef *= rho
+        k += 1
+
+
+def _disc(p, zeta, a=0.0):
+    """Bounds of I_a(zeta) = int_D |K_D(w, zeta)|^p |w|^(2a) dA(w), which is
+    pi^(1-p) sum_k ((p)_k / k!)^2 |zeta|^(2k) / (k + a + 1) by the binomial
+    series of (1 - w conj(zeta))^(-p) and the orthogonality of w^k; it is
+    infinite unless a > -1."""
+    if a <= -1:
+        return math.inf, math.inf
+    total, tail = _series(p, abs(zeta) ** 2, lambda k: 1 / (k + a + 1))
+    return PI ** (1 - p) * total, PI ** (1 - p) * (total + tail)
+
+
+def _ball(p, z):
+    """Bounds of ||K(., z)||_p^p on ball:n, with s = (n + 1) p / 2:
+    (n! / pi^n)^(p-1) sum_k ((s)_k)^2 |z|^(2k) / (k! (n + 1)_k)."""
+    n = len(z)
+    total, tail = _series((n + 1) * p / 2, sum(abs(x) ** 2 for x in z),
+                          lambda k: math.prod((j + 1) / (n + 1 + j) for j in range(k)))
+    scale = (math.factorial(n) / PI ** n) ** (p - 1)
+    return scale * total, scale * (total + tail)
+
+
+def _series_pp(d, z, p):
+    """Lower and upper bounds of ||K(., z)||_p^p: a product of disc integrals
+    I_0(z_i) on the polydisc; on H(1, n), through (w1, w2) -> (w1 / w2^n, w2)
+    onto D x D* with Jacobian w2^(-n), |z2|^(-np) I_0(z1 / z2^n) I_a(z2) with
+    a = n - np/2, finite exactly when p < 2 + 2/n; one series on the ball."""
+    p = float(p)
+    scale = 1.0
+    if d.family is dm.Family.BALL:
+        parts = [_ball(p, z)]
+    elif d.family is dm.Family.POLYDISC:
+        parts = [_disc(p, zi) for zi in z]
+    else:
+        assert d.m == 1
+        n = d.n
+        parts = [_disc(p, z[0] / z[1] ** n), _disc(p, z[1], n - n * p / 2)]
+        scale = abs(z[1]) ** (-n * p)
+    return (scale * math.prod(lo for lo, _hi in parts),
+            scale * math.prod(hi for _lo, hi in parts))
+
+
+@pytest.mark.parametrize("d, z", [(dm.polydisc(1), (0.8,)), (dm.polydisc(2), (0.3, -0.6j)),
+                                  (dm.ball(2), (0.3, 0.4)), (dm.ball(3), (0.2, 0.1j, 0.5)),
+                                  (H11, (0.05, 0.5)), (dm.hartogs(1, 2), (0.1, -0.6)),
+                                  (dm.hartogs(1, 3), (0.01j, 0.7))], ids=str)
+def test_series_at_p2_is_the_kernel_diagonal(d, z):
+    # the oracle's own check: ||K(., z)||_2^2 = K(z, z)
+    lo, hi = _series_pp(d, z, 2)
+    assert hi <= lo * (1 + 1e-12)
+    assert lo == pytest.approx(kn.kernel_closed_form(d, z, z).real, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, z, p", [
+    (dm.polydisc(1), (0.5,), Fraction(3, 2)), (dm.polydisc(1), (0.5,), Fraction(7, 2)),
+    (dm.polydisc(1), (0.8,), 3), (dm.ball(2), (0.3, 0.4), Fraction(5, 2)),
+    (dm.ball(2), (0, 0.6), Fraction(3, 2)), (dm.ball(2), (0, 0.6), 3),
+    (H11, (0, 0.5), Fraction(3, 2)), (H11, (0, 0.5), Fraction(7, 2)),
+    (dm.hartogs(1, 2), (0, 0.5), Fraction(5, 2)), (dm.hartogs(1, 3), (0, 0.5), Fraction(5, 2)),
+], ids=str)
+def test_pnorm_matches_series(d, z, p):
+    lo, hi = _series_pp(d, z, p)
+    assert hi <= lo * (1 + 1e-12)  # the tail bound resolves the series
+    est = kn.kernel_pnorm_estimate(d, z, p)
+    assert not est.diverging
+    assert est.value == pytest.approx(lo ** (1 / float(p)), rel=1e-9)
+
+
+@pytest.mark.parametrize("n, p", [(1, 4), (2, 3)])
+def test_pnorm_ladder_diverges_where_the_series_does(n, p):
+    # p = 2 + 2/n on H(1, n): the series' last factor is infinite
+    d, z = dm.hartogs(1, n), (0, 0.5)
+    assert _series_pp(d, z, p) == (math.inf, math.inf)
+    assert kn.kernel_pnorm_estimate(d, z, p).diverging
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP.md direction 9: the capped angular rule reads as converged")
+def test_pnorm_near_the_boundary_matches_series():
+    # prints 31.92 (``kernel polydisc:1 --z 0.99 --w 0 --pnorm 2`` too, with
+    # exit 0), where sqrt(K(z, z)) = 28.35
+    d, z = dm.polydisc(1), (0.99,)
+    est = kn.kernel_pnorm_estimate(d, z, 2)
+    assert est.value == pytest.approx(_series_pp(d, z, 2)[0] ** 0.5, rel=1e-9)

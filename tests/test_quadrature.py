@@ -260,8 +260,8 @@ def test_tensor_pass_peak_memory_stays_below_40_mb():
 
 
 def test_separable_path_refines_to_budget():
-    # on H(7,5) the second axis exponent has denominator 35 > 12: the capped
-    # map converges only algebraically, so doublings must buy accuracy
+    # on H(7,5) the second axis exponent has denominator 35 > qd.MAP_POWER_CAP:
+    # the capped map converges only algebraically, so doublings must buy accuracy
     d, alpha, p = dm.hartogs(7, 5), (-1, -2), Fraction(5, 4)
     g = qd.AbsPowerIntegrand(_monomial(alpha, 2), p)
     exact = float(dm.moment(d, alpha, p))
@@ -669,9 +669,9 @@ def _fraction_hints(d, profile):
 def _fraction_pick_power(e):
     """The map power for the endpoint exponent e, in Fraction arithmetic."""
     e1 = e + 1
-    if e1.denominator <= 12:
+    if e1.denominator <= qd.MAP_POWER_CAP:
         return e1.denominator
-    return min(12, max(1, math.ceil(3 / e1)))
+    return min(qd.MAP_POWER_CAP, max(1, math.ceil(3 / e1)))
 
 
 def test_integer_axis_hints_match_fraction_formulas():
@@ -707,7 +707,7 @@ def test_integer_axis_hints_match_fraction_formulas():
         for pair, value in zip((e for h in got for e in h), (e for h in want for e in h)):
             assert pair == (value.numerator, value.denominator)
             assert qd._pick_power(*pair) == _fraction_pick_power(value)
-            big += (value + 1).denominator > 12
+            big += (value + 1).denominator > qd.MAP_POWER_CAP
     assert big > 0  # the fallback branch of the map power is met
 
 
