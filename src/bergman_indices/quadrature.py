@@ -32,9 +32,10 @@ trigonometric polynomials below the node count, and |f|^p is one only for
 even p (at several exponents, only if all are).  One loop, ``_refine``,
 doubles every rule until two successive ones agree to ``rel_tol``: each
 separable axis and each tensor block, whose mesh sums take |f| once per
-chunk and raise it to each exponent p.  Chunks of about 2M points fix the
-order of every sum; each is filled in slabs of ``SLAB_POINTS``, which bound a
-pass's temporaries and leave every bit as it is.
+slab and raise it to each exponent p.  One tiler, ``_tiles``, cuts a pass's
+mesh into chunks of about ``CHUNK_POINTS``, whose one ``np.sum`` each fixes
+the order of every sum, and each chunk into slabs of ``SLAB_POINTS``, which
+bound the pass's temporaries and leave every bit as it is.
 |sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
 differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
 basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
@@ -79,11 +80,17 @@ RULE_CACHE_SIZE = 512  # entries of each rule cache; a moment-oracle scan meets 
 #: largest endpoint-clearing map power; raising it is ROADMAP direction 1,
 #: since above it steep triangles' axes converge only algebraically
 MAP_POWER_CAP = 12
+#: most nodes of one Gauss-Legendre rule, on either path: numpy builds a rule
+#: of n nodes from an n x n matrix, 0.5 GB at this bound (tier-1 needs 1,024)
+MAX_RULE_NODES = 2 ** 13
 #: most mesh points of one tensor pass: the largest known to converge has
 #: 1.07e9 (kernel p = 7/2 on H(1,1)); its next doubling, 1.7e10, runs minutes
 MAX_PASS_POINTS = 2 ** 31
+#: mesh points of a chunk, exceeded only where one row already does: its one
+#: ``np.sum`` per exponent fixes the order of a tensor pass's sums and bits
+CHUNK_POINTS = 2_000_000
 #: most mesh points evaluated at once: a pass's complex temporaries stay a few
-#: MB, cache-sized, while its chunks (about 2M points) fix the order of its sums
+#: MB, cache-sized, while its chunks fix the order of its sums
 SLAB_POINTS = 2 ** 15
 
 
@@ -95,9 +102,10 @@ class QuadConfig:
     ``integrate``) runs its base size and then up to ``max_doublings + 1``
     doubled sizes, stopping once two successive ones agree to ``rel_tol``
     (at every exponent, when there are several); so ``max_doublings=0``
-    still doubles once.  Budgets out of range, and node counts or doublings
-    that are not ``int`` (``bool`` included), raise ``ParseError``, a
-    ``ValueError``."""
+    still doubles once.  A rule above ``MAX_RULE_NODES`` nodes raises
+    ``Inconclusive`` before it is built, which also bounds ``max_doublings``.
+    Budgets out of range, and node counts or doublings that are not ``int``
+    (``bool`` included), raise ``ParseError``, a ``ValueError``."""
 
     radial_nodes: int = 64
     angular_nodes: Optional[int] = None  # None: 32 through C^2, 12 beyond
@@ -206,19 +214,16 @@ class BlackBoxIntegrand:
 class AbsPowerIntegrand:
     """|base|^p for a base integrand; what every L^p norm integrates.  ``p``
     may be a list or tuple of exponents (``integrate`` returns a list); the
-    largest, ``self.p``, steers the radial maps."""
+    exponents are ``self.ps`` either way, and the largest, ``self.p``, steers
+    the radial maps."""
 
-    __slots__ = ("base", "dim", "several", "p", "_ps")  # kept small: callers hold thousands
+    __slots__ = ("base", "dim", "several", "ps", "p")  # kept small: callers hold thousands
 
     def __init__(self, base, p):
         self.base, self.dim = base, base.dim
         self.several = isinstance(p, (list, tuple))
-        self._ps = tuple(map(as_fraction, p)) if self.several else None
-        self.p = max(self._ps) if self.several else as_fraction(p)
-
-    @property
-    def ps(self) -> tuple:
-        return self._ps or (self.p,)
+        self.ps = tuple(map(as_fraction, p if self.several else (p,)))
+        self.p = max(self.ps)
 
     def powers(self, radii, thetas) -> list:
         """|base|^p at the points, one array per exponent."""
@@ -236,6 +241,9 @@ class AbsPowerIntegrand:
 
 @lru_cache(maxsize=None)
 def _leggauss01(n: int):
+    if n > MAX_RULE_NODES:  # numpy would build an n x n matrix for it
+        raise Inconclusive(f"a Gauss-Legendre rule of {n:,} nodes exceeds the "
+                           f"bound of {MAX_RULE_NODES:,}")
     x, w = np.polynomial.legendre.leggauss(n)
     return (x + 1.0) / 2.0, w / 2.0
 
@@ -479,82 +487,70 @@ def lattice_basis(vectors) -> Tuple[list, list]:
     return [tuple(b) for b in basis], coords
 
 
-def _mesh_blocks(d: DomainSpec, hints, n_radial: int, ang_counts, block):
-    """Chunks (radii, angles, radial weight) of the mesh on ``block`` (see
-    ``_radial_mesh``): dim radial axes, then one angular axis per entry of
-    ``ang_counts``.  Chunks split the first radial axis, and the first
-    angular axis when one row is too large, to stay near 2M points."""
-    radii, wrad = _radial_mesh(d, hints, n_radial, block)
-    k = len(ang_counts)
-    thetas = [(np.arange(m) * (TWO_PI / m)).reshape((-1,) + (1,) * (k - 1 - i))
-              for i, m in enumerate(ang_counts)]  # trailing axes broadcast
-    radii = [np.asarray(r).reshape(np.shape(r) + (1,) * k) for r in radii]
-    wrad = np.asarray(wrad).reshape(np.shape(wrad) + (1,) * k)
-    budget = 2_000_000
-    n_rows, *rest = np.broadcast_shapes(*(r.shape for r in radii))
-    points_per_row = math.prod(rest) * math.prod(ang_counts)
-    rows = max(1, min(n_rows, budget // points_per_row))
-    angle_chunks = [thetas]
-    if points_per_row > budget and k and ang_counts[0] > 1:
-        t_rows = max(1, budget // max(points_per_row // ang_counts[0], 1))
-        angle_chunks = [[thetas[0][t:t + t_rows]] + thetas[1:]
-                        for t in range(0, ang_counts[0], t_rows)]
-    for start in range(0, n_rows, rows):
-        sl = slice(start, start + rows)
-        r_slice = [r[sl] if r.shape[0] > 1 else r for r in radii]
-        w_slice = wrad[sl] if wrad.shape[0] > 1 else wrad
-        for angles in angle_chunks:
-            yield r_slice, angles, w_slice
-
-
-def _slabs(shape):
-    """Index tuples that tile a C-ordered array of ``shape`` in order, in runs
-    of whole rows of the first axis of at most ``SLAB_POINTS`` points; a row
-    larger than that is split likewise on the next axis, and so on."""
-    axis = 0
-    while axis < len(shape) - 1 and math.prod(shape[axis + 1:]) > SLAB_POINTS:
-        axis += 1
-    step = max(1, SLAB_POINTS // math.prod(shape[axis + 1:]))
-    for lead in itertools.product(*map(range, shape[:axis])):
+def _tiles(shape, limit: int, axes):
+    """Index tuples that tile a C-ordered array of ``shape`` in order: ``()``
+    if it has at most ``limit`` points, else runs of whole rows of
+    ``axes[0]`` of at most ``limit`` points each; a row larger than that is
+    cut likewise on ``axes[1]``, one index of ``axes[0]`` at a time, and so
+    on, the last of ``axes`` in runs of at least one row.  The other axes
+    stay whole."""
+    lead, unit = [], math.prod(shape)
+    if unit <= limit:
+        yield ()
+        return
+    for axis in axes:
+        unit //= shape[axis]
+        if unit <= limit or axis == axes[-1]:
+            break
+        lead.append(axis)
+    step, idx = max(1, limit // unit), [slice(None)] * (axis + 1)
+    for fixed in itertools.product(*[range(shape[a]) for a in lead]):
+        for a, i in zip(lead, fixed):
+            idx[a] = slice(i, i + 1)
         for start in range(0, shape[axis], step):
-            yield tuple(slice(i, i + 1) for i in lead) + (slice(start, start + step),)
+            idx[axis] = slice(start, start + step)
+            yield tuple(idx)
 
 
-def _chunk_values(g: AbsPowerIntegrand, radii, angles, weight) -> list:
-    """weight * |f|^p on one mesh chunk, one array per exponent, in the shape
-    of the chunk's mesh; a chunk of more than ``SLAB_POINTS`` points is filled
-    slab by slab.  Element-wise ufuncs round each point alike on any slab."""
-    mesh = np.broadcast(weight, *radii, *angles)
-    if mesh.size <= SLAB_POINTS:
-        return [weight * v for v in g.powers(radii, angles)]
-    shape = mesh.shape
-
-    def cut(a, idx):  # a broadcasts over the mesh: slice its axes of size > 1
-        lead = len(shape) - a.ndim
-        return a[tuple(s if n > 1 else slice(None) for s, n in zip(idx[lead:], a.shape))]
-
-    values = [np.empty(shape) for _p in g.ps]
-    for idx in _slabs(shape):
-        powers = g.powers([cut(r, idx) for r in radii], [cut(t, idx) for t in angles])
-        w = cut(weight, idx)
-        for out, v in zip(values, powers):
-            np.multiply(w, v, out=out[idx])
-    return values
+def _cut(a, idx):
+    """``a``, broadcast over the mesh, at the mesh index ``idx``: its axes of
+    size 1 stay whole."""
+    return a[tuple([s if n > 1 else slice(None) for s, n in zip(idx, a.shape)])]
 
 
 def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
                       ang_counts, block) -> list:
-    """Mesh sums of ``g``, one per exponent: one ``np.sum`` per chunk."""
+    """Mesh sums of ``g``, one per exponent, on the mesh of ``block`` (see
+    ``_radial_mesh``): dim radial axes, then one angular axis per entry of
+    ``ang_counts``.  Its chunks, of about ``CHUNK_POINTS``, cut the first
+    radial axis, or the first angular one in a larger row, and take one
+    ``np.sum`` per exponent; a chunk of more than ``SLAB_POINTS`` is filled
+    slab by slab, and element-wise ufuncs round each point alike on any slab."""
+    radii, wrad = _radial_mesh(d, hints, n_radial, block)
+    dim, k = d.dim, len(ang_counts)
+    mesh = [a.reshape(a.shape + (1,) * k) for a in (wrad, *radii)]
+    ones = (1,) * (dim + k)  # torus axis j lies along mesh axis dim + j
+    mesh += [(np.arange(m) * (TWO_PI / m)).reshape(ones[:i] + (m,) + ones[i + 1:])
+             for i, m in enumerate(ang_counts, dim)]
     totals = [0.0] * len(g.ps)
-    for radii, angles, weight in _mesh_blocks(d, hints, n_radial, ang_counts, block):
-        # the chunk's values die with this statement, before the next chunk;
-        # an overflowed value times a zero weight is NaN, raised as NaNOnGrid
-        with np.errstate(invalid="ignore", over="ignore"):
-            totals = [t + float(np.sum(v))
-                      for t, v in zip(totals, _chunk_values(g, radii, angles, weight))]
+    # an overflowed value times a zero weight is NaN, raised as NaNOnGrid
+    with np.errstate(invalid="ignore", over="ignore"):
+        chunks = _tiles(np.broadcast(*mesh).shape, CHUNK_POINTS, (0, dim) if k else (0,))
+        for cut in chunks:
+            w, *at = chunk = [_cut(a, cut) for a in mesh]
+            shape = np.broadcast(*chunk).shape
+            if math.prod(shape) <= SLAB_POINTS:
+                values = [w * v for v in g.powers(at[:dim], at[dim:])]
+            else:
+                values = [np.empty(shape) for _p in g.ps]
+                for idx in _tiles(shape, SLAB_POINTS, range(len(shape))):
+                    w, *at = [_cut(a, idx) for a in chunk]
+                    for j, v in enumerate(g.powers(at[:dim], at[dim:])):
+                        np.multiply(w, v, out=values[j][idx])
+            totals = [t + float(np.sum(v)) for t, v in zip(totals, values)]
+            del values  # before the next chunk's buffers exist
     # trapezoid weight of the angular mesh, times 2 pi per unseen angle
-    ang_w = (math.prod(TWO_PI / m_i for m_i in ang_counts)
-             * TWO_PI ** (d.dim - len(ang_counts)))
+    ang_w = math.prod(TWO_PI / m_i for m_i in ang_counts) * TWO_PI ** (dim - k)
     return [t * ang_w for t in totals]
 
 

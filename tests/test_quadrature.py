@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -163,41 +164,89 @@ def test_ladder_with_rising_contraction_is_inconclusive_at_its_deepest_level():
     assert norms.count(",") == qd.MAX_LADDER_LEVELS - 1
 
 
-def test_mesh_blocks_split_the_angles_of_an_oversized_row():
+def _chunk_rule(shape, dim):
+    """Boxes, one (start, stop) pair per axis, of the chunks of a tensor mesh
+    of ``shape`` with ``dim`` radial axes, by the rule the pass has always
+    used: runs of whole rows of the first radial axis of at most 2M points;
+    a row above that is cut in runs of the first angular axis, the other
+    radial axes whole and nothing cut further."""
+    budget, n_rows, per_row = 2_000_000, shape[0], math.prod(shape[1:])
+    rows = max(1, min(n_rows, budget // per_row))
+    runs = [None]
+    if per_row > budget and len(shape) > dim and shape[dim] > 1:
+        step = max(1, budget // max(per_row // shape[dim], 1))
+        runs = [(t, min(t + step, shape[dim])) for t in range(0, shape[dim], step)]
+    for start in range(0, n_rows, rows):
+        for run in runs:
+            box = [(start, min(start + rows, n_rows))] + [(0, n) for n in shape[1:]]
+            if run:
+                box[dim] = run
+            yield tuple(box)
+
+
+def _boxes(shape, tiles):
+    """The boxes of ``_tiles``' index tuples on an array of ``shape``."""
+    for idx in tiles:
+        idx += (slice(None),) * (len(shape) - len(idx))
+        yield tuple(s.indices(n)[:2] for s, n in zip(idx, shape))
+
+
+def _chunk_tiles(shape, dim):
+    return qd._tiles(shape, qd.CHUNK_POINTS, (0, dim) if len(shape) > dim else (0,))
+
+
+def test_chunk_tiles_keep_the_chunk_rule():
+    shapes = [(4,), (12, 12, 8), (24, 24, 16), (128, 128, 32), (32, 32, 256, 256),
+              (16, 16, 64, 64), (256, 256, 256, 256), (2000, 1001), (64,) * 3 + (48,) * 3,
+              (64, 64, 64, 2, 24, 24),  # an angle-split ball:3 chunk above 2M points
+              (128,) * 4]  # polydisc:4 rows above 2M points with no angular axis
+    shapes += [(n,) * dim + ang for n in (8, 64) for dim in (1, 2, 3)
+               for ang in [(), (2,), (32,), (256,), (2, 24), (256, 256)] if len(ang) <= dim]
+    for shape in shapes:  # read with up to three trailing axes as angles
+        for dim in range(max(1, len(shape) - 3), len(shape) + 1):
+            want = list(_chunk_rule(shape, dim))
+            assert list(_boxes(shape, _chunk_tiles(shape, dim))) == want, (shape, dim)
+
+
+def test_chunks_split_the_angles_of_an_oversized_row():
     # one radial row of 32 x 256 x 256 points exceeds the 2M chunk budget
-    d = dm.polydisc(2)
-    hints = qd._axis_hints(d, _monomial((0, 0), 2), Fraction(2))
-    chunks = list(qd._mesh_blocks(d, hints, 32, [256, 256], None))
+    shape = (32, 32, 256, 256)
+    chunks = list(_boxes(shape, _chunk_tiles(shape, 2)))
     assert len(chunks) == 64
-    sizes = [math.prod(np.broadcast_shapes(*(np.shape(a) for a in (*radii, *angles, w))))
-             for radii, angles, w in chunks]
-    assert sum(sizes) == 32 * 32 * 256 * 256
-    full = np.arange(256) * (2 * PI / 256)
-    for row in range(32):  # per radial row, the angle slices tile the first axis
-        pair = chunks[2 * row:2 * row + 2]
-        assert np.array_equal(np.concatenate([a[0].ravel() for _r, a, _w in pair]), full)
+    assert sum(math.prod(b - a for a, b in box) for box in chunks) == math.prod(shape)
+    for row, pair in enumerate(zip(chunks[::2], chunks[1::2])):
+        assert [box[0] for box in pair] == [(row, row + 1)] * 2
+        assert [box[2] for box in pair] == [(0, 244), (244, 256)]
 
 
-def _whole_chunk_sums(d, g, n_radial, ang_counts, block):
-    """The tensor pass with each chunk of ``_mesh_blocks`` evaluated whole:
-    one ``weight * v`` per chunk and exponent, as before slabs."""
-    hints = qd._axis_hints(d, g.base, g.p)
+def _whole_chunk_sums(d, g, n_radial, ang_counts, block, chunks=None):
+    """The tensor pass with each chunk of ``_chunk_rule`` (its first
+    ``chunks`` only, if given) evaluated whole: one ``weight * v`` per chunk
+    and exponent, as before slabs."""
+    radii, weight = qd._radial_mesh(d, qd._axis_hints(d, g.base, g.p), n_radial, block)
+    k, ones = len(ang_counts), (1,) * (d.dim + len(ang_counts))
+    mesh = [a.reshape(a.shape + (1,) * k) for a in (weight, *radii)]
+    mesh += [(np.arange(m) * (2 * PI / m)).reshape(ones[:i] + (m,) + ones[i + 1:])
+             for i, m in enumerate(ang_counts, d.dim)]
+    shape = np.broadcast_shapes(*(a.shape for a in mesh))
     totals = [0.0] * len(g.ps)
-    for radii, angles, weight in qd._mesh_blocks(d, hints, n_radial, ang_counts, block):
+    for box in itertools.islice(_chunk_rule(shape, d.dim), chunks):
+        w, *at = [a[tuple(slice(*ab) if n > 1 else slice(None) for ab, n in zip(box, a.shape))]
+                  for a in mesh]
         with np.errstate(invalid="ignore", over="ignore"):
-            totals = [t + float(np.sum(weight * v))
-                      for t, v in zip(totals, g.powers(radii, angles))]
+            totals = [t + float(np.sum(w * v))
+                      for t, v in zip(totals, g.powers(at[:d.dim], at[d.dim:]))]
     ang_w = (math.prod(2 * PI / m for m in ang_counts)
              * (2 * PI) ** (d.dim - len(ang_counts)))
     return [t * ang_w for t in totals]
 
 
-def _first_slabs(d, g, n_radial, ang_counts, block):
+def _first_slabs(d, n_radial, ang_counts):
     """The slab index tuples of the first chunk of the mesh."""
-    hints = qd._axis_hints(d, g.base, g.p)
-    radii, angles, weight = next(qd._mesh_blocks(d, hints, n_radial, ang_counts, block))
-    return list(qd._slabs(np.broadcast_shapes(
-        *(a.shape for a in (weight, *radii, *angles)))))
+    shape = (n_radial,) * d.dim + tuple(ang_counts)
+    box = next(_chunk_rule(shape, d.dim))
+    chunk = tuple(b - a for a, b in box)
+    return list(qd._tiles(chunk, qd.SLAB_POINTS, range(len(chunk))))
 
 
 def _slab_case(name):
@@ -211,7 +260,7 @@ def _slab_case(name):
     if name == "kernel":  # rows of 16 x 64 x 64 points: split on the second axis
         section = kn._kernel_integrand(dm.hartogs(2, 1), (0.05, 0.5))
         return dm.hartogs(2, 1), qd.AbsPowerIntegrand(section, 3), 16, [64, 64], (0, 0)
-    # the mesh of test_mesh_blocks_split_the_angles_of_an_oversized_row
+    # the mesh of test_chunks_split_the_angles_of_an_oversized_row
     f = qd.MonomialSumIntegrand([(1.0, (0, 0), (0, 0)), (0.5, (1, 0), (0, 0)),
                                  (0.25j, (0, 1), (0, 0))])
     return dm.polydisc(2), qd.AbsPowerIntegrand(f, Fraction(3, 2)), 32, [256, 256], None
@@ -221,13 +270,14 @@ def _slab_case(name):
                                               ("kernel", 1), ("angle-split", 2)])
 def test_slabs_keep_every_bit_of_whole_chunk_sums(name, split_axis, monkeypatch):
     d, g, n, ang_counts, block = _slab_case(name)
-    if name == "angle-split":  # the first radial row: two chunks of 1M points
-        chunks = qd._mesh_blocks
-        monkeypatch.setattr(qd, "_mesh_blocks",
-                            lambda *args: itertools.islice(chunks(*args), 2))
-    slabs = _first_slabs(d, g, n, ang_counts, block)
+    chunks = None
+    if name == "angle-split":  # the first radial row: 244 angles, then 12
+        chunks, tiles = 2, qd._tiles
+        monkeypatch.setattr(qd, "_tiles", lambda shape, limit, axes: itertools.islice(
+            tiles(shape, limit, axes), 2 if limit == qd.CHUNK_POINTS else None))
+    slabs = _first_slabs(d, n, ang_counts)
     assert len(slabs) > 1 and len(slabs[0]) == split_axis + 1
-    want = _whole_chunk_sums(d, g, n, ang_counts, block)
+    want = _whole_chunk_sums(d, g, n, ang_counts, block, chunks)
     hints = qd._axis_hints(d, g.base, g.p)
     assert qd._tensor_integrate(d, g, hints, n, ang_counts, block) == want
 
@@ -235,7 +285,7 @@ def test_slabs_keep_every_bit_of_whole_chunk_sums(name, split_axis, monkeypatch)
 def test_slabs_tile_their_chunk_in_order():
     for shape in [(3, 5), (40, 64, 32), (1, 16, 64, 64), (1, 32, 244, 256), (2, 300000)]:
         covered = np.zeros(shape, dtype=int)
-        for order, idx in enumerate(qd._slabs(shape), 1):
+        for order, idx in enumerate(qd._tiles(shape, qd.SLAB_POINTS, range(len(shape))), 1):
             block = covered[idx]
             assert block.size <= max(qd.SLAB_POINTS, shape[-1])
             assert not block.any()
@@ -272,6 +322,14 @@ def test_separable_path_refines_to_budget():
     g = qd.AbsPowerIntegrand(_monomial((1, -1), 2), 3)
     assert (qd.integrate(H11, g, CFG)
             == qd.integrate(H11, g, qd.QuadConfig(max_doublings=0)))
+
+
+def test_a_rule_above_the_node_bound_is_refused_unbuilt():
+    # |z^1000|^64 needs a 32,009-node rule: numpy would build an 8.2 GB matrix
+    start = time.perf_counter()
+    with pytest.raises(Inconclusive, match="rule of 32,009 nodes exceeds the bound of 8,192"):
+        qd.lp_norm(dm.polydisc(1), _monomial((1000,), 1), 64)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_other_budgets_on_the_same_rules_reuse_every_axis_sum(monkeypatch,
