@@ -41,8 +41,8 @@ from .domains import (DomainSpec, Family, MultiIndex, check_exponent, moment,
 from .errors import IllConditionedGram, Inconclusive, ParseError
 from .exact import EXACT_ONE, ExactValue
 from .index_sets import index_set_window
-from .quadrature import (BlackBoxIntegrand, ProbeResult, QuadConfig,
-                         divergence_probe, integrate, AbsPowerIntegrand, pth_root)
+from .quadrature import (AbsPowerIntegrand, BlackBoxIntegrand, ProbeResult, QuadConfig,
+                         divergence_probe, integrate, pth_root)
 
 GRAM_COND_LIMIT = 1e12  # density_residual rejects a Gram matrix beyond it
 # the divergence ladder's budget: classification tolerates ~1e-3 per level,
@@ -265,9 +265,9 @@ def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
     Runs the corner-cutoff refinement ladder of the quadrature module at
     ``PROBE_CFG`` on the closed-form kernel section; a diverging verdict
     reports the last (growing) estimate, a converging one the cutoff-free
-    value at the budget ``cfg``.  ``radius`` is ignored: it is kept so that
-    positional callers written for the former series integrand still work.
-    """
+    value at the budget ``cfg``, refused as ``Inconclusive`` where its last
+    doubling misses ``cfg.rel_tol`` by ``cfg.agrees``, the test that
+    refinement stops on.  ``radius`` is ignored, kept for positional callers."""
     p = check_exponent(p)
     z = _require_inside(d, z, "z")
     if cfg is None:
@@ -278,4 +278,7 @@ def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
         return PNormEstimate(probe.sequence[-1], True, probe.sequence)
     # the ladder converged; report the cutoff-free value at full budget
     res = integrate(d, AbsPowerIntegrand(integrand, p), cfg)
+    if not cfg.agrees(res.value, res.error_estimate):
+        raise Inconclusive(f"the p={p} norm integral missed rel_tol={cfg.rel_tol:g}: its "
+                           f"last doubling moved {res.value:.6g} by {res.error_estimate:.2g}")
     return PNormEstimate(pth_root(res.value, p), False, probe.sequence)

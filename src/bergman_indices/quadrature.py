@@ -96,16 +96,16 @@ SLAB_POINTS = 2 ** 15
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature budgets.
+    """Quadrature budgets: with ``MAX_RULE_NODES`` and ``MAX_PASS_POINTS``,
+    whose excess raises ``Inconclusive`` unbuilt, the only limits on a pass.
 
     Each rule (a tensor block, or a box axis of a single monomial's
     ``integrate``) runs its base size and then up to ``max_doublings + 1``
-    doubled sizes, stopping once two successive ones agree to ``rel_tol``
-    (at every exponent, when there are several); so ``max_doublings=0``
-    still doubles once.  A rule above ``MAX_RULE_NODES`` nodes raises
-    ``Inconclusive`` before it is built, which also bounds ``max_doublings``.
-    Budgets out of range, and node counts or doublings that are not ``int``
-    (``bool`` included), raise ``ParseError``, a ``ValueError``."""
+    doubled sizes, a tensor pass doubling every radial and inexact angular
+    axis, until two successive ones agree to ``rel_tol`` at every exponent;
+    so ``max_doublings=0`` still doubles once.  Budgets out of range, and
+    counts or doublings not ``int`` (``bool`` included), raise ``ParseError``,
+    a ``ValueError``."""
 
     radial_nodes: int = 64
     angular_nodes: Optional[int] = None  # None: 32 through C^2, 12 beyond
@@ -127,6 +127,10 @@ class QuadConfig:
             raise ParseError("rel_tol must lie in (0, 1)")
         if self.max_doublings < 0:
             raise ParseError("max_doublings must be >= 0")
+
+    def agrees(self, value: float, error: float) -> bool:
+        """The test refinement stops on: a last difference within ``rel_tol``."""
+        return error <= self.rel_tol * max(abs(value), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -313,18 +317,15 @@ def _log_rule(n: int, pieces: int):
     return u, w
 
 
-def _refine(run: Callable[[int], list], rel_tol: float,
-            max_doublings: int) -> Tuple[list, list]:
+def _refine(run: Callable[[int], list], cfg: QuadConfig) -> Tuple[list, list]:
     """(values, errors) of ``run(k)``, the sums on a rule doubled k times, as
-    k climbs from 0 until two successive lists agree to ``rel_tol`` or k
-    reaches ``max_doublings + 1``; an error is the last difference."""
+    k climbs from 0 until two successive lists agree (``cfg.agrees``) or k
+    reaches ``cfg.max_doublings + 1``; an error is the last difference."""
     values = run(0)
-    for k in range(1, max_doublings + 2):
-        fine = run(k)
-        errs = [abs(a - b) for a, b in zip(fine, values)]
-        values = fine
-        if all(e <= rel_tol * max(abs(v), 1e-300)
-               for e, v in zip(errs, values)):
+    for k in range(1, cfg.max_doublings + 2):
+        values, coarse = run(k), values
+        errs = [abs(a - b) for a, b in zip(values, coarse)]
+        if all(map(cfg.agrees, values, errs)):
             break
     return values, errs
 
@@ -374,8 +375,7 @@ def _separable_moment(scale: float, torus: float, axes, cfg: QuadConfig) -> Inte
     times the torus factor."""
     value, rel_err = 1.0, 0.0
     for e, n in axes:
-        (v,), (err,) = _refine(lambda k: [_axis_integral(*e, n << k, 0)],
-                               cfg.rel_tol, cfg.max_doublings)
+        (v,), (err,) = _refine(lambda k: [_axis_integral(*e, n << k, 0)], cfg)
         value *= v
         rel_err += err / abs(v) if v else math.inf
     value *= torus
@@ -394,7 +394,7 @@ def _angular_counts(g: AbsPowerIntegrand, cfg: QuadConfig) -> Tuple[list, list]:
     bands = [None if b is None or (b and not even) else b * (g.p.numerator // 2)
              for b in g.base.angular_bandwidth]
     default = cfg.angular_nodes or (32 if g.dim <= 2 else 12)  # cost grows past C^2
-    return ([default if b is None else max(1, b + 2) for b in bands],
+    return ([default if b is None else b + 2 for b in bands],
             [b is not None for b in bands])
 
 
@@ -556,19 +556,17 @@ def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
 
 def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
                blocks=(None,)):
-    """Per exponent of ``g``, the sums over ``blocks`` of
-    the block integrals and error estimates; a block, per-axis log piece
-    indices or None for all of (0, 1)^dim, refines on its own, doubling the
-    radial nodes and the inexact angular ones.  A pass of more than
+    """Per exponent of ``g``, the sums over ``blocks`` of the block integrals
+    and error estimates; a block, per-axis log piece indices or None for all
+    of (0, 1)^dim, refines on its own: at doubling k, each radial and inexact
+    angular axis has its base count times 2^k nodes.  A pass of more than
     ``MAX_PASS_POINTS`` mesh points raises ``Inconclusive`` unevaluated, and
-    a pass whose sums hold a NaN raises ``NaNOnGrid`` before the next runs."""
+    one whose sums hold a NaN raises ``NaNOnGrid`` before the next runs."""
     ang_base, ang_exact = _angular_counts(g, cfg)
     hints = _axis_hints(d, g.base, g.p)
-    ang_cap = 256 if d.dim <= 2 else 48
 
-    def run(block, k):  # the cap applies from the first doubling on
-        ang_counts = [m if exact or not k else min(m << k, ang_cap)
-                      for m, exact in zip(ang_base, ang_exact)]
+    def run(block, k):
+        ang_counts = [m if exact else m << k for m, exact in zip(ang_base, ang_exact)]
         points = (cfg.radial_nodes << k) ** d.dim * math.prod(ang_counts)
         if points > MAX_PASS_POINTS:
             raise Inconclusive(f"quadrature pass of {points:,} mesh points exceeds "
@@ -580,8 +578,7 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
 
     totals = err_totals = [0.0] * len(g.ps)
     for block in blocks:
-        values, errs = _refine(partial(run, block), cfg.rel_tol,
-                               cfg.max_doublings)
+        values, errs = _refine(partial(run, block), cfg)
         totals = [t + v for t, v in zip(totals, values)]
         err_totals = [t + e for t, e in zip(err_totals, errs)]
     return totals, err_totals

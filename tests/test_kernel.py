@@ -11,6 +11,7 @@ from bergman_indices import domains as dm
 from bergman_indices import index_sets as ix
 from bergman_indices import kernel as kn
 from bergman_indices.errors import IllConditionedGram, Inconclusive, ParseError
+from bergman_indices.quadrature import QuadConfig
 from bergman_indices.verify import _sample_point
 
 H11 = dm.hartogs(1, 1)
@@ -295,11 +296,21 @@ def test_pnorm_ladder_diverges_where_the_series_does(n, p):
     assert kn.kernel_pnorm_estimate(d, z, p).diverging
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP.md direction 9: the capped angular rule reads as converged")
-def test_pnorm_near_the_boundary_matches_series():
-    # prints 31.92 (``kernel polydisc:1 --z 0.99 --w 0 --pnorm 2`` too, with
-    # exit 0), where sqrt(K(z, z)) = 28.35
-    d, z = dm.polydisc(1), (0.99,)
-    est = kn.kernel_pnorm_estimate(d, z, 2)
-    assert est.value == pytest.approx(_series_pp(d, z, 2)[0] ** 0.5, rel=1e-9)
+@pytest.mark.parametrize("cfg", [None, QuadConfig()], ids=["library", "QuadConfig()"])
+@pytest.mark.parametrize("p", [Fraction(3, 2), 2, 3], ids=str)
+@pytest.mark.parametrize("x", [0.9, 0.95, 0.98, 0.99])
+def test_pnorm_near_the_boundary_matches_series_or_refuses(x, p, cfg):
+    # the trapezoid rule's error on |1 - r x e^(i theta)|^(-2p) decays only
+    # like x^N; a final integral whose last doubling misses rel_tol is refused,
+    # and none may return a wrong value (polydisc:1 at 0.99, p = 2 read 31.92
+    # with an angular rule capped at 256 nodes, where sqrt(K(z, z)) = 28.35)
+    d, z = dm.polydisc(1), (x,)
+    lo, hi = _series_pp(d, z, p)
+    assert hi <= lo * (1 + 1e-12)
+    try:
+        est = kn.kernel_pnorm_estimate(d, z, p, cfg=cfg)
+    except Inconclusive:
+        assert x > 0.9
+        return
+    assert not est.diverging
+    assert est.value == pytest.approx(lo ** (1 / float(p)), rel=1e-9)
