@@ -23,6 +23,7 @@ stderr line, ``warning: ...``.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import os
@@ -206,11 +207,10 @@ def cmd_density(args, d) -> int:
         if d.dim != 1:
             raise ParseError("--ks point sets need a one-dimensional domain; "
                              "pass --points for higher dimensions")
-        import numpy as np
         ks = [_point_count(_parse_int(part, "--ks"), "--ks")
               for part in args.ks.split(",")]
         rows = [(k, kn.density_residual(
-                    d, alpha, [(args.radius * np.exp(2j * np.pi * j / k),)
+                    d, alpha, [(args.radius * cmath.exp(2j * cmath.pi * j / k),)
                                for j in range(k)]))
                 for k in ks]
     _emit_rows(args, d, {"alpha": list(alpha)}, ("k", "residual"), rows)

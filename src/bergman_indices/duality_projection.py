@@ -215,10 +215,14 @@ def projection_ratio(d: DomainSpec, alpha, gamma, p) -> ProjectionRatio:
 # norms and inequality checks
 # ---------------------------------------------------------------------------
 
-def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p,
-                 cfg: Optional[QuadConfig] = None) -> float:
+#: budgets of the quadrature norms: a base rule and one doubling, at any error
+NORM_CFG = QuadConfig(radial_nodes=12, angular_nodes=16, max_doublings=0)
+LYAPUNOV_CFG = QuadConfig(radial_nodes=12, angular_nodes=8, max_doublings=0)
+
+
+def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p) -> float:
     """L^p norm of a monomial sum: exact for single terms and at p = 2, and 0
-    for the zero function, the empty sum."""
+    for the zero function, the empty sum; else quadrature at ``NORM_CFG``."""
     p = check_exponent(p)
     if f.is_zero():
         return 0.0
@@ -231,8 +235,7 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p,
         return abs(complex(q)) * pth_root(float(m), p)
     if p == 2:
         return math.sqrt(complex(pairing(d, f, f)).real)
-    cfg = cfg or QuadConfig(radial_nodes=12, angular_nodes=16, max_doublings=0)
-    return lp_norm(d, f.as_integrand(), p, cfg)
+    return lp_norm(d, f.as_integrand(), p, NORM_CFG)
 
 
 @dataclass(frozen=True)
@@ -245,15 +248,14 @@ class InequalityCheck:
 _CHECK_TOL = 1e-9
 
 
-def lyapunov_check(d: DomainSpec, f: MixedMonomialSum, p, q, theta,
-                   cfg: Optional[QuadConfig] = None) -> InequalityCheck:
+def lyapunov_check(d: DomainSpec, f: MixedMonomialSum, p, q, theta) -> InequalityCheck:
     """Log-convexity of p -> ||f||_p between two exponents.
 
     Checks ||f||_r <= ||f||_p^(1-theta) * ||f||_q^theta with
     1/r = (1-theta)/p + theta/q; f must lie in both endpoint spaces
     (exact index-set membership).  The verdict is exact: a sum of several
     terms takes its norms from one ``lp_norms`` mesh, where the discrete
-    inequality holds exactly; the values carry the error of ``cfg``.
+    inequality holds exactly; the values carry the error of ``LYAPUNOV_CFG``.
     """
     _require_laurent(d, f, "log-convexity test function")
     p, q = check_exponent(p), check_exponent(q)
@@ -265,25 +267,21 @@ def lyapunov_check(d: DomainSpec, f: MixedMonomialSum, p, q, theta,
             raise NotIntegrable(f"test function is not in the {name}-Bergman space")
     r = 1 / ((1 - theta) / p + theta / q)
 
-    # exact moments for a single monomial or none, else one ``lp_norms`` run:
-    # by default the base rule, 12 radial x 8 angular nodes, doubled once
-    # (the angular axes only unless every exponent is even)
+    # exact moments for a single monomial or none, else one ``lp_norms`` run
     if len(f.terms) <= 1:
-        nr = laurent_norm(d, f, r)
+        lhs = laurent_norm(d, f, r)
         np_, nq = laurent_norm(d, f, p), laurent_norm(d, f, q)
     else:
-        cfg = cfg or QuadConfig(radial_nodes=12, angular_nodes=8, max_doublings=0)
-        nr, np_, nq = lp_norms(d, f.as_integrand(), [r, p, q], cfg)
-    lhs = nr
+        lhs, np_, nq = lp_norms(d, f.as_integrand(), [r, p, q], LYAPUNOV_CFG)
     rhs = np_ ** float(1 - theta) * nq ** float(theta)
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + _CHECK_TOL))
 
 
-def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum, p,
-                 cfg: Optional[QuadConfig] = None) -> InequalityCheck:
+def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum,
+                 p) -> InequalityCheck:
     """|<f, g>| <= ||f||_p * ||g||_q with exact pairing and quadrature norms.
 
-    The two norms are taken once, at the budget ``cfg``; a violation beyond
+    The two norms are taken once, by ``laurent_norm``; a violation beyond
     ``_CHECK_TOL`` stands (a single monomial's norm and every norm at
     exponent 2 are exact)."""
     p = check_exponent(p)
@@ -297,7 +295,7 @@ def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum, p,
     if not g.p_integrable(d, q):
         raise NotIntegrable("g is not in the q-Bergman space")
     lhs = abs(complex(pairing(d, f, g)))
-    rhs = laurent_norm(d, f, p, cfg) * laurent_norm(d, g, q, cfg)
+    rhs = laurent_norm(d, f, p) * laurent_norm(d, g, q)
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + _CHECK_TOL))
 
 

@@ -45,10 +45,8 @@ from .quadrature import (AbsPowerIntegrand, BlackBoxIntegrand, ProbeResult, Quad
                          divergence_probe, integrate, pth_root)
 
 GRAM_COND_LIMIT = 1e12  # density_residual rejects a Gram matrix beyond it
-# the divergence ladder's budget: classification tolerates ~1e-3 per level,
-# so the ladder stays cheap whatever budget the final integral gets
-PROBE_CFG = QuadConfig(radial_nodes=16, angular_nodes=16, rel_tol=1e-4,
-                       max_doublings=1)
+# the divergence ladder's node counts, the only part of a budget it reads
+PROBE_CFG = QuadConfig(radial_nodes=16, angular_nodes=16)
 
 
 @dataclass(frozen=True)

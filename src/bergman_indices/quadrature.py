@@ -72,6 +72,7 @@ TWO_PI = 2.0 * math.pi
 TORUS_AXIS = {Family.BALL: math.pi}  # else 2 pi; the ball's simplex map carries 1/2
 LADDER_LEVELS = 3  # cutoffs the divergence ladder reads its first verdict at
 MAX_LADDER_LEVELS = 7  # the divergence ladder's deepest cutoff, 1e-14
+LADDER_TOL = 1e-4  # rel_tol of each tensor ladder level, at max_doublings = 1
 STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 #: entries of the memo of separable axis sums: on a moment-oracle scan,
 #: 8,192 answer 85% of its calls (4,096: 77%; unbounded: 90%, in 21,533)
@@ -234,9 +235,7 @@ class AbsPowerIntegrand:
         vals = np.abs(self.base.eval_polar(radii, thetas))
         # divergent probes may overflow to inf; the ladder reads that as growth
         with np.errstate(over="ignore"):
-            if len(self.ps) == 1:
-                return [np.power(vals, float(self.p))]
-            return [vals ** float(p) for p in self.ps]
+            return [np.power(vals, float(p)) for p in self.ps]
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +642,12 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     The cutoffs are 1e-2, 1e-4, ...: the verdict is first read at
     ``LADDER_LEVELS`` = 3 levels, and the ladder deepens one level at a time
     while it is undecided, down to ``MAX_LADDER_LEVELS`` = 7.  A level needs
-    only ~1e-3 accuracy, so the tensor ladder runs at ``rel_tol`` >= 1e-6
-    and ``max_doublings`` <= 1.  The verdict is read from the p-th-power
-    integrals: geometric contraction of the increments means convergence
-    (stable); non-contracting increments under monotone growth mean the mass
-    below the cutoff does not run out (diverging); else ``Inconclusive``.
+    only ~1e-3 accuracy, so each tensor level runs at ``LADDER_TOL`` with
+    ``max_doublings`` = 1: on either path the ladder reads only the node
+    counts of ``cfg``.  The verdict is read from the p-th-power integrals:
+    geometric contraction of the increments means convergence (stable);
+    non-contracting increments under monotone growth mean the mass below the
+    cutoff does not run out (diverging); else ``Inconclusive``.
 
     The boxes nest: level L adds the blocks whose deepest log piece is piece
     L-1.  On the tensor path only those are integrated, and their sum is
@@ -656,15 +656,15 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     axis's base size: its base rules fit the exponents, and where they do
     not agree (the ball's uncut u_0 -> 1 end) a 4x rule gains nothing and
     costs O(n^2) memory to build.  The base rule is not run: its one product,
-    an error estimate, would go unread, so ``rel_tol`` and ``max_doublings``
-    do not reach it.  The ``_separable`` set-up is built once per probe, and
-    axis sums and rules come from the memos (module docstring)."""
+    an error estimate, would go unread.  The ``_separable`` set-up is built
+    once per probe, and axis sums and rules come from the memos (module
+    docstring)."""
     p = as_fraction(p)
     integrals: list = []
     separable = _separable(d, f, p, cfg.radial_nodes)  # levels differ in pieces only
     if not separable:
-        g, probe_cfg = AbsPowerIntegrand(f, p), replace(
-            cfg, rel_tol=max(cfg.rel_tol, 1e-6), max_doublings=min(cfg.max_doublings, 1))
+        g = AbsPowerIntegrand(f, p)
+        ladder_cfg = replace(cfg, rel_tol=LADDER_TOL, max_doublings=1)
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):
@@ -675,7 +675,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
                 continue
             new = [b for b in itertools.product(range(level + 1), repeat=d.dim)
                    if level in b]
-            (added,), _err = _block_sum(d, g, probe_cfg, new)
+            (added,), _err = _block_sum(d, g, ladder_cfg, new)
             integrals.append((integrals[-1] if integrals else 0.0) + added)
 
     def increasing() -> bool:

@@ -482,26 +482,19 @@ def _witness_criticality(doms, rng, size):
 
 
 def _inequalities(doms, rng, size):
+    """Lyapunov and Hoelder on random Laurent sums, at the checks' own budgets."""
     fails = []
     for d in doms:
-        # tensor meshes grow exponentially with dimension; shrink the
-        # per-axis budget there (Lyapunov's shared-mesh verdicts stay
-        # sound; its base rule 8 x 4 doubles once, to 16 x 8)
-        cfg = lya_cfg = None
-        if d.dim >= 3:
-            cfg = qd.QuadConfig(radial_nodes=8, angular_nodes=8,
-                                rel_tol=1e-5, max_doublings=1)
-            lya_cfg = qd.QuadConfig(radial_nodes=8, angular_nodes=4, max_doublings=0)
         for trial in range(size.inequality_trials):
             f = _random_laurent(d, rng, trial)
             p = Fraction(int(rng.integers(9, int(TRIAL_P_MAX * 4) + 1)), 4)
             q = Fraction(int(rng.integers(5, 8)), 4)    # in (1, 2)
             theta = Fraction(int(rng.integers(1, 8)), 8)
-            if not dp.lyapunov_check(d, f, p, q, theta, lya_cfg).holds:
+            if not dp.lyapunov_check(d, f, p, q, theta).holds:
                 fails.append((str(d), "lyapunov", f.terms, p, q, theta))
             g = _random_laurent(d, rng, trial)
             if (g.p_integrable(d, dm.conjugate_exponent(p))
-                    and not dp.holder_check(d, f, g, p, cfg).holds):
+                    and not dp.holder_check(d, f, g, p).holds):
                 fails.append((str(d), "holder", f.terms, g.terms, p))
     return not fails, str(fails[:2])
 

@@ -238,18 +238,17 @@ def test_holder_examples():
 
 def test_holder_violation_stands_after_one_pass(monkeypatch):
     # Hoelder is an equality for constants, so norms read 1e-6 low violate
-    # it; the check takes its two norms once, at the caller's budget
-    cfg = QuadConfig(radial_nodes=12, angular_nodes=8, max_doublings=0)
-    real, budgets = dp.laurent_norm, []
+    # it; the check takes its two norms once, at p and at the conjugate 4/3
+    real, exponents = dp.laurent_norm, []
 
-    def low(d, f, p, cfg=None):
-        budgets.append(cfg)
-        return real(d, f, p, cfg) * (1 - 1e-6)
+    def low(d, f, p):
+        exponents.append(p)
+        return real(d, f, p) * (1 - 1e-6)
 
     one = dp.laurent([(1, (0, 0))])
     monkeypatch.setattr(dp, "laurent_norm", low)
-    chk = dp.holder_check(H11, one, one, 4, cfg)
-    assert budgets == [cfg, cfg]
+    chk = dp.holder_check(H11, one, one, 4)
+    assert exponents == [4, Fraction(4, 3)]
     assert not chk.holds and chk.rhs < chk.lhs
 
 

@@ -387,8 +387,9 @@ def test_every_doubling_doubles_each_inexact_angular_axis(monkeypatch):
     assert passes == [[32], [64], [128], [256], [512]]  # angular nodes per pass
 
 
-def test_ladder_budget_floor_and_cap():
-    # the ladder runs at rel_tol >= 1e-6 and max_doublings <= 1
+def test_ladder_reads_node_counts_only():
+    # the ladder runs at LADDER_TOL with one doubling, whatever the budget's
+    # rel_tol and max_doublings; it reads only the node counts
     for f, p in [(_monomial((0, -1), 2), 3),
                  (qd.MonomialSumIntegrand([(1.0, (0, -1), (0, 0)),
                                            (0.5, (1, 0), (0, 0))]), 4)]:
@@ -396,6 +397,12 @@ def test_ladder_budget_floor_and_cap():
         capped = qd.divergence_probe(H11, f, p, qd.QuadConfig(max_doublings=1))
         tight = qd.divergence_probe(H11, f, p, qd.QuadConfig(rel_tol=1e-12))
         assert deep == capped == tight
+    # a tensor ladder on ball:2, where rel_tol 1e-2 and 1e-12 once differed
+    f = qd.MonomialSumIntegrand([(1.0, (1, 0), (0, 0)), (0.9, (0, 1), (0, 0))])
+    probes = {qd.divergence_probe(dm.ball(2), f, 3, qd.QuadConfig(
+                  radial_nodes=16, angular_nodes=16, rel_tol=tol, max_doublings=k))
+              for tol in (1e-2, 1e-9, 1e-12) for k in (0, 1, 3)}
+    assert len(probes) == 1
 
 
 def test_angular_exactness_above_bandwidth():
