@@ -240,17 +240,15 @@ def _kernel_integrand(d: DomainSpec, z) -> BlackBoxIntegrand:
     """Kernel section w -> K(w, z) as a quadrature integrand with decay hints."""
     zbar = [complex(zi).conjugate() for zi in z]
     # axes with z_i = 0 drop out of every product w_i * conj(z_i): the kernel
-    # section is angle-free there, which collapses that angular axis.  The
-    # products stay full arrays, since the angular weights assume full shape.
+    # section is angle-free there, which collapses that angular axis
     band = tuple(0 if zi == 0 else None for zi in z)
     # on the triangle the worst term per axis is x^0 and y^(-c_(m-1)) = y^(-n)
     decay = (0, -d.n) if d.family is Family.HARTOGS else (0,) * d.dim
 
     def fn(*ws):
         # near the origin of a steep triangle the denominator underflows; the
-        # inf or NaN that follows ends the quadrature as NaNOnGrid, silently
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _closed_form(d, [wi * zb for wi, zb in zip(ws, zbar)])
+        # tensor pass silences the inf or NaN that follows and ends on NaNOnGrid
+        return _closed_form(d, [wi * zb for wi, zb in zip(ws, zbar)])
 
     return BlackBoxIntegrand(fn, d.dim, angular_bandwidth=band,
                              modulus_exponents=decay)

@@ -34,8 +34,8 @@ doubles every rule until two successive ones agree to ``rel_tol``: each
 separable axis and each tensor block, whose mesh sums take |f| once per
 slab and raise it to each exponent p.  One tiler, ``_tiles``, cuts a pass's
 mesh into chunks of about ``CHUNK_POINTS``, whose one ``np.sum`` each fixes
-the order of every sum, and each chunk into slabs of ``SLAB_POINTS``, which
-bound the pass's temporaries and leave every bit as it is.
+the order of every sum, and every chunk into slabs of ``SLAB_POINTS``, which
+fill a buffer of its mesh shape, bound the pass's temporaries and change no bit.
 |sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
 differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
 basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
@@ -201,7 +201,8 @@ class BlackBoxIntegrand:
     ``angular_bandwidth`` bounds the trigonometric degree per axis (None for
     an axis means unbounded); ``modulus_exponents`` declares the leading
     power of the value in each |z_i| as that modulus tends to 0, which
-    steers the radial maps.
+    steers the radial maps.  Values need only broadcast over the points; the
+    tensor pass ignores float warnings and refuses a NaN sum.
     """
 
     def __init__(self, fn: Callable, dim: int, angular_bandwidth: Sequence,
@@ -233,9 +234,7 @@ class AbsPowerIntegrand:
     def powers(self, radii, thetas) -> list:
         """|base|^p at the points, one array per exponent."""
         vals = np.abs(self.base.eval_polar(radii, thetas))
-        # divergent probes may overflow to inf; the ladder reads that as growth
-        with np.errstate(over="ignore"):
-            return [np.power(vals, float(p)) for p in self.ps]
+        return [np.power(vals, float(p)) for p in self.ps]
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +437,15 @@ def _radial_mesh(d: DomainSpec, hints, n: int, block):
     if d.family is Family.HARTOGS:
         u, v = grids
         nm = d.n / d.m
-        r1 = u * v ** nm
-        r2 = v + np.zeros_like(u)
         weight = weight * u * v ** (1.0 + 2.0 * nm)
-        return [r1, r2], weight
+        return [u * v ** nm, v], weight
     # ball
     radii = []
     prefix = 1.0
     for j in range(dim):
         t = grids[j] * prefix
         radii.append(np.sqrt(t))
-        weight = weight * 0.5 * np.asarray(prefix + np.zeros_like(grids[j]))
+        weight = weight * 0.5 * prefix
         prefix = prefix * (1.0 - grids[j])
     # measure: prod r_i dr_i = 2^-dim dt, dt = prod (1-u_j)^(dim-j-1) du
     # (the prefix factors above accumulate exactly that Jacobian)
@@ -523,8 +520,9 @@ def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
     ``_radial_mesh``): dim radial axes, then one angular axis per entry of
     ``ang_counts``.  Its chunks, of about ``CHUNK_POINTS``, cut the first
     radial axis, or the first angular one in a larger row, and take one
-    ``np.sum`` per exponent; a chunk of more than ``SLAB_POINTS`` is filled
-    slab by slab, and element-wise ufuncs round each point alike on any slab."""
+    ``np.sum`` per exponent, each filled slab by slab into a buffer of its mesh
+    shape (values lacking an axis count at all its points), under one
+    ``np.errstate`` that silences every float warning."""
     radii, wrad = _radial_mesh(d, hints, n_radial, block)
     dim, k = d.dim, len(ang_counts)
     mesh = [a.reshape(a.shape + (1,) * k) for a in (wrad, *radii)]
@@ -532,20 +530,17 @@ def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
     mesh += [(np.arange(m) * (TWO_PI / m)).reshape(ones[:i] + (m,) + ones[i + 1:])
              for i, m in enumerate(ang_counts, dim)]
     totals = [0.0] * len(g.ps)
-    # an overflowed value times a zero weight is NaN, raised as NaNOnGrid
-    with np.errstate(invalid="ignore", over="ignore"):
+    # an inf reads as growth on the ladder; inf times a zero weight is NaNOnGrid
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         chunks = _tiles(np.broadcast(*mesh).shape, CHUNK_POINTS, (0, dim) if k else (0,))
         for cut in chunks:
-            w, *at = chunk = [_cut(a, cut) for a in mesh]
+            chunk = [_cut(a, cut) for a in mesh]
             shape = np.broadcast(*chunk).shape
-            if math.prod(shape) <= SLAB_POINTS:
-                values = [w * v for v in g.powers(at[:dim], at[dim:])]
-            else:
-                values = [np.empty(shape) for _p in g.ps]
-                for idx in _tiles(shape, SLAB_POINTS, range(len(shape))):
-                    w, *at = [_cut(a, idx) for a in chunk]
-                    for j, v in enumerate(g.powers(at[:dim], at[dim:])):
-                        np.multiply(w, v, out=values[j][idx])
+            values = [np.empty(shape) for _p in g.ps]
+            for idx in _tiles(shape, SLAB_POINTS, range(len(shape))):
+                w, *at = [_cut(a, idx) for a in chunk]
+                for j, v in enumerate(g.powers(at[:dim], at[dim:])):
+                    np.multiply(w, v, out=values[j][idx])
             totals = [t + float(np.sum(v)) for t, v in zip(totals, values)]
             del values  # before the next chunk's buffers exist
     # trapezoid weight of the angular mesh, times 2 pi per unseen angle

@@ -34,7 +34,7 @@ from . import index_sets as ix
 from . import kernel as kn
 from . import quadrature as qd
 from .domains import DomainSpec, Family
-from .errors import Inconclusive, NotIntegrable
+from .errors import Inconclusive, NotIntegrable, ParseError
 from .exact import QComplex
 
 ORACLE_REL_TOL = 1e-8
@@ -598,12 +598,14 @@ def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
     """Run the bootstrap oracle, then every entry of ``CHECKS``.
 
     The checks are skipped when the bootstrap fails: nothing that depends on
-    the moment formulas can be trusted at that point.  A domain whose kernel
-    window or bootstrap box exceeds ``MAX_WINDOW_POINTS`` raises
-    ``ParseError`` before any check runs.
+    the moment formulas can be trusted at that point.  A negative seed, or a
+    domain whose kernel window or bootstrap box exceeds ``MAX_WINDOW_POINTS``,
+    raises ``ParseError`` before any check runs.
     """
     if level not in SIZES:
         raise ValueError("level must be 'quick' or 'full'")
+    if seed < 0:  # numpy's generator takes no negative seed
+        raise ParseError(f"seed must be >= 0, not {seed}")
     size = SIZES[level]
     for d in doms:
         ix.check_radius(size.kernel_radius, dim=d.dim)

@@ -237,6 +237,7 @@ def test_usage_errors_exit_2(capsys):
        flag, value]
       for flag, value in [("--radial-nodes", "64"), ("--angular-nodes", "32"),
                           ("--refine", "3"), ("--tol", "1e-9")]),
+    ["verify", "polydisc:1", "--seed", "-1"],  # numpy's generator takes no negative seed
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.run(argv)
@@ -442,6 +443,9 @@ def test_bad_seed_env_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "Traceback" not in captured.err
+    monkeypatch.setenv("BERGMAN_SEED", "-5")
+    assert cli.run(["verify", "polydisc:1"]) == 2
+    assert cli.run(["info", "ball:1"]) == 0  # only verify draws from the seed
 
 
 def test_seed_env_override(capsys, monkeypatch):

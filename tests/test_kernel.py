@@ -10,6 +10,7 @@ import pytest
 from bergman_indices import domains as dm
 from bergman_indices import index_sets as ix
 from bergman_indices import kernel as kn
+from bergman_indices import quadrature as qd
 from bergman_indices.errors import IllConditionedGram, Inconclusive, ParseError
 from bergman_indices.quadrature import QuadConfig
 from bergman_indices.verify import _sample_point
@@ -179,17 +180,17 @@ def test_pnorm_off_axis_point_on_h21():
 
 def test_kernel_integrand_warns_nothing_where_it_leaves_float_range():
     # on H(50, 49) at z = (0.01, 0.9) the closed form's denominator
-    # underflows near w2 = 6e-4: numpy would warn of division by zero,
-    # overflow and an invalid value; every point lies in the domain
+    # underflows near w2 = 6e-4: numpy would warn of an invalid value, and of
+    # overflow on 8 radial nodes or division by zero on 16.  The pass's one
+    # errstate silences them, and its NaN sum is what _block_sum refuses
     d = dm.hartogs(50, 49)
-    fn = kn._kernel_integrand(d, (0.01, 0.9)).fn
-    w1, w2 = np.array([[1e-8], [1e-5]]), np.array([[5e-4, 6.8e-4, 1e-3]])
-    assert all(dm.point_in_domain(d, (a, b)) for a in w1[:, 0] for b in w2[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values = fn(w1 + 0j, w2 + 0j)
-    assert not np.isfinite(values[:, :2]).any()
-    assert np.isfinite(values[:, 2]).all()
+    g = qd.AbsPowerIntegrand(kn._kernel_integrand(d, (0.01, 0.9)), 2)
+    hints = qd._axis_hints(d, g.base, g.p)
+    for n in (8, 16):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (total,) = qd._tensor_integrate(d, g, hints, n, [8, 8], (0, 1))
+        assert math.isnan(total)
 
 
 def test_pnorm_beyond_float_range_is_inconclusive():

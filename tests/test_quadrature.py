@@ -464,6 +464,18 @@ def test_lp_norms_at_mixed_parity_match_lp_norm():
             assert abs(norm - want) <= 1e-9, (str(d), p)
 
 
+def test_angle_free_black_box_counts_at_every_mesh_point():
+    # a constant declared angle-free has values of less than the mesh's
+    # shape; a chunk summed as weight * values at that shape lost one
+    # angular axis's 2 nodes, a norm of pi / sqrt(2) on 8 radial nodes
+    d = dm.polydisc(2)
+    one = qd.BlackBoxIntegrand(lambda z1, z2: 1.0 + 0 * z1, 2, (0, 0), (0, 0))
+    for n in (8, 128):
+        cfg = qd.QuadConfig(radial_nodes=n, angular_nodes=8, max_doublings=0)
+        assert abs(qd.lp_norm(d, one, 2, cfg) - PI) <= 1e-12
+        assert abs(qd.divergence_probe(d, one, 2, cfg).sequence[-1] - PI) <= 1e-9
+
+
 def test_nan_rejected(monkeypatch):
     def bad(w1, w2):
         with np.errstate(invalid="ignore"):
