@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written to one JSON file.
 
     python3 scripts/bench_pairs.py --parent REV --workload moment_oracle \
-        --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
+        --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json [--layers]
 
 Exports REV with ``git archive`` to a temporary directory and runs the
 benchmark command of ``BENCHMARK.json`` (with ``--trace 0``) once per seed in
@@ -11,7 +11,11 @@ falls on both sides alike.  ``--out`` gets, per workload, every run's metrics,
 per end-to-end metric each side's median and quartiles and the share of
 pairs the change won (ties count for neither side), and per side the share of
 failed operations and the seeds of runs not ``correct`` (a request raised or
-answered wrongly).  A workload already in ``--out`` is replaced; the others
+answered wrongly).  With ``--layers`` each side of a pair also runs once
+with ``--trace 1``, after both untraced runs, and ``layers`` summarizes those
+runs the same way over the per-layer metrics (``trace.covered_frac`` among
+them, the share of wall time the layers explain); the untraced runs stay the
+end-to-end gate.  A workload already in ``--out`` is replaced; the others
 are kept, so one file can collect several invocations.
 """
 
@@ -46,10 +50,10 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run_once(tree: Path, command: list, workload: str, seed: int,
-             seconds: int) -> dict:
-    """One untraced benchmark run in ``tree``: its last stdout line, parsed."""
+             seconds: int, trace: int = 0) -> dict:
+    """One benchmark run in ``tree``: its last stdout line, parsed."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited "
@@ -61,7 +65,7 @@ def run_once(tree: Path, command: list, workload: str, seed: int,
 
 
 def summarize(pairs: list, metrics: list) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the
+    """Per metric: each side's median and quartiles, and the
     share of pairs in which the change read better.  Per side also
     ``failed_frac``, the share of attempted operations that failed over all
     its runs, and ``incorrect_runs``, the seeds of its runs with ``correct``
@@ -79,8 +83,7 @@ def summarize(pairs: list, metrics: list) -> dict:
                  for side in ("parent", "change")}
         won = sum((c > p) if higher else (c < p)
                   for p, c in zip(sides["parent"], sides["change"]))
-        entry = {"unit": spec["unit"], "better": spec["better"],
-                 "bound": spec["bound"]}
+        entry = {key: spec[key] for key in ("unit", "better", "bound") if key in spec}
         for side, values in sides.items():
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             entry[side] = {"median": median, "q1": q1, "q3": q3}
@@ -95,6 +98,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--layers", action="store_true",
+                        help="add one traced run per side to each pair")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -110,11 +115,16 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
-            for side in order:
-                pair[side] = run_once(trees[side], bench["command"],
-                                      args.workload, seed, seconds)
-                print(f"{args.workload} seed {seed} {side}: "
-                      f"{pair[side]['metrics']}", file=sys.stderr, flush=True)
+            for trace in range(1 + args.layers):
+                for side in order:
+                    run = run_once(trees[side], bench["command"],
+                                   args.workload, seed, seconds, trace)
+                    if trace:
+                        pair[side]["traced"] = run
+                    else:
+                        pair[side] = run
+                    print(f"{args.workload} seed {seed} {side} trace {trace}: "
+                          f"{run['metrics']}", file=sys.stderr, flush=True)
             pairs.append(pair)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -125,9 +135,13 @@ def main(argv=None) -> int:
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": len(os.sched_getaffinity(0))},
     })
-    doc.setdefault("workloads", {})[args.workload] = {
-        "seconds": seconds, "command": bench["command"],
-        "summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
+    entry = {"seconds": seconds, "command": bench["command"],
+             "summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
+    if args.layers:
+        traced = [{side: pair[side]["traced"] for side in ("parent", "change")}
+                  for pair in pairs]
+        entry["layers"] = summarize(traced, bench["per_layer"])
+    doc.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -165,16 +165,17 @@ def cmd_kernel(args, d) -> int:
     if args.pnorm is not None and d.dim > MAX_PNORM_DIM and any(z):
         raise ParseError(f"--pnorm in dimension {d.dim} needs z = 0 (dimensions "
                          f"above {MAX_PNORM_DIM} have no work bound at z != 0)")
+    # the closed form first: beyond the float range it refuses before any series
+    closed = kn.kernel_closed_form(d, z, w)
     value = kn.kernel_truncated(d, z, w, args.window)
     result = {
         "z": [[zi.real, zi.imag] for zi in z],
         "w": [[wi.real, wi.imag] for wi in w],
         "window": args.window,
         "value": {"re": value.real, "im": value.imag},
+        "closed_form": {"re": closed.real, "im": closed.imag},
+        "abs_diff": abs(value - closed),
     }
-    closed = kn.kernel_closed_form(d, z, w)
-    result["closed_form"] = {"re": closed.real, "im": closed.imag}
-    result["abs_diff"] = abs(value - closed)
     if args.pnorm is not None:
         p = parse_fraction(args.pnorm)
         est = kn.kernel_pnorm_estimate(d, z, p, cfg=QuadConfig())

@@ -5,8 +5,11 @@ The kernel of a Reinhardt domain expands over the allowable-at-2 monomials,
     K(w, z) = sum over alpha in S(2) of  w^alpha * conj(z)^alpha / ||z^alpha||^2,
 
 and this module evaluates the window truncation of that series (exact inverse
-norms, fixed lexicographic summation order) next to its resummation, a
-rational function of the products x_i = w_i conj(z_i):
+norms, lexicographic order) in one array pass with the bits of a Python loop:
+the tables w_i^a conj(z_i)^a are Python complex powers, the products run in
+real arithmetic, (re fr - im fi, re fi + im fr), on nonzero exponents only,
+and the terms add in order from 0.0 (np.cumsum).  Next to it stands its
+resummation, a rational function of the products x_i = w_i conj(z_i):
 
   polydisc   prod_i 1 / (pi * (1 - x_i)^2)
   ball       n! / pi^n * (1 - sum_i x_i)^(-(n+1))
@@ -31,7 +34,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,13 +54,17 @@ PROBE_CFG = QuadConfig(radial_nodes=16, angular_nodes=16)
 
 @dataclass(frozen=True)
 class KernelSeries:
-    """Window truncation of the kernel expansion with exact coefficients."""
+    """Window truncation of the kernel expansion with exact coefficients,
+    and the arrays ``kernel_truncated`` sums it with, built once."""
 
     domain: DomainSpec
     radius: int
     terms: Tuple[Tuple[MultiIndex, ExactValue], ...]  # (alpha, 1/||e_alpha||^2)
-    #: the inverse norms as floats, in the order of ``terms``
-    coeffs: Tuple[float, ...]
+    #: the inverse norms as a float array, in the order of ``terms``
+    coeffs: np.ndarray = field(compare=False, repr=False)
+    #: per axis: its distinct nonzero exponents (Python ints), the rows of
+    #: ``terms`` whose exponent is nonzero, and each such row's index into them
+    columns: tuple = field(compare=False, repr=False)
 
     def inverse_norm(self, alpha) -> Optional[ExactValue]:
         alpha = tuple(alpha)
@@ -73,7 +80,13 @@ def kernel_series(d: DomainSpec, radius: int) -> KernelSeries:
     window = index_set_window(d, 2, radius)
     terms = tuple((alpha, EXACT_ONE / moment(d, alpha, 2).value)
                   for alpha in window.members)
-    return KernelSeries(d, radius, terms, tuple(float(inv) for _a, inv in terms))
+    columns = []
+    for column in np.array(window.members, dtype=np.int64).reshape(-1, d.dim).T:
+        rows = np.flatnonzero(column)
+        exponents, index = np.unique(column[rows], return_inverse=True)
+        columns.append((exponents.tolist(), rows, index))
+    return KernelSeries(d, radius, terms, np.array([float(inv) for _a, inv in terms]),
+                        tuple(columns))
 
 
 def _require_inside(d: DomainSpec, z, name: str) -> tuple:
@@ -101,22 +114,21 @@ def _in_float_range(evaluate):
 
 @_in_float_range
 def kernel_truncated(d: DomainSpec, z, w, radius: int) -> complex:
-    """Window truncation of K(w, z), summed in lexicographic order."""
+    """Window truncation of K(w, z), summed in lexicographic order with the
+    bits of a Python loop (module docstring)."""
     z = _require_inside(d, z, "z")
     w = _require_inside(d, w, "w")
     series = kernel_series(d, radius)
-    alphas = [alpha for alpha, _inv in series.terms]
-    # per axis, w_i^a conj(z_i)^a once for each exponent a that occurs
-    tables = [{a: wi ** a * zi.conjugate() ** a for a in set(column) if a}
-              for wi, zi, column in zip(w, z, zip(*alphas))]
-    total = 0j
-    for alpha, coeff in zip(alphas, series.coeffs):
-        term = coeff + 0j
-        for table, a in zip(tables, alpha):
-            if a:
-                term *= table[a]
-        total += term
-    return total
+    re, im = series.coeffs.copy(), np.zeros(len(series.coeffs))  # coeff + 0j
+    with np.errstate(all="ignore"):  # inf and NaN end in the range check
+        for wi, zi, (exponents, rows, index) in zip(w, z, series.columns):
+            # w_i^a conj(z_i)^a once for each nonzero exponent a, in Python
+            table = np.array([wi ** a * zi.conjugate() ** a for a in exponents], complex)
+            fr, fi, r, i = table.real[index], table.imag[index], re[rows], im[rows]
+            re[rows], im[rows] = r * fr - i * fi, r * fi + i * fr
+        # a sequential sum from 0.0, as total = 0j; total += term adds
+        return complex(np.cumsum(np.append(0.0, re))[-1],
+                       np.cumsum(np.append(0.0, im))[-1])
 
 
 def _power(v, e: int):

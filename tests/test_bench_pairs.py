@@ -1,6 +1,7 @@
 """The summary that scripts/bench_pairs.py writes for a set of run pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,42 @@ def test_summarize_reports_medians_wins_failed_share_and_incorrect_runs():
     assert ops["change"]["median"] == 10.0
     assert ops["change_won_frac"] == pytest.approx(1 / 3)  # the tie counts for neither
     assert (ops["unit"], ops["better"], ops["bound"]) == ("1/s", "higher", 0.2)
+
+
+def test_layers_summarize_one_traced_run_per_side_beside_the_untraced_gate(
+        tmp_path, monkeypatch):
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    seen = []
+
+    def fake_run(tree, command, workload, seed, seconds, trace=0):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        seen.append((seed, side, trace))
+        value = {"parent": 1.0, "change": 0.25}[side] * seed
+        metrics = {m["name"]: value for m in bench["per_layer" if trace else "end_to_end"]}
+        if trace:
+            metrics["trace.covered_frac"] = 0.95
+        return {"seed": seed, "correct": True, "attempted": 10, "failed": 0,
+                "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: b"")
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "kernel_sections",
+                             "--seeds", "1", "2", "--out", str(out), "--layers"]) == 0
+    # per pair: both untraced runs in the alternating order, then both traced
+    assert seen == [(1, "parent", 0), (1, "change", 0), (1, "parent", 1), (1, "change", 1),
+                    (2, "change", 0), (2, "parent", 0), (2, "change", 1), (2, "parent", 1)]
+    doc = json.loads(out.read_text())["workloads"]["kernel_sections"]
+    assert set(doc["summary"]) == {"failed_frac", "incorrect_runs",
+                                   *(m["name"] for m in bench["end_to_end"])}
+    assert doc["summary"]["op_p50_ms"]["change_won_frac"] == 1.0
+    assert set(doc["layers"]) == {"failed_frac", "incorrect_runs",
+                                  *(m["name"] for m in bench["per_layer"])}
+    layer = doc["layers"]["kernel.kernel_truncated.p50_ms"]
+    assert layer["parent"]["median"] == 1.5 and layer["change"]["median"] == 0.375
+    assert layer["change_won_frac"] == 1.0 and "bound" not in layer
+    covered = doc["layers"]["trace.covered_frac"]
+    assert covered["change"]["median"] == 0.95
+    assert covered["change_won_frac"] == 0.0  # ties count for neither side
+    assert doc["pairs"][0]["change"]["traced"]["metrics"]["trace.covered_frac"] == 0.95

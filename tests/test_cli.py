@@ -340,6 +340,19 @@ def test_kernel_beyond_float_range_is_inconclusive(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+
+def test_kernel_beyond_float_range_refuses_before_the_series(capsys):
+    """The closed form refuses first; the window-499 series took 15 s."""
+    t0 = time.perf_counter()
+    code = cli.run(["kernel", "hartogs:997/998", "--z", "0.01,0.5", "--w", "0.01,0.5",
+                    "--window", "499"])
+    elapsed = time.perf_counter() - t0
+    assert code == 3 and elapsed < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("inconclusive: kernel_closed_form: the value leaves "
+                            "the floating-point range\n")
+
 @pytest.mark.parametrize("argv, message", [
     (["info", "hartogs:2/4"], "hartogs:2/4 reduced to hartogs:1/2"),
     (["kernel", "hartogs:1/1", "--z", "0,0.9999999999999",

@@ -73,6 +73,49 @@ def test_diagonal_positive_nondecreasing():
         prev = val.real
 
 
+
+def _loop_truncated(d, z, w, radius):
+    """The scalar reference: the window series term by term in Python's
+    complex arithmetic, summed in order from 0j."""
+    terms = kn.kernel_series(d, radius).terms
+    tables = [{a: wi ** a * zi.conjugate() ** a for a in set(column) if a}
+              for wi, zi, column in zip(w, z, zip(*(alpha for alpha, _inv in terms)))]
+    total = 0j
+    for alpha, inv in terms:
+        term = float(inv) + 0j
+        for table, a in zip(tables, alpha):
+            if a:
+                term *= table[a]
+        total += term
+    return total
+
+
+# ball:3 at a small window keeps the reference loop fast
+BIT_DOMAINS = [(dm.polydisc(1), 40), (dm.polydisc(2), 20), (dm.ball(2), 20),
+               (dm.ball(3), 10), (H11, 20), (dm.hartogs(2, 1), 20),
+               (dm.hartogs(3, 2), 20), (dm.hartogs(7, 5), 20)]
+
+
+def test_array_sum_has_the_bits_of_the_scalar_loop():
+    rng = np.random.default_rng(26)
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, radius in BIT_DOMAINS:
+            for k in range(130):
+                z = tuple(complex(c) for c in _sample_point(d, rng))
+                w = tuple(complex(c) for c in _sample_point(d, rng))
+                if k % 4 == 1:  # a diagonal pair
+                    w = z
+                elif k % 4 == 2:  # a zero first coordinate: its table entries are 0j
+                    z = (0j,) + z[1:]
+                elif k % 4 == 3:
+                    z, w = (0j,) + z[1:], (0j,) + w[1:]
+                want = _loop_truncated(d, z, w, radius)
+                assert repr(kn.kernel_truncated(d, z, w, radius)) == repr(want), (d, z, w)
+                compared += 1
+    assert compared >= 1000
+
 def test_points_outside_domain_rejected():
     with pytest.raises(ParseError):
         kn.kernel_truncated(H11, (0.9, 0.5), (0, 0.5), 10)  # |z1| > |z2|
