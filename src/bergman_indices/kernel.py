@@ -81,7 +81,7 @@ def kernel_series(d: DomainSpec, radius: int) -> KernelSeries:
     terms = tuple((alpha, EXACT_ONE / moment(d, alpha, 2).value)
                   for alpha in window.members)
     columns = []
-    for column in np.array(window.members, dtype=np.int64).reshape(-1, d.dim).T:
+    for column in np.array(window.members).T:  # the window holds 0, so it is 2-D
         rows = np.flatnonzero(column)
         exponents, index = np.unique(column[rows], return_inverse=True)
         columns.append((exponents.tolist(), rows, index))
@@ -119,14 +119,14 @@ def kernel_truncated(d: DomainSpec, z, w, radius: int) -> complex:
     z = _require_inside(d, z, "z")
     w = _require_inside(d, w, "w")
     series = kernel_series(d, radius)
-    re, im = series.coeffs.copy(), np.zeros(len(series.coeffs))  # coeff + 0j
+    re, im = series.coeffs.copy(), np.zeros(len(series.coeffs))  # each term is coeff + 0j
     with np.errstate(all="ignore"):  # inf and NaN end in the range check
         for wi, zi, (exponents, rows, index) in zip(w, z, series.columns):
             # w_i^a conj(z_i)^a once for each nonzero exponent a, in Python
             table = np.array([wi ** a * zi.conjugate() ** a for a in exponents], complex)
             fr, fi, r, i = table.real[index], table.imag[index], re[rows], im[rows]
             re[rows], im[rows] = r * fr - i * fi, r * fi + i * fr
-        # a sequential sum from 0.0, as total = 0j; total += term adds
+        # in order from 0.0, the bits of a running sum of Python complex numbers
         return complex(np.cumsum(np.append(0.0, re))[-1],
                        np.cumsum(np.append(0.0, im))[-1])
 

@@ -340,7 +340,6 @@ def test_kernel_beyond_float_range_is_inconclusive(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-
 def test_kernel_beyond_float_range_refuses_before_the_series(capsys):
     """The closed form refuses first; the window-499 series took 15 s."""
     t0 = time.perf_counter()
@@ -352,6 +351,7 @@ def test_kernel_beyond_float_range_refuses_before_the_series(capsys):
     assert captured.out == ""
     assert captured.err == ("inconclusive: kernel_closed_form: the value leaves "
                             "the floating-point range\n")
+
 
 @pytest.mark.parametrize("argv, message", [
     (["info", "hartogs:2/4"], "hartogs:2/4 reduced to hartogs:1/2"),

@@ -73,7 +73,6 @@ def test_diagonal_positive_nondecreasing():
         prev = val.real
 
 
-
 def _loop_truncated(d, z, w, radius):
     """The scalar reference: the window series term by term in Python's
     complex arithmetic, summed in order from 0j."""
@@ -98,11 +97,10 @@ BIT_DOMAINS = [(dm.polydisc(1), 40), (dm.polydisc(2), 20), (dm.ball(2), 20),
 
 def test_array_sum_has_the_bits_of_the_scalar_loop():
     rng = np.random.default_rng(26)
-    compared = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for d, radius in BIT_DOMAINS:
-            for k in range(130):
+            for k in range(130):  # 1,040 pairs in all
                 z = tuple(complex(c) for c in _sample_point(d, rng))
                 w = tuple(complex(c) for c in _sample_point(d, rng))
                 if k % 4 == 1:  # a diagonal pair
@@ -113,8 +111,7 @@ def test_array_sum_has_the_bits_of_the_scalar_loop():
                     z, w = (0j,) + z[1:], (0j,) + w[1:]
                 want = _loop_truncated(d, z, w, radius)
                 assert repr(kn.kernel_truncated(d, z, w, radius)) == repr(want), (d, z, w)
-                compared += 1
-    assert compared >= 1000
+
 
 def test_points_outside_domain_rejected():
     with pytest.raises(ParseError):
