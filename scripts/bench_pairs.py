@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written to one JSON file.
 
     python3 scripts/bench_pairs.py --parent REV --workload moment_oracle \
-        --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json [--layers]
+        --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
 
 Exports REV with ``git archive`` to a temporary directory and runs the
 benchmark command of ``BENCHMARK.json`` (with ``--trace 0``) once per seed in
@@ -11,12 +11,12 @@ falls on both sides alike.  ``--out`` gets, per workload, every run's metrics,
 per end-to-end metric each side's median and quartiles and the share of
 pairs the change won (ties count for neither side), and per side the share of
 failed operations and the seeds of runs not ``correct`` (a request raised or
-answered wrongly).  With ``--layers`` each side of a pair also runs once
-with ``--trace 1``, after both untraced runs, and ``layers`` summarizes those
-runs the same way over the per-layer metrics (``trace.covered_frac`` among
-them, the share of wall time the layers explain); the untraced runs stay the
-end-to-end gate.  A workload already in ``--out`` is replaced; the others
-are kept, so one file can collect several invocations.
+answered wrongly).  Each side of a pair also runs once with ``--trace 1``,
+after both untraced runs, and ``layers`` summarizes those runs the same way
+over the per-layer metrics (``trace.covered_frac`` among them, the share of
+wall time the layers explain); the untraced runs stay the end-to-end gate.
+A workload already in ``--out`` is replaced; the others are kept, so one
+file can collect several invocations.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--layers", action="store_true",
-                        help="add one traced run per side to each pair")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -115,7 +113,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
-            for trace in range(1 + args.layers):
+            for trace in (0, 1):
                 for side in order:
                     run = run_once(trees[side], bench["command"],
                                    args.workload, seed, seconds, trace)
@@ -137,10 +135,9 @@ def main(argv=None) -> int:
     })
     entry = {"seconds": seconds, "command": bench["command"],
              "summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
-    if args.layers:
-        traced = [{side: pair[side]["traced"] for side in ("parent", "change")}
-                  for pair in pairs]
-        entry["layers"] = summarize(traced, bench["per_layer"])
+    traced = [{side: pair[side]["traced"] for side in ("parent", "change")}
+              for pair in pairs]
+    entry["layers"] = summarize(traced, bench["per_layer"])
     doc.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

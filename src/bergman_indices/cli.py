@@ -165,6 +165,7 @@ def cmd_kernel(args, d) -> int:
     if args.pnorm is not None and d.dim > MAX_PNORM_DIM and any(z):
         raise ParseError(f"--pnorm in dimension {d.dim} needs z = 0 (dimensions "
                          f"above {MAX_PNORM_DIM} have no work bound at z != 0)")
+    ix.check_radius(args.window, dim=d.dim)  # bad input (exit 2) before any refusal
     # the closed form first: beyond the float range it refuses before any series
     closed = kn.kernel_closed_form(d, z, w)
     value = kn.kernel_truncated(d, z, w, args.window)

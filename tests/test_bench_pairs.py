@@ -55,7 +55,7 @@ def test_layers_summarize_one_traced_run_per_side_beside_the_untraced_gate(
     monkeypatch.setattr(bench_pairs, "_git", lambda *args: b"")
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--parent", "HEAD", "--workload", "kernel_sections",
-                             "--seeds", "1", "2", "--out", str(out), "--layers"]) == 0
+                             "--seeds", "1", "2", "--out", str(out)]) == 0
     # per pair: both untraced runs in the alternating order, then both traced
     assert seen == [(1, "parent", 0), (1, "change", 0), (1, "parent", 1), (1, "change", 1),
                     (2, "change", 0), (2, "parent", 0), (2, "change", 1), (2, "parent", 1)]

@@ -232,6 +232,9 @@ def test_usage_errors_exit_2(capsys):
      "--gamma", "0,0,0,0,0,0", "--plo", "64", "--phi", "64", "--steps", "1"],
     ["info", "ball:100000000"],
     ["info", "hartogs:1001/1"],
+    # the window cap comes before the closed form's float-range refusal
+    ["kernel", "hartogs:997/998", "--z", "0.01,0.5", "--w", "0.01,0.5",
+     "--window", "600"],
     # valid values: kernel takes no quadrature flag
     *(["kernel", "hartogs:1/1", "--z", "0,0.5", "--w", "0,0.5", "--pnorm", "3",
        flag, value]
