@@ -6,11 +6,11 @@ shape
     rational * pi^(k/2) * Gamma(a_1)...Gamma(a_r) / (Gamma(b_1)...Gamma(b_s))
 
 with rational Gamma arguments.  ``ExactValue`` stores that shape in a canonical
-form: Gamma factors at integer or half-integer arguments are folded into the
+form: ``half_gamma`` alone folds Gamma at integers and half-integers into the
 rational coefficient and the pi power (``Gamma(1/2) = sqrt(pi)``), so a Gamma
-product survives only for genuinely non-half-integer rational arguments.  Two
-canonical values are equal iff their components are equal, which is what makes
-the zero-tolerance identity checks in the projection module honest.
+product survives only for non-half-integer arguments.  Two canonical values
+are equal iff their components are equal, which is what makes the
+zero-tolerance identity checks in the projection module honest.
 
 ``QComplex`` is a complex number with ``Fraction`` real and imaginary parts;
 ``ExactMix`` is a finite linear combination of distinct canonical scale factors
@@ -87,7 +87,7 @@ class ExactValue:
     gamma_den: tuple = ()
 
     def __post_init__(self):
-        if self.coeff <= 0:
+        if self.coeff.numerator <= 0:  # a Fraction's sign, without its __le__
             raise ValueError("ExactValue must be strictly positive")
 
     @property
@@ -114,6 +114,10 @@ class ExactValue:
             self.gamma_num + other.gamma_den,
             self.gamma_den + other.gamma_num,
         )
+
+    def inverse(self) -> "ExactValue":
+        """1 / self, canonical as it stands: what cancels has cancelled."""
+        return ExactValue(self.coeff ** -1, -self.pi_half, self.gamma_den, self.gamma_num)
 
     def __float__(self) -> float:
         v = float(self.coeff) * math.pi ** (self.pi_half // 2)
@@ -146,13 +150,37 @@ class ExactValue:
         return d
 
 
-def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValue:
-    """Build a canonical ExactValue, folding reducible Gamma factors.
+def half_gamma(tops, bottoms, coeff=1, pi_half: int = 0) -> ExactValue:
+    """Canonical ``coeff * pi^(pi_half/2) * prod Gamma(t/2) / prod Gamma(b/2)``
+    for positive integers t in ``tops``, b in ``bottoms``: the one place that
+    folds Gamma at Z/2, in integers with one final ``Fraction``.  Each b first
+    cancels the nearest t of its parity (on the ball, the largest) as one product."""
+    if min(tops, default=1) <= 0 or min(bottoms, default=1) <= 0:
+        raise ValueError("Gamma arguments must be positive")
+    tops, rest, num, den = list(tops), [], coeff.numerator, coeff.denominator
+    for b in bottoms:  # t = 0: no argument of b's parity
+        t = min([(abs(b - t), t) for t in tops if (b - t) % 2 == 0], default=(0, 0))[1]
+        if not t:
+            rest.append(b)
+            continue
+        tops.remove(t)
+        lo, hi = sorted((t, b))
+        odd, m = b % 2, (hi - lo) // 2  # Gamma(hi/2) / Gamma(lo/2) = shift / 2^(odd m)
+        shift = _product(range(lo, hi, 2)) if odd else math.perm(hi // 2 - 1, m)
+        num, den = (num * shift, den << odd * m) if t > b else (num << odd * m, den * shift)
+    for args, sign in ((tops, 1), (rest, -1)):
+        for t in args:  # Gamma(k) = (k-1)!, Gamma(k + 1/2) = (2k-1)!! sqrt(pi) / 2^k
+            k, odd = divmod(t, 2)
+            f, g = (_product(range(1, t, 2)), 1 << k) if odd else (math.factorial(k - 1), 1)
+            num, den = (num * f, den * g) if sign > 0 else (num * g, den * f)
+            pi_half += sign * odd
+    return ExactValue(Fraction(num, den), pi_half)
 
-    Every half-integer argument disappears into ``coeff`` and ``pi_half``,
-    and numerator and denominator arguments that differ by an integer
-    cancel to a rational.
-    """
+
+def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValue:
+    """Build a canonical ExactValue: arguments in Z/2 fold in ``half_gamma``; of
+    the others, numerator and denominator arguments that differ by an integer
+    cancel to a rational, and each one left moves into (0, 1)."""
     if not (gamma_num or gamma_den):
         return ExactValue(as_fraction(coeff), pi_half)
     coeff = as_fraction(coeff)
@@ -160,6 +188,12 @@ def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValu
     bottoms = [as_fraction(b) for b in gamma_den]
     if any(x <= 0 for x in tops + bottoms):
         raise ValueError("Gamma arguments must be positive")
+    halves = [[x.numerator * (2 // x.denominator) for x in xs if x.denominator <= 2]
+              for xs in (tops, bottoms)]
+    if halves[0] or halves[1]:  # no other argument differs from these by an integer
+        folded = half_gamma(*halves, coeff, pi_half)
+        coeff, pi_half = folded.coeff, folded.pi_half
+        tops, bottoms = ([x for x in xs if x.denominator > 2] for xs in (tops, bottoms))
     # Gamma(a) / Gamma(a + k) is a product of |k| factors: cancel such pairs
     # first, so a large shared shift never folds two factorials
     for a in list(tops):
@@ -172,18 +206,12 @@ def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValu
     num: list[Fraction] = []
     den: list[Fraction] = []
     for args, kept, sign in ((tops, num, 1), (bottoms, den, -1)):
-        for a in args:  # Gamma(a) = Gamma(r) r (r+1) ... (a-1), r in (0, 1]
-            k = math.ceil(a) - 1
-            r, c = a - k, _rising(a - k, k)
+        for a in args:  # Gamma(a) = Gamma(r) r (r+1) ... (a-1), r in (0, 1)
+            k = math.floor(a)
+            c = _rising(a - k, k)
             coeff = coeff * c if sign > 0 else coeff / c
-            if r == Fraction(1, 2):
-                pi_half += sign
-            elif r != 1:
-                kept.append(r)
+            kept.append(a - k)
     return ExactValue(coeff, pi_half, tuple(sorted(num)), tuple(sorted(den)))
-
-
-EXACT_ONE = make_exact(1)
 
 
 @dataclass(frozen=True)

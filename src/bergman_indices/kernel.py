@@ -42,7 +42,7 @@ import numpy as np
 from .domains import (DomainSpec, Family, MultiIndex, check_exponent, moment,
                       point_in_domain)
 from .errors import IllConditionedGram, Inconclusive, ParseError
-from .exact import EXACT_ONE, ExactValue
+from .exact import ExactValue
 from .index_sets import index_set_window
 from .quadrature import (AbsPowerIntegrand, BlackBoxIntegrand, ProbeResult, QuadConfig,
                          divergence_probe, integrate, pth_root)
@@ -78,7 +78,7 @@ class KernelSeries:
 def kernel_series(d: DomainSpec, radius: int) -> KernelSeries:
     """Exact series data for the allowable-at-2 window (lex-ordered)."""
     window = index_set_window(d, 2, radius)
-    terms = tuple((alpha, EXACT_ONE / moment(d, alpha, 2).value)
+    terms = tuple((alpha, moment(d, alpha, 2).value.inverse())
                   for alpha in window.members)
     columns = []
     for column in np.array(window.members).T:  # the window holds 0, so it is 2-D

@@ -1,13 +1,16 @@
 """Canonical exact-value arithmetic."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from bergman_indices.exact import (ExactMix, QComplex, as_fraction,
-                                   format_fraction, make_exact, parse_fraction)
+from bergman_indices import domains as dm
+from bergman_indices.exact import (ExactMix, ExactValue, QComplex, as_fraction,
+                                   format_fraction, half_gamma, make_exact,
+                                   parse_fraction)
 
 
 def test_gamma_reduction_integer_args():
@@ -68,6 +71,51 @@ def test_integer_shifted_gamma_pairs_cancel_to_the_folded_form():
     # a shift of 10^5 folds as one short product
     big = make_exact(1, 0, (Fraction(100001, 3),), (Fraction(100004, 3),))
     assert big.coeff == Fraction(3, 100001) and not big.gamma_num
+
+
+def _folded_ball(n, alpha, p):
+    """The ball moment pi^n prod Gamma(p a_i/2 + 1) / Gamma(n + p|a|/2 + 1)
+    by the reference fold, or None where it diverges."""
+    tops = [Fraction(p * a, 2) + 1 for a in alpha]
+    if min(tops) <= 0:
+        return None
+    coeff, pi_half, num, den = _folded(Fraction(1), tops, [sum(tops) + 1])
+    return ExactValue(coeff, pi_half + 2 * n, num, den)
+
+
+def test_integer_gamma_fold_matches_the_step_by_step_fold():
+    """``half_gamma`` and the ball moments that take it (all Gamma arguments
+    in Z/2) equal the reference fold component by component."""
+    ps = (1, 2, 3, 4, 6)
+    grids = [(n, itertools.product(range(-1, 9), repeat=n)) for n in (1, 2, 3)]
+    rng = random.Random(27)  # ball:4 on a sample of its 10^4 exponents
+    grids.append((4, [tuple(rng.randint(-1, 8) for _ in range(4)) for _ in range(300)]))
+    cases = [(n, alpha, p) for n, alphas in grids for alpha in alphas for p in ps]
+    cases += [(2, (4000, 3), 4), (2, (1000, 1000), 4), (2, (4000, 3), 2)]
+    cases.append((2, (1, 1), 1))  # s = (3, 3), sum + 2 = 8: no argument of its parity
+    for n, alpha, p in cases:
+        assert dm.moment(dm.ball(n), alpha, p).value == _folded_ball(n, alpha, p), (alpha, p)
+    # the helper on its own: several denominators, either side nearer
+    for _ in range(2000):
+        tops = [rng.randint(1, 60) for _ in range(rng.randint(0, 4))]
+        bottoms = [rng.randint(1, 60) for _ in range(rng.randint(0, 3))]
+        coeff = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        want = _folded(coeff, [Fraction(t, 2) for t in tops], [Fraction(b, 2) for b in bottoms])
+        got = half_gamma(tops, bottoms, coeff, 3)
+        assert got == ExactValue(want[0], want[1] + 3, *want[2:]), (tops, bottoms)
+    for tops, bottoms in (([0, 4], [6]), ([3], [-1]), ([-2], [4])):
+        with pytest.raises(ValueError, match="positive"):
+            half_gamma(tops, bottoms)
+        with pytest.raises(ValueError, match="positive"):
+            make_exact(1, 0, [Fraction(t, 2) for t in tops], [Fraction(b, 2) for b in bottoms])
+
+
+def test_inverse_is_the_canonical_quotient():
+    for v in (make_exact(Fraction(3, 7), 3, (Fraction(1, 3),), (Fraction(9, 4),)),
+              dm.moment(dm.ball(3), (2, 0, 5), 2).value,
+              dm.moment(dm.hartogs(3, 2), (1, -1), Fraction(5, 4)).value):
+        assert v.inverse() == make_exact(1) / v
+        assert v.inverse().inverse() == v
 
 
 def test_mul_div_cancellation():
