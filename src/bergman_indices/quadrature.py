@@ -78,9 +78,14 @@ STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 #: 8,192 answer 85% of its calls (4,096: 77%; unbounded: 90%, in 21,533)
 AXIS_MEMO_SIZE = 8192
 RULE_CACHE_SIZE = 512  # entries of each rule cache; a moment-oracle scan meets ~300
-#: largest endpoint-clearing map power; raising it is ROADMAP direction 1,
-#: since above it steep triangles' axes converge only algebraically
+#: largest endpoint-clearing map power, and on the tensor path the largest
+#: exponent denominator given its exact power: above it steep triangles'
+#: axes converge only algebraically
 MAP_POWER_CAP = 12
+#: the largest such denominator on the separable path, whose rules serve one
+#: axis each: the axis exponents of H(m, n) at p = k/4 have denominators
+#: dividing 4m, so every such rule is exact for m <= 16
+SEPARABLE_POWER_CAP = 64
 #: most nodes of one Gauss-Legendre rule, on either path: numpy builds a rule
 #: of n nodes from an n x n matrix, 0.5 GB at this bound (tier-1 needs 1,024)
 MAX_RULE_NODES = 2 ** 13
@@ -269,13 +274,16 @@ def _beta_map(x: np.ndarray, k: int, l: int):
     return u, du
 
 
-def _pick_power(num: int, den: int) -> int:
+def _pick_power(num: int, den: int, cap: int = MAP_POWER_CAP) -> int:
     """Map power k for an endpoint exponent e = num/den in lowest terms,
     e + 1 > 0: k = den(e + 1) = den makes the mapped profile polynomial
-    (exact rules), but a large one would collapse nodes to absurd depths, so
-    there the smallest power lifting the mapped exponent above 2,
-    ceil(3 / (e + 1)), smooths algebraically and node doubling finishes."""
-    if den <= MAP_POWER_CAP:
+    (exact rules) while den <= ``cap``.  Above it a large power would collapse
+    nodes to absurd depths (at k = 64, u = x^k underflows to 0 on the deep
+    rules such an axis doubles to, and the sum reads NaN), so there the
+    smallest power lifting the mapped exponent above 2, ceil(3 / (e + 1)),
+    at most ``MAP_POWER_CAP``, smooths algebraically and node doubling
+    finishes."""
+    if den <= cap:
         return den
     return min(MAP_POWER_CAP, max(1, -(-3 * den // (num + den))))
 
@@ -290,10 +298,10 @@ def _mapped_rule(n: int, k: int, l: int):
     return u, w
 
 
-def _axis_rule(n: int, e0: Tuple[int, int], e1: Tuple[int, int]):
+def _axis_rule(n: int, e0: Tuple[int, int], e1: Tuple[int, int], cap: int = MAP_POWER_CAP):
     """Nodes/weights for int_0^1 phi(u) du with phi ~ u^e0 near 0, (1-u)^e1
     near 1, the exponents as integer pairs (num, den) in lowest terms."""
-    return _mapped_rule(n, _pick_power(*e0), _pick_power(*e1))
+    return _mapped_rule(n, _pick_power(*e0, cap), _pick_power(*e1, cap))
 
 
 def _log_piece(n: int, j: int):
@@ -338,10 +346,12 @@ def _axis_sum(e_num: int, e_den: int, b_num: int, b_den: int, u, w) -> float:
 
 
 def _base_nodes(e_num: int, e_den: int, b_num: int, b_den: int, radial_nodes: int):
-    """Axis rule size floor((k (|e| + 1) + l (|b| + 1)) / 2) + 8 >= radial_nodes."""
+    """Axis rule size floor((k (|e| + 1) + l (|b| + 1)) / 2) + 8 >= radial_nodes,
+    k and l the map powers under the separable cap."""
+    k = _pick_power(e_num, e_den, SEPARABLE_POWER_CAP)
+    l = _pick_power(b_num, b_den, SEPARABLE_POWER_CAP)
     return max(radial_nodes,
-               (_pick_power(e_num, e_den) * (abs(e_num) + e_den) * b_den
-                + _pick_power(b_num, b_den) * (abs(b_num) + b_den) * e_den)
+               (k * (abs(e_num) + e_den) * b_den + l * (abs(b_num) + b_den) * e_den)
                // (2 * e_den * b_den) + 8)
 
 
@@ -352,7 +362,7 @@ def _axis_integral(e_num: int, e_den: int, b_num: int, b_den: int, n: int,
     terms, on the n-node mapped rule (``pieces`` = 0) or, over
     (10^(-2 pieces), 1), on the n-node joined log rule; memoized."""
     rule = (_log_rule(n, pieces) if pieces
-            else _axis_rule(n, (e_num, e_den), (b_num, b_den)))
+            else _axis_rule(n, (e_num, e_den), (b_num, b_den), SEPARABLE_POWER_CAP))
     return _axis_sum(e_num, e_den, b_num, b_den, *rule)
 
 

@@ -311,9 +311,10 @@ def test_tensor_pass_peak_memory_stays_below_27_mb():
 
 
 def test_separable_path_refines_to_budget():
-    # on H(7,5) the second axis exponent has denominator 35 > qd.MAP_POWER_CAP:
-    # the capped map converges only algebraically, so doublings must buy accuracy
-    d, alpha, p = dm.hartogs(7, 5), (-1, -2), Fraction(5, 4)
+    # on H(7,5) at p = 41/12 the second axis exponent -83/84 has denominator
+    # 84 > qd.SEPARABLE_POWER_CAP: the capped map converges only
+    # algebraically, so doublings must buy accuracy
+    d, alpha, p = dm.hartogs(7, 5), (0, -1), Fraction(41, 12)
     g = qd.AbsPowerIntegrand(_monomial(alpha, 2), p)
     exact = float(dm.moment(d, alpha, p))
     full = qd.integrate(d, g, CFG).value
@@ -323,6 +324,24 @@ def test_separable_path_refines_to_budget():
     g = qd.AbsPowerIntegrand(_monomial((1, -1), 2), 3)
     assert (qd.integrate(H11, g, CFG)
             == qd.integrate(H11, g, qd.QuadConfig(max_doublings=0)))
+
+
+@pytest.mark.parametrize("m, n", [(7, 5), (8, 7), (13, 1)])
+def test_steep_triangle_moments_match_at_the_oracle_tolerance(m, n):
+    """Axis exponents with denominators in (12, 64] take their exact map power
+    on the separable path: H(7,5) at alpha = (-1, -2), p = 5/4 read 1.35e-3
+    off, and H(13,1) at (3, -1), p = 11/4 7.9e-4, under the tensor cap 12."""
+    d = dm.hartogs(m, n)
+    ps = (Fraction(1), Fraction(5, 4), Fraction(2), Fraction(11, 4), Fraction(3))
+    finite = 0
+    for alpha in itertools.product(range(-3, 4), repeat=2):
+        for p in ps:
+            exact = dm.moment(d, alpha, p)
+            if exact.is_finite:
+                finite += 1
+                got = qd.integrate(d, qd.AbsPowerIntegrand(_monomial(alpha, 2), p)).value
+                assert abs(got - float(exact)) <= 1e-8 * float(exact), (alpha, p)
+    assert finite > 100
 
 
 def test_a_rule_above_the_node_bound_is_refused_unbuilt():
