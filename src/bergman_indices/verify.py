@@ -396,16 +396,19 @@ def _density_monotone(doms, rng, size):
 def _pnorm_brackets(doms, rng, size):
     d = dm.hartogs(1, 1)
     rep = ix.index_report(d)
-    fails = []
+    fails, answered = [], 0
     for p in (Fraction(3), Fraction(7, 2), Fraction(9, 2), Fraction(5)):
         try:
             est = kn.kernel_pnorm_estimate(d, (0, 0.5), p)
         except Inconclusive:
             continue
+        answered += 1
         if not est.diverging and not p < rep.beta_upper.value:
             fails.append((p, "finite verdict above beta"))
         if est.diverging and not p > rep.regularity_probe.value:
             fails.append((p, "diverging verdict below regularity"))
+    if not answered:  # a check that checked nothing has not passed
+        return False, "no p was answered: every estimate was Inconclusive"
     return not fails, str(fails)
 
 

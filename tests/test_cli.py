@@ -531,6 +531,19 @@ def test_verify_cli_negative_control_exit_nonzero(capsys, monkeypatch):
     assert payload["result"]["aborted_after_bootstrap"] is True
 
 
+def test_pnorm_brackets_fail_when_no_p_is_answered(monkeypatch):
+    """``pnorm-probe-brackets-beta`` skips a refused p; with every p refused
+    it has checked nothing, so it must not pass."""
+    def refuse(*_args, **_kwargs):
+        raise vf.Inconclusive("refused")
+
+    ok, detail = vf._pnorm_brackets(None, None, None)
+    assert ok and detail == "[]"
+    monkeypatch.setattr(vf.kn, "kernel_pnorm_estimate", refuse)
+    ok, detail = vf._pnorm_brackets(None, None, None)
+    assert not ok and "no p was answered" in detail
+
+
 def test_verify_cli_quick_passes(capsys):
     code = cli.run(["verify", "polydisc:1", "--format", "json"])
     captured = capsys.readouterr()
