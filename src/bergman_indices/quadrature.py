@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
@@ -78,17 +79,21 @@ STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 #: 8,192 answer 85% of its calls (4,096: 77%; unbounded: 90%, in 21,533)
 AXIS_MEMO_SIZE = 8192
 RULE_CACHE_SIZE = 512  # entries of each rule cache; a moment-oracle scan meets ~300
-#: largest endpoint-clearing map power, and on the tensor path the largest
-#: exponent denominator given its exact power: above it steep triangles'
-#: axes converge only algebraically
-MAP_POWER_CAP = 12
-#: the largest such denominator on the separable path, whose rules serve one
-#: axis each: the axis exponents of H(m, n) at p = k/4 have denominators
-#: dividing 4m, so every such rule is exact for m <= 16
-SEPARABLE_POWER_CAP = 64
+#: an exact map power q = den is taken while q(|e| + 1), its share of the rule
+#: size, is at most this multiple of the smoothing power's (``_pick_power``)
+EXACT_POWER_RATIO = 12
 #: most nodes of one Gauss-Legendre rule, on either path: numpy builds a rule
 #: of n nodes from an n x n matrix, 0.5 GB at this bound (tier-1 needs 1,024)
 MAX_RULE_NODES = 2 ** 13
+#: largest map power k for which u = x^k stays a normal float at the smallest
+#: node of every rule: an n-node rule's exceeds sin^2(pi / (4n + 2)) (Bruns'
+#: bound on the Legendre zeros), so k = 38; past it u underflows to 0 and a
+#: negative endpoint exponent reads the sum as inf * 0 = NaN
+MAP_POWER_CAP = int(math.log(sys.float_info.min)
+                    / math.log(math.sin(math.pi / (4 * MAX_RULE_NODES + 2)) ** 2))
+#: the tensor path's cap: at 38, Hoelder requests on ball:2 take tensor maps
+#: above 12 and the laurent_norms answers move (ROADMAP direction 1)
+TENSOR_POWER_CAP = 12
 #: most mesh points of one tensor pass: the largest known to converge has
 #: 1.07e9 (kernel p = 7/2 on H(1,1)); its next doubling, 1.7e10, runs minutes
 MAX_PASS_POINTS = 2 ** 31
@@ -275,17 +280,17 @@ def _beta_map(x: np.ndarray, k: int, l: int):
 
 
 def _pick_power(num: int, den: int, cap: int = MAP_POWER_CAP) -> int:
-    """Map power k for an endpoint exponent e = num/den in lowest terms,
-    e + 1 > 0: k = den(e + 1) = den makes the mapped profile polynomial
-    (exact rules) while den <= ``cap``.  Above it a large power would collapse
-    nodes to absurd depths (at k = 64, u = x^k underflows to 0 on the deep
-    rules such an axis doubles to, and the sum reads NaN), so there the
-    smallest power lifting the mapped exponent above 2, ceil(3 / (e + 1)),
-    at most ``MAP_POWER_CAP``, smooths algebraically and node doubling
-    finishes."""
-    if den <= cap:
+    """Map power k for an endpoint exponent e = num/den in lowest terms.  The
+    smoothing power s = ceil(3 / (e + 1)) lifts the mapped exponent above 2,
+    so node doubling converges algebraically; k = den(e + 1) = den makes the
+    mapped profile polynomial (exact rules).  Take den while its rule is at
+    most ``EXACT_POWER_RATIO`` times the smoothing one's and den <= ``cap``,
+    else s, at most ``cap``.  A divergent end, e <= -1, takes s = 1: only the
+    size of its log rules reads the power."""
+    smooth = -(-3 * den // (num + den)) if num + den > 0 else 1
+    if den <= min(cap, EXACT_POWER_RATIO * smooth):
         return den
-    return min(MAP_POWER_CAP, max(1, -(-3 * den // (num + den))))
+    return min(cap, smooth)
 
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
@@ -346,12 +351,10 @@ def _axis_sum(e_num: int, e_den: int, b_num: int, b_den: int, u, w) -> float:
 
 
 def _base_nodes(e_num: int, e_den: int, b_num: int, b_den: int, radial_nodes: int):
-    """Axis rule size floor((k (|e| + 1) + l (|b| + 1)) / 2) + 8 >= radial_nodes,
-    k and l the map powers under the separable cap."""
-    k = _pick_power(e_num, e_den, SEPARABLE_POWER_CAP)
-    l = _pick_power(b_num, b_den, SEPARABLE_POWER_CAP)
+    """Axis rule size floor((k (|e| + 1) + l (|b| + 1)) / 2) + 8 >= radial_nodes."""
     return max(radial_nodes,
-               (k * (abs(e_num) + e_den) * b_den + l * (abs(b_num) + b_den) * e_den)
+               (_pick_power(e_num, e_den) * (abs(e_num) + e_den) * b_den
+                + _pick_power(b_num, b_den) * (abs(b_num) + b_den) * e_den)
                // (2 * e_den * b_den) + 8)
 
 
@@ -362,7 +365,7 @@ def _axis_integral(e_num: int, e_den: int, b_num: int, b_den: int, n: int,
     terms, on the n-node mapped rule (``pieces`` = 0) or, over
     (10^(-2 pieces), 1), on the n-node joined log rule; memoized."""
     rule = (_log_rule(n, pieces) if pieces
-            else _axis_rule(n, (e_num, e_den), (b_num, b_den), SEPARABLE_POWER_CAP))
+            else _axis_rule(n, (e_num, e_den), (b_num, b_den)))
     return _axis_sum(e_num, e_den, b_num, b_den, *rule)
 
 
@@ -435,7 +438,7 @@ def _radial_mesh(d: DomainSpec, hints, n: int, block):
     over the box mesh; ``weight`` includes the shadow Jacobian and the
     prod r_i dr_i measure so that  integral g dV = sum weight * angular(g).
     """
-    axes = ([_axis_rule(n, e0, e1) for e0, e1 in hints] if block is None
+    axes = ([_axis_rule(n, e0, e1, TENSOR_POWER_CAP) for e0, e1 in hints] if block is None
             else [_log_piece(n, j) for j in block])
     dim = d.dim
     shapes = [[-1 if k == i else 1 for k in range(dim)] for i in range(dim)]

@@ -1,9 +1,11 @@
 """Quadrature oracle accuracy, angular exactness, and divergence probing."""
 
+import collections
 import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -312,8 +314,8 @@ def test_tensor_pass_peak_memory_stays_below_27_mb():
 
 def test_separable_path_refines_to_budget():
     # on H(7,5) at p = 41/12 the second axis exponent -83/84 has denominator
-    # 84 > qd.SEPARABLE_POWER_CAP: the capped map converges only
-    # algebraically, so doublings must buy accuracy
+    # 84 > qd.MAP_POWER_CAP: the capped power leaves the mapped profile
+    # singular, it converges only algebraically, so doublings must buy accuracy
     d, alpha, p = dm.hartogs(7, 5), (0, -1), Fraction(41, 12)
     g = qd.AbsPowerIntegrand(_monomial(alpha, 2), p)
     exact = float(dm.moment(d, alpha, p))
@@ -328,9 +330,9 @@ def test_separable_path_refines_to_budget():
 
 @pytest.mark.parametrize("m, n", [(7, 5), (8, 7), (13, 1)])
 def test_steep_triangle_moments_match_at_the_oracle_tolerance(m, n):
-    """Axis exponents with denominators in (12, 64] take their exact map power
-    on the separable path: H(7,5) at alpha = (-1, -2), p = 5/4 read 1.35e-3
-    off, and H(13,1) at (3, -1), p = 11/4 7.9e-4, under the tensor cap 12."""
+    """Axis exponents near -1 with denominators in (12, 38] take their exact
+    map power: H(7,5) at alpha = (-1, -2), p = 5/4 read 1.35e-3 off, and
+    H(13,1) at (3, -1), p = 11/4 7.9e-4, under a power capped at 12."""
     d = dm.hartogs(m, n)
     ps = (Fraction(1), Fraction(5, 4), Fraction(2), Fraction(11, 4), Fraction(3))
     finite = 0
@@ -342,6 +344,38 @@ def test_steep_triangle_moments_match_at_the_oracle_tolerance(m, n):
                 got = qd.integrate(d, qd.AbsPowerIntegrand(_monomial(alpha, 2), p)).value
                 assert abs(got - float(exact)) <= 1e-8 * float(exact), (alpha, p)
     assert finite > 100
+
+
+def test_map_power_cap_keeps_every_node_normal():
+    """Bruns' bound sin^2(pi / (4n + 2)) lies below the smallest node of an
+    n-node rule, and at n = MAX_RULE_NODES its MAP_POWER_CAP-th power, not the
+    next one, is a normal float."""
+    for n in (8, 64, 1024):
+        assert qd._leggauss01(n)[0][0] > math.sin(math.pi / (4 * n + 2)) ** 2
+    x = math.sin(math.pi / (4 * qd.MAX_RULE_NODES + 2)) ** 2
+    assert x ** (qd.MAP_POWER_CAP + 1) < sys.float_info.min <= x ** qd.MAP_POWER_CAP
+
+
+def test_steep_ball_axis_beyond_the_power_cap_stays_finite():
+    """|z1^-1 z2^60|^(63/32) on the ball: its first axis, exponent -63/64, is
+    above MAP_POWER_CAP and meets rules of over 1,000 nodes, where x^64
+    underflows and the sum read NaN; the power 38 reads 7.9e-5 off, inside
+    the error estimate (the power 12 read 6.3e-2 off)."""
+    d, alpha, p = dm.ball(2), (-1, 60), Fraction(63, 32)
+    assert qd._axis_hints(d, _monomial(alpha, 2), p)[0][0] == (-63, 64)
+    got = qd.integrate(d, qd.AbsPowerIntegrand(_monomial(alpha, 2), p))
+    exact = float(dm.moment(d, alpha, p))
+    assert abs(got.value - exact) <= min(got.error_estimate, 1e-4 * exact)
+
+
+def test_a_large_exponent_keeps_its_small_rule():
+    """H(13,1), alpha = (0, 700), p = 1: the axis exponent 9115/13 is smooth,
+    so it takes the power 1 and a 359-node rule (the exact power 13 asked
+    4,572 nodes and, doubled, more than MAX_RULE_NODES)."""
+    d, f = dm.hartogs(13, 1), _monomial((0, 700), 2)
+    assert [n for _e, n in qd._separable(d, f, Fraction(1), CFG.radial_nodes)[2]] == [64, 359]
+    got = qd.integrate(d, qd.AbsPowerIntegrand(f, 1)).value
+    assert got == pytest.approx(float(dm.moment(d, (0, 700), 1)), rel=1e-9)
 
 
 def test_a_rule_above_the_node_bound_is_refused_unbuilt():
@@ -775,12 +809,13 @@ def _fraction_hints(d, profile):
             for j in range(d.dim)]
 
 
-def _fraction_pick_power(e):
+def _fraction_pick_power(e, cap=qd.MAP_POWER_CAP):
     """The map power for the endpoint exponent e, in Fraction arithmetic."""
     e1 = e + 1
-    if e1.denominator <= qd.MAP_POWER_CAP:
+    smooth = math.ceil(3 / e1) if e1 > 0 else 1
+    if e1.denominator <= min(cap, qd.EXACT_POWER_RATIO * smooth):
         return e1.denominator
-    return min(qd.MAP_POWER_CAP, max(1, math.ceil(3 / e1)))
+    return min(cap, smooth)
 
 
 def test_integer_axis_hints_match_fraction_formulas():
@@ -810,14 +845,23 @@ def test_integer_axis_hints_match_fraction_formulas():
         checks.append((qd._axis_hints(d, qd.MonomialSumIntegrand(terms), Fraction(5, 2)),
                        _fraction_hints(d, [Fraction(5, 2) * min(i + 1, 2)
                                            for i in range(d.dim)])))
-    big = 0
+    branches = collections.Counter()
     for got, want in checks:
         assert len(got) == len(want)
         for pair, value in zip((e for h in got for e in h), (e for h in want for e in h)):
             assert pair == (value.numerator, value.denominator)
-            assert qd._pick_power(*pair) == _fraction_pick_power(value)
-            big += (value + 1).denominator > qd.MAP_POWER_CAP
-    assert big > 0  # the fallback branch of the map power is met
+            power = qd._pick_power(*pair)
+            assert power == _fraction_pick_power(value)
+            tensor = qd._pick_power(*pair, qd.TENSOR_POWER_CAP)
+            assert tensor == _fraction_pick_power(value, qd.TENSOR_POWER_CAP)
+            # at the tensor cap: den up to 12, else the smoothing power up to 12
+            assert tensor == (value.denominator if value.denominator <= 12 else
+                              min(12, math.ceil(3 / (value + 1)) if value > -1 else 1))
+            den = value.denominator
+            branches[power == den, den > qd.EXACT_POWER_RATIO, den > qd.MAP_POWER_CAP] += 1
+    # the fallback is met past both limits, and the exact power above the ratio
+    assert branches[False, True, True] and branches[False, True, False]
+    assert branches[True, True, False]
 
 
 #: sha256 of the reprs that ``_seeded_scan`` returns, recorded when the axis
