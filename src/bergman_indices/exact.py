@@ -151,13 +151,12 @@ class ExactValue:
 
 
 def half_gamma(tops, bottoms, coeff=1, pi_half: int = 0) -> ExactValue:
-    """Canonical ``coeff * pi^(pi_half/2) * prod Gamma(t/2) / prod Gamma(b/2)``
-    for positive integers t in ``tops``, b in ``bottoms``: the one place that
-    folds Gamma at Z/2, in integers with one final ``Fraction``.  Each b first
-    cancels the nearest t of its parity (on the ball, the largest) as one product."""
+    """``coeff * pi^(pi_half/2) * prod Gamma(t/2) / prod Gamma(b/2)``, canonical, for
+    positive integers t in ``tops`` and b in ``bottoms``: the one place that folds Gamma
+    at Z/2, in integers.  Each b first cancels the nearest t of its parity as one product."""
     if min(tops, default=1) <= 0 or min(bottoms, default=1) <= 0:
         raise ValueError("Gamma arguments must be positive")
-    tops, rest, num, den = list(tops), [], coeff.numerator, coeff.denominator
+    tops, rest, num, den, twos = list(tops), [], coeff.numerator, coeff.denominator, 0
     for b in bottoms:  # t = 0: no argument of b's parity
         t = min([(abs(b - t), t) for t in tops if (b - t) % 2 == 0], default=(0, 0))[1]
         if not t:
@@ -167,14 +166,18 @@ def half_gamma(tops, bottoms, coeff=1, pi_half: int = 0) -> ExactValue:
         lo, hi = sorted((t, b))
         odd, m = b % 2, (hi - lo) // 2  # Gamma(hi/2) / Gamma(lo/2) = shift / 2^(odd m)
         shift = _product(range(lo, hi, 2)) if odd else math.perm(hi // 2 - 1, m)
-        num, den = (num * shift, den << odd * m) if t > b else (num << odd * m, den * shift)
+        num, den = (num * shift, den) if t > b else (num, den * shift)
+        twos += odd * m if t < b else -odd * m
     for args, sign in ((tops, 1), (rest, -1)):
         for t in args:  # Gamma(k) = (k-1)!, Gamma(k + 1/2) = (2k-1)!! sqrt(pi) / 2^k
             k, odd = divmod(t, 2)
-            f, g = (_product(range(1, t, 2)), 1 << k) if odd else (math.factorial(k - 1), 1)
-            num, den = (num * f, den * g) if sign > 0 else (num * g, den * f)
-            pi_half += sign * odd
-    return ExactValue(Fraction(num, den), pi_half)
+            f = _product(range(1, t, 2)) if odd else math.factorial(k - 1)
+            num, den = (num * f, den) if sign > 0 else (num, den * f)
+            pi_half, twos = pi_half + sign * odd, twos - sign * odd * k
+    if not twos:  # else every factor 2 skips the gcd, twice as fast on odd parts
+        return ExactValue(Fraction(num, den), pi_half)
+    zn, zd = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    return ExactValue(Fraction(num >> zn, den >> zd) * Fraction(2) ** (twos + zn - zd), pi_half)
 
 
 def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValue:
@@ -191,8 +194,7 @@ def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValu
     halves = [[x.numerator * (2 // x.denominator) for x in xs if x.denominator <= 2]
               for xs in (tops, bottoms)]
     if halves[0] or halves[1]:  # no other argument differs from these by an integer
-        folded = half_gamma(*halves, coeff, pi_half)
-        coeff, pi_half = folded.coeff, folded.pi_half
+        coeff, pi_half = (folded := half_gamma(*halves, coeff, pi_half)).coeff, folded.pi_half
         tops, bottoms = ([x for x in xs if x.denominator > 2] for xs in (tops, bottoms))
     # Gamma(a) / Gamma(a + k) is a product of |k| factors: cancel such pairs
     # first, so a large shared shift never folds two factorials
@@ -208,8 +210,7 @@ def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValu
     for args, kept, sign in ((tops, num, 1), (bottoms, den, -1)):
         for a in args:  # Gamma(a) = Gamma(r) r (r+1) ... (a-1), r in (0, 1)
             k = math.floor(a)
-            c = _rising(a - k, k)
-            coeff = coeff * c if sign > 0 else coeff / c
+            coeff = coeff * _rising(a - k, k) if sign > 0 else coeff / _rising(a - k, k)
             kept.append(a - k)
     return ExactValue(coeff, pi_half, tuple(sorted(num)), tuple(sorted(den)))
 

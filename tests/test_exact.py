@@ -93,6 +93,7 @@ def test_integer_gamma_fold_matches_the_step_by_step_fold():
     cases = [(n, alpha, p) for n, alphas in grids for alpha in alphas for p in ps]
     cases += [(2, (4000, 3), 4), (2, (1000, 1000), 4), (2, (4000, 3), 2)]
     cases.append((2, (1, 1), 1))  # s = (3, 3), sum + 2 = 8: no argument of its parity
+    cases.append((2, (1001, 1001), 3))  # the same at size: its factors 2 skip the gcd
     for n, alpha, p in cases:
         assert dm.moment(dm.ball(n), alpha, p).value == _folded_ball(n, alpha, p), (alpha, p)
     # the helper on its own: several denominators, either side nearer
