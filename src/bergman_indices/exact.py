@@ -194,7 +194,8 @@ def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValu
     halves = [[x.numerator * (2 // x.denominator) for x in xs if x.denominator <= 2]
               for xs in (tops, bottoms)]
     if halves[0] or halves[1]:  # no other argument differs from these by an integer
-        coeff, pi_half = (folded := half_gamma(*halves, coeff, pi_half)).coeff, folded.pi_half
+        folded = half_gamma(*halves, coeff, pi_half)
+        coeff, pi_half = folded.coeff, folded.pi_half
         tops, bottoms = ([x for x in xs if x.denominator > 2] for xs in (tops, bottoms))
     # Gamma(a) / Gamma(a + k) is a product of |k| factors: cancel such pairs
     # first, so a large shared shift never folds two factorials
