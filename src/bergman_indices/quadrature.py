@@ -287,10 +287,10 @@ def _pick_power(num: int, den: int, cap: int = MAP_POWER_CAP) -> int:
     most ``EXACT_POWER_RATIO`` times the smoothing one's and den <= ``cap``,
     else s, at most ``cap``.  A divergent end, e <= -1, takes s = 1: only the
     size of its log rules reads the power."""
-    smooth = -(-3 * den // (num + den)) if num + den > 0 else 1
-    if den <= min(cap, EXACT_POWER_RATIO * smooth):
+    if den <= EXACT_POWER_RATIO:  # s >= 1, and both caps are at least the ratio
         return den
-    return min(cap, smooth)
+    smooth = -(-3 * den // (num + den)) if num + den > 0 else 1
+    return den if den <= min(cap, EXACT_POWER_RATIO * smooth) else min(cap, smooth)
 
 
 @lru_cache(maxsize=RULE_CACHE_SIZE)
