@@ -15,6 +15,9 @@ answered wrongly).  Each side of a pair also runs once with ``--trace 1``,
 after both untraced runs, and ``layers`` summarizes those runs the same way
 over the per-layer metrics (``trace.covered_frac`` among them, the share of
 wall time the layers explain); the untraced runs stay the end-to-end gate.
+``process`` summarizes the untraced runs' rusage, read with ``os.wait4``:
+minor page faults and user and system CPU seconds.  It counts the whole
+process tree of a run, the set-up probes it spawns among them.
 A workload already in ``--out`` is replaced; the others are kept, so one
 file can collect several invocations.
 """
@@ -34,6 +37,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PROCESS = [{"name": "minor_faults", "unit": "count", "better": "lower"},
+           {"name": "user_s", "unit": "s", "better": "lower"},
+           {"name": "sys_s", "unit": "s", "better": "lower"}]
 
 
 def _git(*args: str) -> bytes:
@@ -51,17 +57,26 @@ def export(rev: str, dest: Path) -> str:
 
 def run_once(tree: Path, command: list, workload: str, seed: int,
              seconds: int, trace: int = 0) -> dict:
-    """One benchmark run in ``tree``: its last stdout line, parsed."""
+    """One benchmark run in ``tree``: its last stdout line, parsed, and its
+    rusage."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    if done.returncode != 0:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, cwd=tree, stdout=out, stderr=err)
+        _pid, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited "
-                           f"{done.returncode}:\n{done.stderr}")
-    report = json.loads(done.stdout.strip().splitlines()[-1])
+                           f"{proc.returncode}:\n{stderr}")
+    report = json.loads(stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": report["correct"],
             "attempted": report["attempted"], "failed": report["failed"],
-            "metrics": {name: m["value"] for name, m in report["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in report["metrics"].items()},
+            "rusage": {"minor_faults": usage.ru_minflt, "user_s": usage.ru_utime,
+                       "sys_s": usage.ru_stime}}
 
 
 def summarize(pairs: list, metrics: list) -> dict:
@@ -138,6 +153,9 @@ def main(argv=None) -> int:
     traced = [{side: pair[side]["traced"] for side in ("parent", "change")}
               for pair in pairs]
     entry["layers"] = summarize(traced, bench["per_layer"])
+    entry["process"] = summarize(
+        [{side: dict(pair[side], metrics=pair[side]["rusage"])
+          for side in ("parent", "change")} for pair in pairs], PROCESS)
     doc.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

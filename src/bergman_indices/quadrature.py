@@ -34,8 +34,8 @@ doubles every rule until two successive ones agree to ``rel_tol``: each
 separable axis and each tensor block, whose mesh sums take |f| once per
 slab and raise it to each exponent p.  One tiler, ``_tiles``, cuts a pass's
 mesh into chunks of about ``CHUNK_POINTS``, whose one ``np.sum`` each fixes
-the order of every sum, and every chunk into slabs of ``SLAB_POINTS``, which
-fill a buffer of its mesh shape, bound the pass's temporaries and change no bit.
+the order of every sum, and every chunk into slabs of ``SLAB_POINTS``, filled
+bit for bit through the thread's kept ``_scratch`` into a buffer of its shape.
 |sum_t c_t z^alpha_t zbar^gamma_t|^p sees the angles only through the
 differences of the frequencies f_t = alpha_t - gamma_t: with B the Hermite
 basis (k x dim, k = rank) of their lattice and f_t - f_0 = c_t . B, the map
@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
@@ -100,8 +101,8 @@ MAX_PASS_POINTS = 2 ** 31
 #: mesh points of a chunk, exceeded only where one row already does: its one
 #: ``np.sum`` per exponent fixes the order of a tensor pass's sums and bits
 CHUNK_POINTS = 2_000_000
-#: most mesh points evaluated at once: a pass's complex temporaries stay a few
-#: MB, cache-sized, while its chunks fix the order of its sums
+#: most mesh points of a slab, evaluated at once into this thread's scratch
+#: (``_scratch``, 48 bytes a point, 1.5 MB): cache-sized, kept between passes
 SLAB_POINTS = 2 ** 15
 
 
@@ -191,8 +192,10 @@ class MonomialSumIntegrand:
                 [[a - b for a, b in zip(f, freqs[0])] for f in freqs])[1])
             self.angular_bandwidth = tuple(max(c) - min(c) for c in zip(*self._coords))
 
-    def eval_polar(self, radii, thetas):
-        out = None
+    def eval_polar(self, radii, thetas, out=None):
+        """The sum at the points; bit for bit, a product that fills the mesh goes
+        to ``out`` (complex, its shape) or, once that holds the sum, the scratch."""
+        total, full = None, -1 if out is None else out.size
         for (c, alpha, gamma), coords in zip(self.terms, self._coords):
             term = c  # radial factors first: they are small blocks
             for r, a, g in zip(radii, alpha, gamma):
@@ -200,9 +203,14 @@ class MonomialSumIntegrand:
                     term = term * r ** (a + g)
             for t, f in zip(thetas, coords):
                 if f:
-                    term = term * np.exp(1j * f * t)
-            out = term if out is None else out + term
-        return out
+                    wave, dest = np.exp(1j * f * t), None
+                    if 1 < wave.size and getattr(term, "size", 1) * wave.size == full:
+                        dest = out if total is not out else np.ndarray(
+                            out.shape, complex, _scratch()[1])
+                    term = np.multiply(term, wave, out=dest)
+            total = term if total is None else np.add(  # in place once either is out
+                total, term, out=out if out is total or out is term else None)
+        return total
 
 
 class BlackBoxIntegrand:
@@ -222,7 +230,7 @@ class BlackBoxIntegrand:
         self.angular_bandwidth = tuple(angular_bandwidth)
         self.modulus_exponents = tuple(as_fraction(s) for s in modulus_exponents)
 
-    def eval_polar(self, radii, thetas):
+    def eval_polar(self, radii, thetas, out=None):  # out: unused, for the tensor pass
         zs = tuple(radii[i] * np.exp(1j * thetas[i]) for i in range(self.dim))
         return self.fn(*zs)
 
@@ -240,11 +248,6 @@ class AbsPowerIntegrand:
         self.several = isinstance(p, (list, tuple))
         self.ps = tuple(map(as_fraction, p if self.several else (p,)))
         self.p = max(self.ps)
-
-    def powers(self, radii, thetas) -> list:
-        """|base|^p at the points, one array per exponent."""
-        vals = np.abs(self.base.eval_polar(radii, thetas))
-        return [np.power(vals, float(p)) for p in self.ps]
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +530,28 @@ def _cut(a, idx):
     return a[tuple([s if n > 1 else slice(None) for s, n in zip(idx, a.shape)])]
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch():
+    """This thread's flat slab buffers, kept for its life, of ``SLAB_POINTS``
+    (no slab is larger): the complex sum and term, |f| and |f|^p, 1.5 MB."""
+    if not hasattr(_SCRATCH, "bufs"):
+        _SCRATCH.bufs = tuple(np.empty(SLAB_POINTS, t) for t in (complex, complex, float, float))
+    return _SCRATCH.bufs
+
+
 def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
                       ang_counts, block) -> list:
     """Mesh sums of ``g``, one per exponent, on the mesh of ``block`` (see
     ``_radial_mesh``): dim radial axes, then one angular axis per entry of
     ``ang_counts``.  Its chunks, of about ``CHUNK_POINTS``, cut the first
     radial axis, or the first angular one in a larger row, and take one
-    ``np.sum`` per exponent, each filled slab by slab into a buffer of its mesh
-    shape (values lacking an axis count at all its points), under one
-    ``np.errstate`` that silences every float warning."""
+    ``np.sum`` per exponent, each filled slab by slab (f, |f| and |f|^p in
+    ``_scratch``) into a buffer of its mesh shape (values lacking an axis count
+    at all its points), under one ``np.errstate`` that silences float warnings."""
+    sums, _terms, mods, pows = _scratch()
+    exps = [float(p) for p in g.ps]
     radii, wrad = _radial_mesh(d, hints, n_radial, block)
     dim, k = d.dim, len(ang_counts)
     mesh = [a.reshape(a.shape + (1,) * k) for a in (wrad, *radii)]
@@ -552,8 +568,12 @@ def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
             values = [np.empty(shape) for _p in g.ps]
             for idx in _tiles(shape, SLAB_POINTS, range(len(shape))):
                 w, *at = [_cut(a, idx) for a in chunk]
-                for j, v in enumerate(g.powers(at[:dim], at[dim:])):
-                    np.multiply(w, v, out=values[j][idx])
+                f = np.asarray(g.base.eval_polar(
+                    at[:dim], at[dim:], out=np.ndarray(values[0][idx].shape, complex, sums)))
+                mod = np.abs(f, out=np.ndarray(f.shape, float, mods))
+                power = np.ndarray(f.shape, float, pows)
+                for j, p in enumerate(exps):
+                    np.multiply(w, np.power(mod, p, out=power), out=values[j][idx])
             totals = [t + float(np.sum(v)) for t, v in zip(totals, values)]
             del values  # before the next chunk's buffers exist
     # trapezoid weight of the angular mesh, times 2 pi per unseen angle

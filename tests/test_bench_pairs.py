@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,8 +48,9 @@ def test_layers_summarize_one_traced_run_per_side_beside_the_untraced_gate(
         metrics = {m["name"]: value for m in bench["per_layer" if trace else "end_to_end"]}
         if trace:
             metrics["trace.covered_frac"] = 0.95
+        rusage = {"minor_faults": int(1000 * value), "user_s": value, "sys_s": value / 10}
         return {"seed": seed, "correct": True, "attempted": 10, "failed": 0,
-                "metrics": metrics}
+                "metrics": metrics, "rusage": rusage}
 
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: "0" * 40)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
@@ -72,3 +74,25 @@ def test_layers_summarize_one_traced_run_per_side_beside_the_untraced_gate(
     assert covered["change"]["median"] == 0.95
     assert covered["change_won_frac"] == 0.0  # ties count for neither side
     assert doc["pairs"][0]["change"]["traced"]["metrics"]["trace.covered_frac"] == 0.95
+    # rusage of the untraced runs only: seeds 1 and 2 give 1000 and 2000 faults
+    process = doc["process"]
+    assert set(process) == {"failed_frac", "incorrect_runs", "minor_faults",
+                            "user_s", "sys_s"}
+    assert process["minor_faults"]["parent"]["median"] == 1500
+    assert process["minor_faults"]["change"]["median"] == 375
+    assert process["sys_s"]["change_won_frac"] == 1.0
+
+
+def test_run_once_reads_the_rusage_of_the_run(tmp_path):
+    report = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"ops_per_s": {"value": 2.5}}}
+    script = f"import json; print('noise'); print(json.dumps({report!r}))"
+    run = bench_pairs.run_once(tmp_path, [sys.executable, "-c", script],
+                               "laurent_norms", 7, 1)
+    assert run["seed"] == 7 and run["metrics"] == {"ops_per_s": 2.5}
+    assert set(run["rusage"]) == {"minor_faults", "user_s", "sys_s"}
+    assert run["rusage"]["minor_faults"] > 0  # a fresh interpreter faults its pages in
+    assert run["rusage"]["user_s"] + run["rusage"]["sys_s"] > 0
+    with pytest.raises(RuntimeError, match="exited 3"):
+        bench_pairs.run_once(tmp_path, [sys.executable, "-c", "raise SystemExit(3)"],
+                             "laurent_norms", 7, 1)

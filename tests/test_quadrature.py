@@ -6,12 +6,15 @@ import itertools
 import math
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergman_indices import domains as dm
 from bergman_indices import kernel as kn
@@ -236,8 +239,9 @@ def _whole_chunk_sums(d, g, n_radial, ang_counts, block, chunks=None):
         w, *at = [a[tuple(slice(*ab) if n > 1 else slice(None) for ab, n in zip(box, a.shape))]
                   for a in mesh]
         with np.errstate(invalid="ignore", over="ignore"):
-            totals = [t + float(np.sum(w * v))
-                      for t, v in zip(totals, g.powers(at[:d.dim], at[d.dim:]))]
+            vals = np.abs(g.base.eval_polar(at[:d.dim], at[d.dim:]))
+            totals = [t + float(np.sum(w * np.power(vals, float(p))))
+                      for t, p in zip(totals, g.ps)]
     ang_w = (math.prod(2 * PI / m for m in ang_counts)
              * (2 * PI) ** (d.dim - len(ang_counts)))
     return [t * ang_w for t in totals]
@@ -310,6 +314,142 @@ def test_tensor_pass_peak_memory_stays_below_27_mb():
     finally:
         tracemalloc.stop()
     assert peak < 27e6
+
+
+def _allocating_sum(f, radii, thetas):
+    """``MonomialSumIntegrand.eval_polar`` as it was before it took ``out``:
+    each term a new array, added with ``out + term``."""
+    out = None
+    for (c, alpha, gamma), coords in zip(f.terms, f._coords):
+        term = c
+        for r, a, g in zip(radii, alpha, gamma):
+            if a + g:
+                term = term * r ** (a + g)
+        for t, k in zip(thetas, coords):
+            if k:
+                term = term * np.exp(1j * k * t)
+        out = term if out is None else out + term
+    return out
+
+
+def _tensor_mesh(d, f, p, n_radial, ang_counts):
+    """(radii, angles) of the whole tensor mesh, shaped as ``_tensor_integrate``
+    broadcasts them."""
+    radii, _w = qd._radial_mesh(d, qd._axis_hints(d, f, p), n_radial, None)
+    k, ones = len(ang_counts), (1,) * (d.dim + len(ang_counts))
+    radii = [r.reshape(r.shape + (1,) * k) for r in radii]
+    angles = [(np.arange(m) * (2 * PI / m)).reshape(ones[:i] + (m,) + ones[i + 1:])
+              for i, m in enumerate(ang_counts, d.dim)]
+    return radii, angles
+
+
+def test_in_place_sum_keeps_every_bit_of_the_allocating_sum():
+    """eval_polar(r, theta, out=buf) against the allocating reference, by
+    bytes, on seeded sums of 2-5 terms: on the whole mesh, on slabs of rows
+    and on slabs cut down to one or two angles."""
+    rng = np.random.default_rng(2808)
+    seen = collections.Counter()
+    doms = [dm.polydisc(2), dm.ball(2), H11, dm.ball(3), dm.polydisc(3)]
+    for trial in range(60):
+        d = doms[trial % len(doms)]
+        n_terms = 2 + trial % 4
+        terms = [(complex(*rng.normal(size=2)),
+                  tuple(int(a) for a in rng.integers(0, 3, d.dim)),
+                  tuple(int(g) for g in rng.integers(0, 2, d.dim)))
+                 for _ in range(n_terms)]
+        if trial % 3 == 0:  # a constant first term
+            terms[0] = (terms[0][0], (0,) * d.dim, (0,) * d.dim)
+        f = qd.MonomialSumIntegrand(terms)
+        k = len(f.angular_bandwidth)
+        seen[str(d), k, sum(terms[0][1]) + sum(terms[0][2]) == 0] += 1
+        radii, angles = _tensor_mesh(d, f, 2, 6, [3] * k)
+        mesh = radii + angles
+        shape = np.broadcast_shapes(*(a.shape for a in mesh))
+        rows, bits = [list(qd._tiles(shape, limit, range(len(shape))))
+                      for limit in (math.prod(shape) // 4, 2)]
+        for idx in [(), *rows, *(bits[i] for i in rng.choice(len(bits), 8))]:
+            at = [qd._cut(a, idx) for a in mesh]
+            slab = np.broadcast_shapes(*(a.shape for a in at))
+            want = np.broadcast_to(_allocating_sum(f, at[:d.dim], at[d.dim:]), slab)
+            buf = np.full(slab, np.nan + 0j)
+            got = np.broadcast_to(f.eval_polar(at[:d.dim], at[d.dim:], out=buf), slab)
+            assert got.tobytes() == want.tobytes(), (str(d), terms, idx)
+            alloc = np.broadcast_to(f.eval_polar(at[:d.dim], at[d.dim:]), slab)
+            assert alloc.tobytes() == want.tobytes()
+    for name, k in [("polydisc:2", 2), ("ball:2", 2), ("ball:3", 3)]:
+        assert seen[name, k, True] and seen[name, k, False], (name, k)
+
+
+def test_warm_tensor_pass_peaks_below_its_chunk_buffer_and_scratch():
+    # polydisc:2, p = 4, 128 radial x 4 angular nodes, as in an L^4 check: one
+    # chunk buffer of 128 * 128 * 4 floats; allocating each slab's sum, |f|
+    # and |f|^p anew peaked at 2.23 MB on a warm repeat
+    d = dm.polydisc(2)
+    f = qd.MonomialSumIntegrand([(1.0, (1, 0), (0, 0)), (0.5j, (1, 1), (0, 0))])
+    g = qd.AbsPowerIntegrand(f, 4)
+    hints = qd._axis_hints(d, f, g.p)
+    assert qd._angular_counts(g, CFG)[0] == [4]
+    qd._tensor_integrate(d, g, hints, 128, [4], None)
+    tracemalloc.start()
+    try:
+        qd._tensor_integrate(d, g, hints, 128, [4], None)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 128 * 4 * 8 + 1.5 * qd.SLAB_POINTS * 16
+
+
+@st.composite
+def _chunk_shapes(draw):
+    shape, room = [], 1 << 22
+    for _ in range(draw(st.integers(1, 6))):
+        shape.append(draw(st.integers(1, min(room, 1 << 17))))
+        room //= shape[-1]
+    return tuple(shape)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_chunk_shapes())
+def test_no_slab_exceeds_slab_points(shape):
+    # the per-thread scratch holds SLAB_POINTS points per buffer
+    for idx in qd._tiles(shape, qd.SLAB_POINTS, range(len(shape))):
+        cut = [len(range(*s.indices(n))) for s, n in zip(idx, shape)]
+        assert math.prod(cut + list(shape[len(idx):])) <= qd.SLAB_POINTS
+
+
+def test_threads_keep_their_own_scratch():
+    """Two threads run 128-node passes on different sums at the same time;
+    each result keeps the bits of the serial pass."""
+    d = dm.polydisc(2)
+    sums = [qd.MonomialSumIntegrand([(1.0, (1, 0), (0, 0)), (0.5j, (1, 1), (0, 0))]),
+            qd.MonomialSumIntegrand([(0.25, (0, 0), (0, 0)), (1 - 1j, (2, 0), (0, 0)),
+                                     (-0.75, (0, 2), (0, 0))])]
+    jobs = [(qd.AbsPowerIntegrand(f, [Fraction(5, 2), 4]), qd._axis_hints(d, f, 4))
+            for f in sums]
+    serial = [qd._tensor_integrate(d, g, hints, 128, [8, 8][:len(g.base.angular_bandwidth)],
+                                   None) for g, hints in jobs]
+    start, results = threading.Barrier(2, timeout=60), [[], []]
+
+    def run(i):
+        g, hints = jobs[i]
+        for _ in range(12):
+            start.wait()
+            results[i].append(qd._tensor_integrate(
+                d, g, hints, 128, [8, 8][:len(g.base.angular_bandwidth)], None))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(serial, results):
+        assert [[x.hex() for x in r] for r in got] == [[x.hex() for x in want]] * 12
 
 
 def test_separable_path_refines_to_budget():
