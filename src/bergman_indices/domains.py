@@ -24,8 +24,8 @@ report indices until that validation passes.
 
 ``radial_moment`` and ``moment`` share an LRU memo of ``MOMENT_MEMO_SIZE``
 = 1,024 entries keyed on the domain and the integers den * (c_i + 2), den the
-least common denominator: a hit builds no ``Fraction``, and a miss on the
-polydisc, the triangle or the ball at den = 1 (``half_gamma``) takes one.
+least common denominator: a hit builds no ``Fraction``, and a miss takes one;
+on the ball, at every den, ``fold_gamma`` folds its Gamma over 2 * den.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError
-from .exact import ExactValue, as_fraction, half_gamma, make_exact
+from .exact import ExactValue, as_fraction, fold_gamma, make_exact
 
 MultiIndex = Tuple[int, ...]
 MAX_DIM = 64  # polydisc and ball dimension
@@ -234,9 +234,7 @@ def _moment(d: DomainSpec, s: tuple, den: int) -> Moment:
     if d.family is Family.HARTOGS:
         outer = d.n * s[0] + d.m * s[1]
         return Moment(make_exact(Fraction(4 * d.m * den * den, s[0] * outer), 4))
-    return Moment(half_gamma(s, [sum(s) + 2], 1, 2 * d.dim) if den == 1 else
-                  make_exact(1, 2 * d.dim, [Fraction(si, 2 * den) for si in s],
-                             [Fraction(sum(s), 2 * den) + 1]))
+    return Moment(fold_gamma(s, [sum(s) + 2 * den], 2 * den, 1, 2 * d.dim))
 
 
 def volume(d: DomainSpec) -> Moment:

@@ -24,6 +24,7 @@ exponent-2 norms are exact, everything else routes through quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -232,7 +233,9 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p) -> float:
         m = moment(d, mods, p)
         if not m.is_finite:
             raise NotIntegrable(f"monomial not in L^{p}")
-        return abs(complex(q)) * pth_root(float(m), p)
+        mp = float(m)  # a moment below the normal floats takes its root from its log
+        root = pth_root(mp, p) if mp >= sys.float_info.min else math.exp(m.value.log() / float(p))
+        return abs(complex(q)) * root
     if p == 2:
         return math.sqrt(complex(pairing(d, f, f)).real)
     return lp_norm(d, f.as_integrand(), p, NORM_CFG)

@@ -6,11 +6,13 @@ shape
     rational * pi^(k/2) * Gamma(a_1)...Gamma(a_r) / (Gamma(b_1)...Gamma(b_s))
 
 with rational Gamma arguments.  ``ExactValue`` stores that shape in a canonical
-form: ``half_gamma`` alone folds Gamma at integers and half-integers into the
-rational coefficient and the pi power (``Gamma(1/2) = sqrt(pi)``), so a Gamma
-product survives only for non-half-integer arguments.  Two canonical values
-are equal iff their components are equal, which is what makes the
-zero-tolerance identity checks in the projection module honest.
+form: ``fold_gamma`` alone folds Gamma, in integers over one common denominator
+of its arguments.  Arguments that differ by an integer cancel, and Gamma at
+integers and half-integers goes into the rational coefficient and the pi power
+(``Gamma(1/2) = sqrt(pi)``), so a Gamma product survives only for
+non-half-integer arguments.  Two canonical values are equal iff their
+components are equal, which is what makes the zero-tolerance identity checks
+in the projection module honest.
 
 ``QComplex`` is a complex number with ``Fraction`` real and imaginary parts;
 ``ExactMix`` is a finite linear combination of distinct canonical scale factors
@@ -66,12 +68,6 @@ def _product(factors: range) -> int:
     return _product(factors[:half]) * _product(factors[half:])
 
 
-def _rising(a: Fraction, k: int) -> Fraction:
-    """a (a+1) ... (a+k-1), multiplied in integers with one final gcd."""
-    p, q = a.numerator, a.denominator
-    return Fraction(_product(range(p, p + k * q, q)), q ** k)
-
-
 @dataclass(frozen=True)
 class ExactValue:
     """Positive real ``coeff * pi^(pi_half/2) * Gamma-product`` in canonical form.
@@ -108,12 +104,7 @@ class ExactValue:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ExactValue") -> "ExactValue":
-        return make_exact(
-            self.coeff / other.coeff,
-            self.pi_half - other.pi_half,
-            self.gamma_num + other.gamma_den,
-            self.gamma_den + other.gamma_num,
-        )
+        return self * other.inverse()
 
     def inverse(self) -> "ExactValue":
         """1 / self, canonical as it stands: what cancels has cancelled."""
@@ -150,70 +141,63 @@ class ExactValue:
         return d
 
 
-def half_gamma(tops, bottoms, coeff=1, pi_half: int = 0) -> ExactValue:
-    """``coeff * pi^(pi_half/2) * prod Gamma(t/2) / prod Gamma(b/2)``, canonical, for
-    positive integers t in ``tops`` and b in ``bottoms``: the one place that folds Gamma
-    at Z/2, in integers.  Each b first cancels the nearest t of its parity as one product."""
+def fold_gamma(tops, bottoms, q: int, coeff=1, pi_half: int = 0) -> ExactValue:
+    """``coeff * pi^(pi_half/2) * prod Gamma(t/q) / prod Gamma(b/q)``, canonical, for positive
+    integers t in ``tops`` and b in ``bottoms``: the one place that folds Gamma, in integers.
+    Each b cancels the nearest t of its residue mod q; the rest fold to r/q in (0, 1]."""
     if min(tops, default=1) <= 0 or min(bottoms, default=1) <= 0:
         raise ValueError("Gamma arguments must be positive")
-    tops, rest, num, den, twos = list(tops), [], coeff.numerator, coeff.denominator, 0
-    for b in bottoms:  # t = 0: no argument of b's parity
-        t = min([(abs(b - t), t) for t in tops if (b - t) % 2 == 0], default=(0, 0))[1]
+    tops, rest, num, den, qs = list(tops), [], coeff.numerator, coeff.denominator, 0
+    for b in bottoms:  # t = 0: no argument of b's residue
+        t = min([(abs(b - t), t) for t in tops if (b - t) % q == 0], default=(0, 0))[1]
         if not t:
             rest.append(b)
             continue
         tops.remove(t)
         lo, hi = sorted((t, b))
-        odd, m = b % 2, (hi - lo) // 2  # Gamma(hi/2) / Gamma(lo/2) = shift / 2^(odd m)
-        shift = _product(range(lo, hi, 2)) if odd else math.perm(hi // 2 - 1, m)
+        r, m = b % q, (hi - lo) // q  # Gamma(hi/q) / Gamma(lo/q) = shift / q^m, q^0 at r = 0
+        shift = _product(range(lo, hi, q)) if r else math.perm(hi // q - 1, m)
         num, den = (num * shift, den) if t > b else (num, den * shift)
-        twos += odd * m if t < b else -odd * m
+        qs += (m if t < b else -m) if r else 0
+    kept = None  # the symbolic Gamma(r/q), r/q in (0, 1) but 1/2, of tops and rest
     for args, sign in ((tops, 1), (rest, -1)):
-        for t in args:  # Gamma(k) = (k-1)!, Gamma(k + 1/2) = (2k-1)!! sqrt(pi) / 2^k
-            k, odd = divmod(t, 2)
-            f = _product(range(1, t, 2)) if odd else math.factorial(k - 1)
+        for t in args:  # Gamma(k) = (k-1)!, Gamma(k + r/q) = Gamma(r/q) r (r+q) ... / q^k
+            k, r = divmod(t, q)
+            if not r:
+                f = math.factorial(k - 1)
+            else:
+                f, qs = _product(range(r, t, q)), qs - sign * k
+                if r + r == q:  # Gamma(1/2) = sqrt(pi)
+                    pi_half += sign
+                else:
+                    kept = kept or ([], [])
+                    kept[sign < 0].append(Fraction(r, q))
             num, den = (num * f, den) if sign > 0 else (num, den * f)
-            pi_half, twos = pi_half + sign * odd, twos - sign * odd * k
+    twos = 0
+    if qs:  # q^qs = odd^qs 2^(e qs): the odd part joins the integers
+        e = (q & -q).bit_length() - 1
+        odd, twos = q >> e, e * qs
+        if odd > 1:
+            num, den = (num * odd ** qs, den) if qs > 0 else (num, den * odd ** -qs)
     if not twos:  # else every factor 2 skips the gcd, twice as fast on odd parts
-        return ExactValue(Fraction(num, den), pi_half)
-    zn, zd = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
-    return ExactValue(Fraction(num >> zn, den >> zd) * Fraction(2) ** (twos + zn - zd), pi_half)
+        coeff = Fraction(num, den)
+    else:
+        zn, zd = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+        coeff = Fraction(num >> zn, den >> zd) * Fraction(2) ** (twos + zn - zd)
+    if kept is None:
+        return ExactValue(coeff, pi_half)
+    return ExactValue(coeff, pi_half, tuple(sorted(kept[0])), tuple(sorted(kept[1])))
 
 
 def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValue:
-    """Build a canonical ExactValue: arguments in Z/2 fold in ``half_gamma``; of
-    the others, numerator and denominator arguments that differ by an integer
-    cancel to a rational, and each one left moves into (0, 1)."""
+    """Build a canonical ExactValue from rational Gamma arguments, which
+    ``fold_gamma`` folds over their least common denominator."""
     if not (gamma_num or gamma_den):
         return ExactValue(as_fraction(coeff), pi_half)
-    coeff = as_fraction(coeff)
-    tops = [as_fraction(a) for a in gamma_num]
-    bottoms = [as_fraction(b) for b in gamma_den]
-    if any(x <= 0 for x in tops + bottoms):
-        raise ValueError("Gamma arguments must be positive")
-    halves = [[x.numerator * (2 // x.denominator) for x in xs if x.denominator <= 2]
-              for xs in (tops, bottoms)]
-    if halves[0] or halves[1]:  # no other argument differs from these by an integer
-        folded = half_gamma(*halves, coeff, pi_half)
-        coeff, pi_half = folded.coeff, folded.pi_half
-        tops, bottoms = ([x for x in xs if x.denominator > 2] for xs in (tops, bottoms))
-    # Gamma(a) / Gamma(a + k) is a product of |k| factors: cancel such pairs
-    # first, so a large shared shift never folds two factorials
-    for a in list(tops):
-        shifts = [b - a for b in bottoms if (b - a).denominator == 1]
-        if shifts:
-            k = int(min(shifts, key=abs))
-            tops.remove(a)
-            bottoms.remove(a + k)
-            coeff = coeff / _rising(a, k) if k >= 0 else coeff * _rising(a + k, -k)
-    num: list[Fraction] = []
-    den: list[Fraction] = []
-    for args, kept, sign in ((tops, num, 1), (bottoms, den, -1)):
-        for a in args:  # Gamma(a) = Gamma(r) r (r+1) ... (a-1), r in (0, 1)
-            k = math.floor(a)
-            coeff = coeff * _rising(a - k, k) if sign > 0 else coeff / _rising(a - k, k)
-            kept.append(a - k)
-    return ExactValue(coeff, pi_half, tuple(sorted(num)), tuple(sorted(den)))
+    args = [[as_fraction(a) for a in xs] for xs in (gamma_num, gamma_den)]
+    q = math.lcm(*(a.denominator for xs in args for a in xs))
+    return fold_gamma(*([a.numerator * (q // a.denominator) for a in xs] for xs in args),
+                      q, as_fraction(coeff), pi_half)
 
 
 @dataclass(frozen=True)

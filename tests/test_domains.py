@@ -9,6 +9,7 @@ import pytest
 from bergman_indices import domains as dm
 from bergman_indices.errors import DimensionMismatch, ParseError
 from bergman_indices.exact import make_exact
+from test_exact import _folded_ball
 
 H11 = dm.hartogs(1, 1)
 PI = math.pi
@@ -167,7 +168,8 @@ def test_moment_finite_matches_radial_moment():
 
 def _closed_form(d, c):
     """The module docstring's closed forms in Fraction arithmetic (None when
-    divergent), canonicalized by ``make_exact``."""
+    divergent), canonicalized by ``make_exact``; the ball's Gamma by the
+    step-by-step reference fold, not by the fold under test."""
     c = [Fraction(ci) for ci in c]
     if d.family is dm.Family.HARTOGS:
         outer = d.n * (c[0] + 2) + d.m * (c[1] + 2)
@@ -178,8 +180,7 @@ def _closed_form(d, c):
         return None
     if d.family is dm.Family.POLYDISC:
         return make_exact(math.prod(2 / (ci + 2) for ci in c), 2 * d.dim)
-    return make_exact(1, 2 * d.dim, [ci / 2 + 1 for ci in c],
-                      [sum(c) / 2 + d.dim + 1])
+    return _folded_ball(d.dim, c, 1)
 
 
 def test_moment_memo_matches_closed_forms(monkeypatch):

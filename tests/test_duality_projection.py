@@ -171,6 +171,20 @@ def test_laurent_norm_exact_paths():
     assert dp.laurent_norm(H11, two_term, 2) == pytest.approx(exact2, rel=1e-14)
 
 
+def test_single_monomial_norm_below_the_float_range():
+    """||z^(300,300)||_64 on the ball is representable although its moment,
+    the 64th power, is below the least normal float: the root comes from the
+    exact moment's log, and neither inequality reads a false violation."""
+    d = dm.ball(2)
+    f = dp.MixedMonomialSum.monomial(1, (300, 300))
+    m = dm.moment(d, (300, 300), 64).value
+    assert float(m) == 0.0
+    assert dp.laurent_norm(d, f, 64) == pytest.approx(math.exp(m.log() / 64), rel=1e-12)
+    assert dp.laurent_norm(d, f, 64) == pytest.approx(4.052085275400356e-91, rel=1e-12)
+    assert dp.holder_check(d, f, f, 64).holds
+    assert dp.lyapunov_check(d, f, 64, Fraction(5, 4), Fraction(1, 2)).holds
+
+
 def test_zero_function_has_norm_zero():
     """The projection of z-bar on the disc is the empty sum, the zero
     function: its norm is 0 at every p and both inequalities hold with 0."""

@@ -9,7 +9,7 @@ import pytest
 
 from bergman_indices import domains as dm
 from bergman_indices.exact import (ExactMix, ExactValue, QComplex, as_fraction,
-                                   format_fraction, half_gamma, make_exact,
+                                   fold_gamma, format_fraction, make_exact,
                                    parse_fraction)
 
 
@@ -84,9 +84,10 @@ def _folded_ball(n, alpha, p):
 
 
 def test_integer_gamma_fold_matches_the_step_by_step_fold():
-    """``half_gamma`` and the ball moments that take it (all Gamma arguments
-    in Z/2) equal the reference fold component by component."""
-    ps = (1, 2, 3, 4, 6)
+    """``fold_gamma`` and the ball moments that take it, at every denominator,
+    equal the reference fold component by component."""
+    ps = (1, 2, 3, 4, 6, Fraction(3, 2), Fraction(5, 2), Fraction(3, 4), Fraction(4, 3),
+          Fraction(7, 4))
     grids = [(n, itertools.product(range(-1, 9), repeat=n)) for n in (1, 2, 3)]
     rng = random.Random(27)  # ball:4 on a sample of its 10^4 exponents
     grids.append((4, [tuple(rng.randint(-1, 8) for _ in range(4)) for _ in range(300)]))
@@ -102,11 +103,27 @@ def test_integer_gamma_fold_matches_the_step_by_step_fold():
         bottoms = [rng.randint(1, 60) for _ in range(rng.randint(0, 3))]
         coeff = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         want = _folded(coeff, [Fraction(t, 2) for t in tops], [Fraction(b, 2) for b in bottoms])
-        got = half_gamma(tops, bottoms, coeff, 3)
+        got = fold_gamma(tops, bottoms, 2, coeff, 3)
         assert got == ExactValue(want[0], want[1] + 3, *want[2:]), (tops, bottoms)
+    # ... and over other denominators, with residues that stay symbolic
+    for q in (1, 2, 3, 4, 6, 8, 12):
+        for _ in range(300):
+            tops = [rng.randint(1, 30 * q) for _ in range(rng.randint(0, 4))]
+            bottoms = [rng.randint(1, 30 * q) for _ in range(rng.randint(0, 3))]
+            bottoms += [t + q * rng.randint(-2, 9) for t in tops[:2] if t > 2 * q]
+            coeff = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            want = _folded(coeff, [Fraction(t, q) for t in tops],
+                           [Fraction(b, q) for b in bottoms])
+            got = fold_gamma(tops, bottoms, q, coeff, 3)
+            assert got == ExactValue(want[0], want[1] + 3, *want[2:]), (q, tops, bottoms)
+    # a moment whose Gamma stays symbolic renders it: pi^2 Gamma(11/8)^2 / Gamma(15/4)
+    v = dm.moment(dm.ball(2), (1, 1), Fraction(3, 4)).value
+    assert v.as_dict() == {"coeff": "3/77", "pi_power": "2",
+                           "gamma_num": ["3/8", "3/8"], "gamma_den": ["3/4"]}
+    assert abs(float(v) / (math.pi ** 2 * math.gamma(11 / 8) ** 2 / math.gamma(15 / 4)) - 1) < 1e-14
     for tops, bottoms in (([0, 4], [6]), ([3], [-1]), ([-2], [4])):
         with pytest.raises(ValueError, match="positive"):
-            half_gamma(tops, bottoms)
+            fold_gamma(tops, bottoms, 2)
         with pytest.raises(ValueError, match="positive"):
             make_exact(1, 0, [Fraction(t, 2) for t in tops], [Fraction(b, 2) for b in bottoms])
 
