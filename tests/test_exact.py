@@ -120,7 +120,8 @@ def test_integer_gamma_fold_matches_the_step_by_step_fold():
     v = dm.moment(dm.ball(2), (1, 1), Fraction(3, 4)).value
     assert v.as_dict() == {"coeff": "3/77", "pi_power": "2",
                            "gamma_num": ["3/8", "3/8"], "gamma_den": ["3/4"]}
-    assert abs(float(v) / (math.pi ** 2 * math.gamma(11 / 8) ** 2 / math.gamma(15 / 4)) - 1) < 1e-14
+    assert float(v) == pytest.approx(math.pi ** 2 * math.gamma(11 / 8) ** 2 / math.gamma(15 / 4),
+                                     rel=1e-14)
     for tops, bottoms in (([0, 4], [6]), ([3], [-1]), ([-2], [4])):
         with pytest.raises(ValueError, match="positive"):
             fold_gamma(tops, bottoms, 2)
