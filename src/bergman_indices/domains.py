@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError
-from .exact import ExactValue, as_fraction, fold_gamma, make_exact
+from .exact import ExactValue, as_fraction, fold_gamma
 
 MultiIndex = Tuple[int, ...]
 MAX_DIM = 64  # polydisc and ball dimension
@@ -230,10 +230,10 @@ def _moment(d: DomainSpec, s: tuple, den: int) -> Moment:
     if not _finite(d, s):
         return Moment(None)
     if d.family is Family.POLYDISC:
-        return Moment(make_exact(Fraction((2 * den) ** d.dim, math.prod(s)), 2 * d.dim))
+        return Moment(ExactValue(Fraction((2 * den) ** d.dim, math.prod(s)), 2 * d.dim))
     if d.family is Family.HARTOGS:
         outer = d.n * s[0] + d.m * s[1]
-        return Moment(make_exact(Fraction(4 * d.m * den * den, s[0] * outer), 4))
+        return Moment(ExactValue(Fraction(4 * d.m * den * den, s[0] * outer), 4))
     return Moment(fold_gamma(s, [sum(s) + 2 * den], 2 * den, 1, 2 * d.dim))
 
 

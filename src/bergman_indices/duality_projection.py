@@ -33,7 +33,7 @@ from . import quadrature
 from .domains import (DomainSpec, MultiIndex, check_exponent,
                       conjugate_exponent, holomorphy_ok, moment, moment_finite,
                       radial_moment)
-from .errors import ChainViolation, NotIntegrable, ParseError
+from .errors import ChainViolation, Inconclusive, NotIntegrable, ParseError
 from .exact import (ExactMix, ExactValue, QComplex, as_fraction,
                     format_fraction)
 from .index_sets import critical_slice, member
@@ -173,7 +173,7 @@ def project(d: DomainSpec, f: MixedMonomialSum) -> MixedMonomialSum:
         if image is not None:
             ratio, delta = image
             out.append((q * ratio, delta, (0,) * len(delta)))
-    return MixedMonomialSum.make(out) if out else MixedMonomialSum(())
+    return MixedMonomialSum.make(out)
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,15 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p) -> float:
         m = moment(d, mods, p)
         if not m.is_finite:
             raise NotIntegrable(f"monomial not in L^{p}")
-        mp = float(m)  # a moment below the normal floats takes its root from its log
-        root = pth_root(mp, p) if mp >= sys.float_info.min else math.exp(m.value.log() / float(p))
+        try:
+            mp = float(m)
+        except OverflowError:  # a moment above the float range
+            mp = math.inf
+        try:  # a moment outside the normal floats takes its root from its log
+            root = (pth_root(mp, p) if sys.float_info.min <= mp < math.inf
+                    else math.exp(m.value.log() / float(p)))
+        except OverflowError:
+            raise Inconclusive(f"the p-th root at p={p} leaves the floating-point range") from None
         return abs(complex(q)) * root
     if p == 2:
         return math.sqrt(complex(pairing(d, f, f)).real)
@@ -312,7 +319,7 @@ def injectivity_witness_scan(d: DomainSpec, p, radius: int) -> Optional[MultiInd
     p = check_exponent(p)
     if p < 2:
         raise ParseError("scan is defined for p >= 2")
-    q = Fraction(2) if p == 2 else conjugate_exponent(p)
+    q = conjugate_exponent(p)
     # gamma is a member at q and not at p exactly when its flip lies in (q, p]
     return min((gamma for _t, gamma in critical_slice(d, radius, q, p)),
                default=None)

@@ -147,6 +147,8 @@ def fold_gamma(tops, bottoms, q: int, coeff=1, pi_half: int = 0) -> ExactValue:
     Each b cancels the nearest t of its residue mod q; the rest fold to r/q in (0, 1]."""
     if min(tops, default=1) <= 0 or min(bottoms, default=1) <= 0:
         raise ValueError("Gamma arguments must be positive")
+    if coeff.numerator <= 0:  # a Fraction's sign, without its __le__
+        raise ValueError("ExactValue must be strictly positive")
     tops, rest, num, den, qs = list(tops), [], coeff.numerator, coeff.denominator, 0
     for b in bottoms:  # t = 0: no argument of b's residue
         t = min([(abs(b - t), t) for t in tops if (b - t) % q == 0], default=(0, 0))[1]
@@ -270,7 +272,7 @@ class ExactMix:
     def __complex__(self) -> complex:
         total = 0j
         for (pi_half, gnum, gden), q in self.items():
-            scale = float(make_exact(1, pi_half, gnum, gden))
+            scale = float(ExactValue(Fraction(1), pi_half, gnum, gden))
             total += complex(q) * scale
         return total
 

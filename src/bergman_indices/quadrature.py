@@ -182,7 +182,7 @@ class MonomialSumIntegrand:
             raise ValueError("integrand needs at least one term")
         self.dim = len(self.terms[0][1])
         expos = [tuple(map(int.__add__, alpha, gamma)) for _c, alpha, gamma in self.terms]
-        self.modulus_exponents = tuple(map(min, *expos)) if expos[1:] else expos[0]
+        self.modulus_exponents = tuple(map(min, zip(*expos)))
         if len(self.terms) == 1:  # one frequency: no angle is left
             self._coords, self.angular_bandwidth = ((),), ()
         else:
@@ -267,8 +267,6 @@ def _beta_map(x: np.ndarray, k: int, l: int):
     """Evaluate the endpoint-clearing map u = I_x(k, l), a degree k+l-1
     polynomial with each coefficient the correctly rounded float of the exact
     rational, and its derivative at GL nodes."""
-    if k == 1 and l == 1:
-        return x, np.ones_like(x)
     if l == 1:
         return x ** k, k * x ** (k - 1)
     # d/dx I_x(k,l) = x^(k-1) (1-x)^(l-1) / B(k,l), and 1/B(k,l) is an integer

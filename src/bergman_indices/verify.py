@@ -1,14 +1,15 @@
-"""Self-verification: the bootstrap oracle, then one ordered table of checks.
+"""Self-verification: the bootstrap stage, then one ordered table of checks.
 
 The bootstrap compares every exact moment formula against the quadrature
-oracle before anything downstream is trusted; a bootstrap failure aborts the
-run.  ``CHECKS`` then lists the documented invariants of each module
-(index-set monotonicity, threshold soundness, the index chain, kernel
-agreement, projection algebra, interpolation-consequence inequalities) as
-(suite, name, check) entries in the order they run, and ``run_verify`` times
-each entry in one loop.  Every size that differs between levels comes from
-one row of ``SIZES`` (a check fixes the rest itself, such as the kernel
-diagonal's windows 5-20 or the 200 involution draws), one row per level:
+oracle, one row per domain, before anything downstream is trusted; a failed
+row ends the run after that stage.  ``CHECKS`` then lists the documented
+invariants of each module (index-set monotonicity, threshold soundness, the
+index chain, kernel agreement, projection algebra, interpolation-consequence
+inequalities) as (suite, name, check) entries in the order they run, and
+``run_verify`` times every row of both stages in one loop.  Every size that
+differs between levels comes from one row of ``SIZES`` (a check fixes the rest
+itself, such as the kernel diagonal's windows 5-20 or the 200 involution
+draws), one row per level:
 
   quick   small windows and trial counts, suitable for a < 60 s sanity run
   full    the sizes the acceptance criteria demand
@@ -19,6 +20,7 @@ verify run is reproducible from (domains, level, seed).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -84,58 +86,49 @@ SIZES = {
 
 
 # ---------------------------------------------------------------------------
-# bootstrap oracle
+# exact moments versus quadrature
 # ---------------------------------------------------------------------------
 
-def _oracle_case(d: DomainSpec, alpha, p, m: dm.Moment):
-    """Quadrature's side of one monomial's exact moment ``m``: the relative
-    error of a finite moment, else whether the ladder confirms the divergence
-    (it diverges and never falls by over 1e-12 relative, as deeply divergent
-    ladders plateau at inf; an ``Inconclusive`` one does not confirm it)."""
-    monomial = qd.MonomialSumIntegrand([(1.0, alpha, (0,) * d.dim)])
-    if m.is_finite:
-        est = qd.integrate(d, qd.AbsPowerIntegrand(monomial, p))
-        return abs(est.value - float(m)) / float(m)
-    try:
-        probe = qd.divergence_probe(d, monomial, p)
-    except Inconclusive:
-        return False
-    return probe.diverging and all(b >= a * (1 - 1e-12)
-                                   for a, b in itertools.pairwise(probe.sequence))
+def _oracle_scan(cases):
+    """Exact moments against quadrature over (d, alpha, p) cases, the one place
+    that compares them: the finite and divergent counts, the worst relative
+    error of a finite moment with its (alpha, p), and the divergent cases whose
+    ladder does not confirm them.  A ladder confirms a divergence when it
+    diverges and never falls by over 1e-12 relative, as deeply divergent
+    ladders plateau at inf; an ``Inconclusive`` one does not confirm it."""
+    n, n_fin, worst, bad, fails = 0, 0, 0.0, None, []
+    for n, (d, alpha, p) in enumerate(cases, 1):
+        m = dm.moment(d, alpha, p)
+        monomial = qd.MonomialSumIntegrand([(1.0, alpha, (0,) * d.dim)])
+        if m.is_finite:
+            n_fin += 1
+            est = qd.integrate(d, qd.AbsPowerIntegrand(monomial, p))
+            rel = abs(est.value - float(m)) / float(m)
+            if rel > worst:
+                worst, bad = rel, (alpha, p)
+            continue
+        try:
+            probe = qd.divergence_probe(d, monomial, p)
+        except Inconclusive:
+            fails.append((d, alpha, p))
+            continue
+        if not (probe.diverging and all(b >= a * (1 - 1e-12)
+                                        for a, b in itertools.pairwise(probe.sequence))):
+            fails.append((d, alpha, p))
+    return n_fin, n - n_fin, worst, bad, fails
 
 
-def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick") -> List[CheckResult]:
-    """Exact moments versus quadrature on the lattice window and p grid.
-
-    Finite moments must match to ``ORACLE_REL_TOL`` relative error; divergent
-    verdicts must be confirmed by the corner-cutoff ladder.
-    """
-    size = SIZES[level]
-    out = []
-    for d in doms:
-        t0 = time.perf_counter()
-        worst, bad, probe_fail = 0.0, None, None
-        n_fin = n_div = 0
-        box = range(-size.moment_radius, size.moment_radius + 1)
-        for alpha in itertools.product(box, repeat=d.dim):
-            for p in size.moment_ps:
-                m = dm.moment(d, alpha, p)
-                case = _oracle_case(d, alpha, p, m)
-                if m.is_finite:
-                    n_fin += 1
-                    if case > worst:
-                        worst, bad = case, (alpha, p)
-                else:
-                    n_div += 1
-                    if not case and probe_fail is None:
-                        probe_fail = (alpha, p)
-        ok = worst <= ORACLE_REL_TOL and probe_fail is None
-        detail = (f"{n_fin} finite (worst rel err {worst:.2e} at {bad}), "
-                  f"{n_div} divergent"
-                  + (f"; probe failed at {probe_fail}" if probe_fail else ""))
-        out.append(CheckResult("bootstrap", f"moments-vs-quadrature[{d}]", ok,
-                               detail, time.perf_counter() - t0))
-    return out
+def _moments_vs_quadrature(d: DomainSpec, doms, rng, size):
+    """The bootstrap row of ``d``: every moment of the box max|alpha_i| <=
+    ``moment_radius`` at each p of ``moment_ps``, finite ones within
+    ``ORACLE_REL_TOL`` of quadrature, divergent ones confirmed by the ladder."""
+    box = range(-size.moment_radius, size.moment_radius + 1)
+    n_fin, n_div, worst, bad, fails = _oracle_scan(
+        (d, alpha, p) for alpha in itertools.product(box, repeat=d.dim)
+        for p in size.moment_ps)
+    return (worst <= ORACLE_REL_TOL and not fails,
+            f"{n_fin} finite (worst rel err {worst:.2e} at {bad}), {n_div} divergent"
+            + (f"; probe failed at {fails[0][1:]}" if fails else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +136,14 @@ def bootstrap_oracle(doms: Sequence[DomainSpec], level: str = "quick") -> List[C
 # ---------------------------------------------------------------------------
 
 def _random_moments(doms, rng, size):
-    worst = 0.0
-    fails = []
-    for _ in range(size.trials):
-        d = doms[int(rng.integers(len(doms)))]
-        alpha = tuple(int(rng.integers(-6, 7)) for _ in range(d.dim))
-        p = P_GRID[int(rng.integers(len(P_GRID)))]
-        m = dm.moment(d, alpha, p)
-        case = _oracle_case(d, alpha, p, m)
-        if m.is_finite:
-            worst = max(worst, case)
-        elif not case:
-            fails.append((str(d), alpha, p))
+    # each case is drawn (domain, alpha, then p) just before the scan reads it
+    _n_fin, _n_div, worst, _bad, fails = _oracle_scan(
+        (d, tuple(int(rng.integers(-6, 7)) for _ in range(d.dim)),
+         P_GRID[int(rng.integers(len(P_GRID)))])
+        for d in (doms[int(rng.integers(len(doms)))] for _ in range(size.trials)))
     return (worst <= ORACLE_REL_TOL and not fails,
             f"{size.trials} trials, worst rel {worst:.2e}, "
-            f"divergence failures {fails[:3]}")
+            f"divergence failures {[(str(d), a, p) for d, a, p in fails[:3]]}")
 
 
 def _holder_inclusion(doms, rng, size):
@@ -598,12 +584,13 @@ class VerifySummary:
 
 def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
                seed: int = 20240901) -> VerifySummary:
-    """Run the bootstrap oracle, then every entry of ``CHECKS``.
+    """Run the bootstrap stage, one moments-vs-quadrature row per domain, then
+    every entry of ``CHECKS``, each row timed in one loop.
 
-    The checks are skipped when the bootstrap fails: nothing that depends on
-    the moment formulas can be trusted at that point.  A negative seed, or a
-    domain whose kernel window or bootstrap box exceeds ``MAX_WINDOW_POINTS``,
-    raises ``ParseError`` before any check runs.
+    The checks are skipped when a bootstrap row fails: nothing that depends
+    on the moment formulas can be trusted at that point.  A negative seed, or
+    a domain whose kernel window or bootstrap box exceeds
+    ``MAX_WINDOW_POINTS``, raises ``ParseError`` before any row runs.
     """
     if level not in SIZES:
         raise ValueError("level must be 'quick' or 'full'")
@@ -613,13 +600,16 @@ def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
     for d in doms:
         ix.check_radius(size.kernel_radius, dim=d.dim)
         ix.check_radius(size.moment_radius, dim=d.dim)
-    results = bootstrap_oracle(doms, level)
-    if not all(r.passed for r in results):
-        return VerifySummary(results, False)
+    bootstrap = [("bootstrap", f"moments-vs-quadrature[{d}]",
+                  functools.partial(_moments_vs_quadrature, d)) for d in doms]
     rng = np.random.default_rng(seed)
-    for suite, name, check in CHECKS:
-        t0 = time.perf_counter()
-        passed, detail = check(doms, rng, size)
-        results.append(CheckResult(suite, name, bool(passed), detail,
-                                   time.perf_counter() - t0))
+    results = []
+    for stage in (bootstrap, CHECKS):
+        if not all(r.passed for r in results):
+            return VerifySummary(results, False)
+        for suite, name, check in stage:
+            t0 = time.perf_counter()
+            passed, detail = check(doms, rng, size)
+            results.append(CheckResult(suite, name, bool(passed), detail,
+                                       time.perf_counter() - t0))
     return VerifySummary(results, True)

@@ -5,7 +5,9 @@ import io
 import json
 import time
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 try:
@@ -311,7 +313,7 @@ def test_verify_rejects_oversized_domain_before_any_check(capsys, monkeypatch):
     def no_check(*_args, **_kwargs):
         raise AssertionError("a check ran before the window caps")
 
-    monkeypatch.setattr(vf, "bootstrap_oracle", no_check)
+    monkeypatch.setattr(vf, "_moments_vs_quadrature", no_check)
     for argv, radius in ((["verify", "polydisc:4"], 30),
                          (["verify", "--full", "ball:1", "ball:4"], 40)):
         assert cli.run(argv) == 2
@@ -487,7 +489,6 @@ def test_determinism_across_threads_and_repeats(capsys):
 
 def test_exact_and_float_renderings_agree(capsys):
     import math
-    from fractions import Fraction
 
     code, out = run_json(capsys, ["info", "hartogs:1/1"])
     assert code == 0
@@ -542,6 +543,35 @@ def test_pnorm_brackets_fail_when_no_p_is_answered(monkeypatch):
     monkeypatch.setattr(vf.kn, "kernel_pnorm_estimate", refuse)
     ok, detail = vf._pnorm_brackets(None, None, None)
     assert not ok and "no p was answered" in detail
+
+
+def test_oracle_scan_fails_both_moment_rows_on_an_inconclusive_ladder(monkeypatch):
+    """A ladder that cannot answer confirms no divergence: the bootstrap row
+    and ``random-moment-exactness`` both fail through the one scan."""
+    def refuse(*_args, **_kwargs):
+        raise vf.Inconclusive("refused")
+
+    d, size = dm.polydisc(1), vf.SIZES["quick"]
+    monkeypatch.setattr(vf.qd, "divergence_probe", refuse)
+    ok, detail = vf._moments_vs_quadrature(d, [d], np.random.default_rng(1), size)
+    assert not ok and detail.endswith("; probe failed at ((-3,), Fraction(1, 1))")
+    ok, detail = vf._random_moments([d], np.random.default_rng(1), size)
+    assert not ok and "divergence failures [('polydisc:1', (" in detail
+
+
+def test_oracle_scan_fails_random_moments_on_a_scaled_moment(monkeypatch):
+    """Finite moments off by 1e-6 relative fail ``random-moment-exactness`` on
+    its worst relative error alone."""
+    def scaled(d, alpha, p):
+        m = real_moment(d, alpha, p)
+        return dm.Moment(m.value * Fraction(1000001, 1000000)) if m.is_finite else m
+
+    real_moment = dm.moment
+    monkeypatch.setattr(vf.dm, "moment", scaled)
+    ok, detail = vf._random_moments([dm.polydisc(1)], np.random.default_rng(1),
+                                    vf.SIZES["quick"])
+    assert not ok
+    assert "worst rel 1.00e-06" in detail and detail.endswith("divergence failures []")
 
 
 def test_verify_cli_quick_passes(capsys):

@@ -10,7 +10,7 @@ from bergman_indices import domains as dm
 from bergman_indices import duality_projection as dp
 from bergman_indices import index_sets as ix
 from bergman_indices import verify as vf
-from bergman_indices.errors import NotIntegrable, ParseError
+from bergman_indices.errors import Inconclusive, NotIntegrable, ParseError
 from bergman_indices.exact import ExactValue, QComplex
 from bergman_indices.quadrature import QuadConfig, lp_norm
 
@@ -183,6 +183,21 @@ def test_single_monomial_norm_below_the_float_range():
     assert dp.laurent_norm(d, f, 64) == pytest.approx(4.052085275400356e-91, rel=1e-12)
     assert dp.holder_check(d, f, f, 64).holds
     assert dp.lyapunov_check(d, f, 64, Fraction(5, 4), Fraction(1, 2)).holds
+
+
+def test_single_monomial_norm_above_the_float_range():
+    """||z^(-1,...,-1)||_p on the 64-polydisc near p = 2: the moment is above
+    the largest float, so its root comes from the exact log; a root that
+    itself leaves the float range is Inconclusive, not an OverflowError."""
+    d = dm.polydisc(64)
+    f = dp.laurent([(1, (-1,) * 64)])
+    p = Fraction(1999999, 1000000)
+    m = dm.moment(d, (-1,) * 64, p).value
+    assert m.log() == pytest.approx(1001.8168, abs=1e-4)
+    assert dp.laurent_norm(d, f, p) == pytest.approx(math.exp(m.log() / float(p)), rel=1e-12)
+    assert dp.laurent_norm(d, f, p) == pytest.approx(3.482286974688958e+217, rel=1e-12)
+    with pytest.raises(Inconclusive):
+        dp.laurent_norm(d, f, 2 - Fraction(1, 10 ** 12))
 
 
 def test_zero_function_has_norm_zero():

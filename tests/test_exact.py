@@ -153,6 +153,17 @@ def test_positive_only():
         make_exact(1, 0, gamma_num=(Fraction(-1, 2),))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_zero_coefficient_is_rejected_at_every_denominator(q):
+    """A zero coefficient is not a positive value, at an even q as at an odd
+    one, whether or not a power of q is left to fold."""
+    for arg in (Fraction(5, q), Fraction(q + 1, q)):
+        with pytest.raises(ValueError, match="ExactValue must be strictly positive"):
+            make_exact(0, 0, [arg])
+    with pytest.raises(ValueError, match="ExactValue must be strictly positive"):
+        fold_gamma([5], [], q, Fraction(0))
+
+
 def test_qcomplex_roundtrip_and_arithmetic():
     z = QComplex.from_complex(0.25 - 0.5j)
     assert z.re == Fraction(1, 4) and z.im == Fraction(-1, 2)
