@@ -104,7 +104,7 @@ def _oracle_scan(cases):
             n_fin += 1
             est = qd.integrate(d, qd.AbsPowerIntegrand(monomial, p))
             rel = abs(est.value - float(m)) / float(m)
-            if rel > worst:
+            if not rel <= worst:  # a NaN estimate is the worst of all
                 worst, bad = rel, (alpha, p)
             continue
         try:

@@ -545,14 +545,21 @@ def test_pnorm_brackets_fail_when_no_p_is_answered(monkeypatch):
     assert not ok and "no p was answered" in detail
 
 
-def test_oracle_scan_fails_both_moment_rows_on_an_inconclusive_ladder(monkeypatch):
-    """A ladder that cannot answer confirms no divergence: the bootstrap row
-    and ``random-moment-exactness`` both fail through the one scan."""
-    def refuse(*_args, **_kwargs):
-        raise vf.Inconclusive("refused")
+def _refused_ladder(*_args, **_kwargs):
+    raise vf.Inconclusive("refused")
 
+
+def _falling_ladder(*_args, **_kwargs):
+    return qd.ProbeResult(True, True, (2.0, 1.0), False)
+
+
+@pytest.mark.parametrize("probe", [_refused_ladder, _falling_ladder])
+def test_oracle_scan_fails_both_moment_rows_on_an_unconfirmed_ladder(monkeypatch, probe):
+    """A ladder that cannot answer, or one that falls, confirms no divergence:
+    the bootstrap row and ``random-moment-exactness`` both fail through the
+    one scan."""
     d, size = dm.polydisc(1), vf.SIZES["quick"]
-    monkeypatch.setattr(vf.qd, "divergence_probe", refuse)
+    monkeypatch.setattr(vf.qd, "divergence_probe", probe)
     ok, detail = vf._moments_vs_quadrature(d, [d], np.random.default_rng(1), size)
     assert not ok and detail.endswith("; probe failed at ((-3,), Fraction(1, 1))")
     ok, detail = vf._random_moments([d], np.random.default_rng(1), size)
@@ -572,6 +579,17 @@ def test_oracle_scan_fails_random_moments_on_a_scaled_moment(monkeypatch):
                                     vf.SIZES["quick"])
     assert not ok
     assert "worst rel 1.00e-06" in detail and detail.endswith("divergence failures []")
+
+
+def test_oracle_scan_fails_both_moment_rows_on_a_nan_estimate(monkeypatch):
+    """A NaN quadrature value matches no moment: it is the worst error."""
+    monkeypatch.setattr(vf.qd, "integrate",
+                        lambda *_args: qd.IntegralResult(float("nan"), 0.0))
+    d, size = dm.polydisc(1), vf.SIZES["quick"]
+    ok, detail = vf._moments_vs_quadrature(d, [d], np.random.default_rng(1), size)
+    assert not ok and detail.startswith("13 finite (worst rel err nan at ((")
+    ok, detail = vf._random_moments([d], np.random.default_rng(1), size)
+    assert not ok and "worst rel nan" in detail
 
 
 def test_verify_cli_quick_passes(capsys):
