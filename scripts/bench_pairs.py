@@ -3,23 +3,22 @@
     python3 scripts/bench_pairs.py --parent REV --workload moment_oracle \
         --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH.json
 
-Exports REV with ``git archive`` to a temporary directory and runs the
-benchmark command of ``BENCHMARK.json`` (with ``--trace 0``) once per seed in
-that tree and once in this checkout's working tree, the change.  The parent
-runs first on even pairs and second on odd ones, so a slow spell of the host
-falls on both sides alike.  ``--out`` gets, per workload, every run's metrics,
-per end-to-end metric each side's median and quartiles and the share of
-pairs the change won (ties count for neither side), and per side the share of
-failed operations and the seeds of runs not ``correct`` (a request raised or
-answered wrongly).  Each side of a pair also runs once with ``--trace 1``,
-after both untraced runs, and ``layers`` summarizes those runs the same way
-over the per-layer metrics (``trace.covered_frac`` among them, the share of
-wall time the layers explain); the untraced runs stay the end-to-end gate.
-``process`` summarizes the untraced runs' rusage, read with ``os.wait4``:
-minor page faults and user and system CPU seconds.  It counts the whole
-process tree of a run, the set-up probes it spawns among them.
-A workload already in ``--out`` is replaced; the others are kept, so one
-file can collect several invocations.
+Exports REV and the change with ``git archive`` to sibling directories
+``parent`` and ``change`` of one temporary directory: no run starts from the
+checkout, whose path would set the allocator's state apart from the code's.
+The change is the commit ``git stash create`` makes of the tracked and staged
+files, or ``HEAD`` on a clean tree, so stage new files first; ``--parent
+HEAD`` on a clean tree is an A/A pair.  Each tree runs the benchmark command
+of ``BENCHMARK.json`` (``--trace 0``) once per seed, the parent first on even
+pairs and second on odd ones, so a slow spell of the host hits both sides.
+``--out`` gets, per workload, every run's metrics, per end-to-end metric each
+side's median and quartiles and the share of pairs the change won (ties count
+for neither), and per side the share of failed operations and the seeds of
+runs not ``correct``.  Each side of a pair also runs once with ``--trace 1``
+after both untraced runs; ``layers`` summarizes those over the per-layer
+metrics, and ``process`` the untraced runs' rusage (``os.wait4``: minor page
+faults, user and system seconds).  A workload already in ``--out`` is
+replaced; the others are kept.
 """
 
 from __future__ import annotations
@@ -122,8 +121,10 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
 
     with tempfile.TemporaryDirectory() as tmp:
-        parent_sha = export(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        parent_sha = export(args.parent, trees["parent"])
+        change_sha = export(_git("stash", "create").decode().strip() or "HEAD",
+                            trees["change"])
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -143,8 +144,7 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({
         "parent": parent_sha,
-        "change": {"head": _git("rev-parse", "HEAD").decode().strip(),
-                   "uncommitted": _git("status", "--porcelain").decode().splitlines()},
+        "change": change_sha,
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": len(os.sched_getaffinity(0))},
     })

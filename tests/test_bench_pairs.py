@@ -42,7 +42,7 @@ def test_layers_summarize_one_traced_run_per_side_beside_the_untraced_gate(
     seen = []
 
     def fake_run(tree, command, workload, seed, seconds, trace=0):
-        side = "change" if tree == bench_pairs.ROOT else "parent"
+        side = tree.name
         seen.append((seed, side, trace))
         value = {"parent": 1.0, "change": 0.25}[side] * seed
         metrics = {m["name"]: value for m in bench["per_layer" if trace else "end_to_end"]}
@@ -96,3 +96,34 @@ def test_run_once_reads_the_rusage_of_the_run(tmp_path):
     with pytest.raises(RuntimeError, match="exited 3"):
         bench_pairs.run_once(tmp_path, [sys.executable, "-c", "raise SystemExit(3)"],
                              "laurent_norms", 7, 1)
+
+
+@pytest.mark.parametrize("stash, change", [(b"c" * 40 + b"\n", "c" * 40), (b"", "HEAD")])
+def test_both_sides_run_from_sibling_exports(tmp_path, monkeypatch, stash, change):
+    """The change is the commit ``git stash create`` makes of the working
+    tree, or HEAD when it makes none (a clean tree); each side runs in its
+    own export, at paths of one length, and never in the checkout."""
+    exported, trees = [], set()
+
+    def fake_export(rev, dest):
+        exported.append((rev, dest.name))
+        return rev
+
+    def fake_run(tree, command, workload, seed, seconds, trace=0):
+        trees.add(tree)
+        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {}, "rusage": {}}
+
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "summarize", lambda pairs, metrics: {})
+    monkeypatch.setattr(bench_pairs, "_git",
+                        lambda *args: stash if args == ("stash", "create") else b"")
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "laurent_norms",
+                             "--seeds", "1", "2", "--out", str(out)]) == 0
+    assert exported == [("HEAD", "parent"), (change, "change")]
+    assert {tree.name for tree in trees} == {"parent", "change"}
+    assert len({tree.parent for tree in trees}) == 1 and bench_pairs.ROOT not in trees
+    doc = json.loads(out.read_text())
+    assert (doc["parent"], doc["change"]) == ("HEAD", change)
