@@ -97,10 +97,17 @@ class MixedMonomialSum:
             [(complex(q), alpha, gamma) for q, alpha, gamma in self.terms])
 
     def as_term_dicts(self) -> list:
-        return [{"c": [float(q.re), float(q.im)],
-                 "c_exact": [format_fraction(q.re), format_fraction(q.im)],
-                 "alpha": list(alpha), "gamma": list(gamma)}
-                for q, alpha, gamma in self.terms]
+        """JSON terms; a coefficient outside the float range raises ``ParseError``."""
+        out = []
+        for q, alpha, gamma in self.terms:
+            try:
+                c = [float(q.re), float(q.im)]
+            except OverflowError:
+                raise ParseError(f"coefficient of term alpha={alpha} gamma={gamma} "
+                                 "leaves the floating-point range") from None
+            out.append({"c": c, "c_exact": [format_fraction(q.re), format_fraction(q.im)],
+                        "alpha": list(alpha), "gamma": list(gamma)})
+        return out
 
 
 def laurent(terms: Sequence[tuple]) -> MixedMonomialSum:
@@ -221,9 +228,24 @@ NORM_CFG = QuadConfig(radial_nodes=12, angular_nodes=16, max_doublings=0)
 LYAPUNOV_CFG = QuadConfig(radial_nodes=12, angular_nodes=8, max_doublings=0)
 
 
+def _in_float_range(value, low: float = sys.float_info.min) -> float:
+    """The float modulus of ``value``, a norm of a nonzero sum or (``low`` = 0)
+    an exact pairing, when it lies in [low, inf); else a one-line
+    ``Inconclusive``.  Past the float range a norm reads inf or 0, and an
+    exact value's conversion raises a bare ``OverflowError``."""
+    try:
+        x = abs(complex(value))
+    except OverflowError:
+        x = math.inf
+    if not low <= x < math.inf:
+        raise Inconclusive("a norm or pairing leaves the floating-point range")
+    return x
+
+
 def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p) -> float:
     """L^p norm of a monomial sum: exact for single terms and at p = 2, and 0
-    for the zero function, the empty sum; else quadrature at ``NORM_CFG``."""
+    for the zero function, the empty sum; else quadrature at ``NORM_CFG``.
+    A nonzero sum's norm outside the normal floats raises ``Inconclusive``."""
     p = check_exponent(p)
     if f.is_zero():
         return 0.0
@@ -233,19 +255,10 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p) -> float:
         m = moment(d, mods, p)
         if not m.is_finite:
             raise NotIntegrable(f"monomial not in L^{p}")
-        try:
-            mp = float(m)
-        except OverflowError:  # a moment above the float range
-            mp = math.inf
-        try:  # a moment outside the normal floats takes its root from its log
-            root = (pth_root(mp, p) if sys.float_info.min <= mp < math.inf
-                    else math.exp(m.value.log() / float(p)))
-        except OverflowError:
-            raise Inconclusive(f"the p-th root at p={p} leaves the floating-point range") from None
-        return abs(complex(q)) * root
+        return _in_float_range(abs(complex(q)) * pth_root(m.value, p))
     if p == 2:
-        return math.sqrt(complex(pairing(d, f, f)).real)
-    return lp_norm(d, f.as_integrand(), p, NORM_CFG)
+        return _in_float_range(math.sqrt(_in_float_range(pairing(d, f, f), 0.0)))
+    return _in_float_range(lp_norm(d, f.as_integrand(), p, NORM_CFG))
 
 
 @dataclass(frozen=True)
@@ -282,7 +295,8 @@ def lyapunov_check(d: DomainSpec, f: MixedMonomialSum, p, q, theta) -> Inequalit
         lhs = laurent_norm(d, f, r)
         np_, nq = laurent_norm(d, f, p), laurent_norm(d, f, q)
     else:
-        lhs, np_, nq = lp_norms(d, f.as_integrand(), [r, p, q], LYAPUNOV_CFG)
+        lhs, np_, nq = map(_in_float_range,
+                           lp_norms(d, f.as_integrand(), [r, p, q], LYAPUNOV_CFG))
     rhs = np_ ** float(1 - theta) * nq ** float(theta)
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + _CHECK_TOL))
 
@@ -304,7 +318,7 @@ def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum,
         raise NotIntegrable("f is not in the p-Bergman space")
     if not g.p_integrable(d, q):
         raise NotIntegrable("g is not in the q-Bergman space")
-    lhs = abs(complex(pairing(d, f, g)))
+    lhs = _in_float_range(pairing(d, f, g), 0.0)
     rhs = laurent_norm(d, f, p) * laurent_norm(d, g, q)
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + _CHECK_TOL))
 

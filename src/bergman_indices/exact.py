@@ -194,8 +194,6 @@ def fold_gamma(tops, bottoms, q: int, coeff=1, pi_half: int = 0) -> ExactValue:
 def make_exact(coeff, pi_half: int = 0, gamma_num=(), gamma_den=()) -> ExactValue:
     """Build a canonical ExactValue from rational Gamma arguments, which
     ``fold_gamma`` folds over their least common denominator."""
-    if not (gamma_num or gamma_den):
-        return ExactValue(as_fraction(coeff), pi_half)
     args = [[as_fraction(a) for a in xs] for xs in (gamma_num, gamma_den)]
     q = math.lcm(*(a.denominator for xs in args for a in xs))
     return fold_gamma(*([a.numerator * (q // a.denominator) for a in xs] for xs in args),

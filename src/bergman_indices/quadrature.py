@@ -68,7 +68,7 @@ import numpy as np
 
 from .domains import DomainSpec, Family
 from .errors import Inconclusive, NaNOnGrid, ParseError
-from .exact import as_fraction
+from .exact import ExactValue, as_fraction
 
 TWO_PI = 2.0 * math.pi
 TORUS_AXIS = {Family.BALL: math.pi}  # else 2 pi; the ball's simplex map carries 1/2
@@ -630,14 +630,22 @@ def integrate(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig = QuadConfig(
     return results if g.several else results[0]
 
 
-def pth_root(value: float, p) -> float:
-    """value^(1/p) of a p-th-power integral, in Python floats, whose overflow
-    raises where numpy's only warns; an infinite value stays infinite.  A
-    finite one whose root overflows (p tiny) raises ``Inconclusive``."""
+def pth_root(value, p) -> float:
+    """value^(1/p) of a p-th power, a float or an ``ExactValue``, in Python
+    floats, whose overflow raises where numpy's only warns; an infinite float
+    stays infinite.  An exact value outside the normal floats takes its root
+    from its log.  A root that overflows (p tiny) raises ``Inconclusive``."""
     try:
-        return float(value) ** (1.0 / float(p))
+        x = float(value)
+    except OverflowError:  # an exact value above the float range
+        x = math.inf
+    try:
+        if isinstance(value, ExactValue) and not sys.float_info.min <= x < math.inf:
+            return math.exp(value.log() / float(p))
+        return x ** (1.0 / float(p))
     except OverflowError:
-        raise Inconclusive(f"the p-th root of {value!r} at p={p} leaves the "
+        name = f"e^{value.log():.6g}" if isinstance(value, ExactValue) else repr(value)
+        raise Inconclusive(f"the p-th root of {name} at p={p} leaves the "
                            "floating-point range") from None
 
 

@@ -157,9 +157,8 @@ def _holder_inclusion(doms, rng, size):
             mq, mp = dm.moment(d, alpha, q), dm.moment(d, alpha, p)
             if not (mq.is_finite and mp.is_finite):
                 continue
-            lhs = float(mq) ** (1 / float(q))
-            rhs = (vol ** (1 / float(q) - 1 / float(p))
-                   * float(mp) ** (1 / float(p)))
+            lhs = qd.pth_root(mq.value, q)
+            rhs = vol ** (1 / float(q) - 1 / float(p)) * qd.pth_root(mp.value, p)
             if lhs > rhs * (1 + 1e-12):
                 fails.append((str(d), alpha, q, p))
     return not fails, str(fails[:3])
@@ -209,11 +208,16 @@ def _threshold_completeness(doms, rng, size):
     for d in doms:
         ts = ix.thresholds(d, Fraction(1), Fraction(8), radius)
         # soundness is asserted inside thresholds(); completeness: no flips
-        # strictly between consecutive reported values
+        # strictly between consecutive reported values.  The drawn intervals
+        # are about 1/2000 of a gap wide and rarely straddle a missing flip,
+        # so each gap also compares points just inside both ends (no draw)
         edges = [Fraction(1)] + [t.value for t in ts] + [Fraction(8)]
         for lo, hi in zip(edges, edges[1:]):
             if hi <= lo:
                 continue
+            ends = ix.sets_equal(d, lo + (hi - lo) / 10 ** 6, hi - (hi - lo) / 10 ** 6, radius)
+            if not ends.equal:
+                fails.append((str(d), lo, hi, ends.witness))
             for _ in range(5):
                 num = int(rng.integers(1, 1000))
                 a = lo + (hi - lo) * Fraction(num, 1001)
@@ -276,8 +280,6 @@ def _duality_self_conjugate(doms, rng, size):
         for k in range(1, 8):
             p = Fraction(2) + Fraction(k, 7)
             q = dm.conjugate_exponent(p)
-            if dm.conjugate_exponent(q) != p:
-                fails.append((str(d), p, "involution"))
             cond_p = (ix.sets_equal(d, p, 2, rad).equal
                       and ix.sets_equal(d, q, 2, rad).equal)
             # the scan condition is symmetric in (p, q) and must reproduce

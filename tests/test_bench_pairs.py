@@ -98,7 +98,8 @@ def test_run_once_reads_the_rusage_of_the_run(tmp_path):
                              "laurent_norms", 7, 1)
 
 
-@pytest.mark.parametrize("stash, change", [(b"c" * 40 + b"\n", "c" * 40), (b"", "HEAD")])
+@pytest.mark.parametrize("stash, change", [(b"c" * 40 + b"\n", "c" * 40), (b"", "HEAD")],
+                         ids=["dirty", "clean"])
 def test_both_sides_run_from_sibling_exports(tmp_path, monkeypatch, stash, change):
     """The change is the commit ``git stash create`` makes of the working
     tree, or HEAD when it makes none (a clean tree); each side runs in its

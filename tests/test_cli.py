@@ -243,6 +243,11 @@ def test_usage_errors_exit_2(capsys):
       for flag, value in [("--radial-nodes", "64"), ("--angular-nodes", "32"),
                           ("--refine", "3"), ("--tol", "1e-9")]),
     ["verify", "polydisc:1", "--seed", "-1"],  # numpy's generator takes no negative seed
+    # a coefficient past the float range: merged input, then a projected term
+    ["project", "polydisc:1", "--terms",
+     '[{"c":[1.5e308,0],"alpha":[1]},{"c":[1.5e308,0],"alpha":[1]}]'],
+    ["project", "polydisc:1", "--terms",
+     '[{"c":[1.5e308,0],"alpha":[1]},{"c":[1.5e308,0],"alpha":[2],"gamma":[1]}]'],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.run(argv)
@@ -250,6 +255,7 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -590,6 +596,40 @@ def test_oracle_scan_fails_both_moment_rows_on_a_nan_estimate(monkeypatch):
     assert not ok and detail.startswith("13 finite (worst rel err nan at ((")
     ok, detail = vf._random_moments([d], np.random.default_rng(1), size)
     assert not ok and "worst rel nan" in detail
+
+
+PLANTED_DOMAINS = [dm.polydisc(1), dm.ball(2), dm.hartogs(1, 1), dm.hartogs(3, 2)]
+
+
+@pytest.mark.parametrize("module, name, fault, check, detail", [
+    (vf.kn, "kernel_closed_form", lambda real: lambda d, z, w: real(d, z, w) * (1 + 1e-6),
+     vf._series_vs_closed, "worst rel 1.00e-06"),
+    (vf.dm, "volume", lambda real: lambda d: dm.Moment(real(d).value * Fraction(1, 2)),
+     vf._holder_inclusion, "[('polydisc:1', ("),
+    (vf.dp, "project", lambda real: lambda d, f: vf.dp.MixedMonomialSum(real(d, f).terms[:-1]),
+     vf._projection_algebra, "'idempotence'"),
+], ids=["series-vs-closed-form", "holder-inclusion", "algebra-exact-identities"])
+def test_verify_check_fails_on_its_planted_fault(monkeypatch, module, name, fault,
+                                                 check, detail):
+    """A check about one function fails when that function is planted with a
+    plausible fault: a closed form off by 1e-6, a halved volume, a projection
+    that loses a term."""
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    ok, text = check(PLANTED_DOMAINS, np.random.default_rng(1), vf.SIZES["quick"])
+    assert not ok and detail in text
+
+
+@pytest.mark.parametrize("row", [1, 2])
+def test_threshold_completeness_fails_on_a_dropped_critical_row(monkeypatch, row):
+    """A flip missing from the critical table leaves a gap whose two ends see
+    different index sets; the drawn sub-intervals alone almost never straddle
+    it.  Row 1 is 4/3 on H(1,1) and 1 on H(3,2), row 2 is 2 and 10/9."""
+    real = vf.ix.critical_table
+    monkeypatch.setattr(vf.ix, "critical_table",
+                        lambda d, radius: real(d, radius)[:row] + real(d, radius)[row + 1:])
+    ok, text = vf._threshold_completeness(PLANTED_DOMAINS, np.random.default_rng(1),
+                                          vf.SIZES["quick"])
+    assert not ok and text.startswith("[('hartogs:")
 
 
 def test_verify_cli_quick_passes(capsys):

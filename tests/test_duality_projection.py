@@ -200,6 +200,22 @@ def test_single_monomial_norm_above_the_float_range():
         dp.laurent_norm(d, f, 2 - Fraction(1, 10 ** 12))
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_a_sum_whose_norm_leaves_the_float_range_is_inconclusive(c):
+    """c (1 + z) on the disc: its norms near c and its pairing near c^2 are not
+    floats, so neither a norm nor a check may read inf, 0 or True; each raises
+    ``Inconclusive`` with one line instead of a bare ``OverflowError``."""
+    d = dm.polydisc(1)
+    f = dp.laurent([(c, (0,)), (c, (1,))])
+    calls = [lambda p=p: dp.laurent_norm(d, f, p) for p in (2, 3, 4)]
+    calls += [lambda: dp.holder_check(d, f, f, 2),
+              lambda: dp.lyapunov_check(d, f, 4, Fraction(5, 4), Fraction(1, 2))]
+    for call in calls:
+        with pytest.raises(Inconclusive, match="floating-point range") as info:
+            call()
+        assert len(str(info.value).splitlines()) == 1
+
+
 def test_zero_function_has_norm_zero():
     """The projection of z-bar on the disc is the empty sum, the zero
     function: its norm is 0 at every p and both inequalities hold with 0."""
