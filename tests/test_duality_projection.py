@@ -202,9 +202,10 @@ def test_single_monomial_norm_above_the_float_range():
 
 @pytest.mark.parametrize("c", [1e200, 1e-200])
 def test_a_sum_whose_norm_leaves_the_float_range_is_inconclusive(c):
-    """c (1 + z) on the disc: its norms near c and its pairing near c^2 are not
-    floats, so neither a norm nor a check may read inf, 0 or True; each raises
-    ``Inconclusive`` with one line instead of a bare ``OverflowError``."""
+    """c (1 + z) on the disc: its p-th powers and its pairing overflow at c =
+    1e200 and underflow at 1e-200, where a norm read inf or 0, a check True,
+    or a bare ``OverflowError`` rose; each now raises a one-line
+    ``Inconclusive``."""
     d = dm.polydisc(1)
     f = dp.laurent([(c, (0,)), (c, (1,))])
     calls = [lambda p=p: dp.laurent_norm(d, f, p) for p in (2, 3, 4)]
