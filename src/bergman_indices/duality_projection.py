@@ -228,16 +228,18 @@ NORM_CFG = QuadConfig(radial_nodes=12, angular_nodes=16, max_doublings=0)
 LYAPUNOV_CFG = QuadConfig(radial_nodes=12, angular_nodes=8, max_doublings=0)
 
 
-def _in_float_range(value, low: float = sys.float_info.min) -> float:
-    """The float modulus of ``value``, a norm of a nonzero sum or (``low`` = 0)
-    an exact pairing, when it lies in [low, inf); else a one-line
-    ``Inconclusive``.  Past the float range a norm reads inf or 0, and an
-    exact value's conversion raises a bare ``OverflowError``."""
+def _in_float_range(value, exact_zero: bool = False) -> float:
+    """The float modulus of ``value``, a norm or an exact pairing, when it is a
+    normal float, or 0 where ``exact_zero``; else a one-line ``Inconclusive``.
+    Past the float range a norm or pairing reads inf, 0 or a subnormal short of
+    its bits, and an exact value's conversion raises a bare ``OverflowError``."""
+    if exact_zero:
+        return 0.0
     try:
         x = abs(complex(value))
     except OverflowError:
         x = math.inf
-    if not low <= x < math.inf:
+    if not sys.float_info.min <= x < math.inf:
         raise Inconclusive("a norm or pairing leaves the floating-point range")
     return x
 
@@ -245,7 +247,8 @@ def _in_float_range(value, low: float = sys.float_info.min) -> float:
 def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p) -> float:
     """L^p norm of a monomial sum: exact for single terms and at p = 2, and 0
     for the zero function, the empty sum; else quadrature at ``NORM_CFG``.
-    A nonzero sum's norm outside the normal floats raises ``Inconclusive``."""
+    A nonzero sum's norm, or its pairing at p = 2, outside the normal floats
+    raises ``Inconclusive``."""
     p = check_exponent(p)
     if f.is_zero():
         return 0.0
@@ -257,7 +260,7 @@ def laurent_norm(d: DomainSpec, f: MixedMonomialSum, p) -> float:
             raise NotIntegrable(f"monomial not in L^{p}")
         return _in_float_range(abs(complex(q)) * pth_root(m.value, p))
     if p == 2:
-        return _in_float_range(math.sqrt(_in_float_range(pairing(d, f, f), 0.0)))
+        return _in_float_range(math.sqrt(_in_float_range(pairing(d, f, f))))
     return _in_float_range(lp_norm(d, f.as_integrand(), p, NORM_CFG))
 
 
@@ -307,7 +310,8 @@ def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum,
 
     The two norms are taken once, by ``laurent_norm``; a violation beyond
     ``_CHECK_TOL`` stands (a single monomial's norm and every norm at
-    exponent 2 are exact)."""
+    exponent 2 are exact).  A nonzero side outside the normal floats raises
+    ``Inconclusive``."""
     p = check_exponent(p)
     if p <= 1:
         raise ParseError("p must exceed 1")
@@ -318,8 +322,10 @@ def holder_check(d: DomainSpec, f: MixedMonomialSum, g: MixedMonomialSum,
         raise NotIntegrable("f is not in the p-Bergman space")
     if not g.p_integrable(d, q):
         raise NotIntegrable("g is not in the q-Bergman space")
-    lhs = _in_float_range(pairing(d, f, g), 0.0)
-    rhs = laurent_norm(d, f, p) * laurent_norm(d, g, q)
+    pair = pairing(d, f, g)
+    lhs = _in_float_range(pair, pair.is_zero())
+    rhs = _in_float_range(laurent_norm(d, f, p) * laurent_norm(d, g, q),
+                          f.is_zero() or g.is_zero())
     return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + _CHECK_TOL))
 
 

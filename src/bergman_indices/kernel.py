@@ -44,8 +44,8 @@ from .domains import (DomainSpec, Family, MultiIndex, check_exponent, moment,
 from .errors import IllConditionedGram, Inconclusive, ParseError
 from .exact import ExactValue
 from .index_sets import index_set_window
-from .quadrature import (AbsPowerIntegrand, BlackBoxIntegrand, ProbeResult, QuadConfig,
-                         divergence_probe, integrate, pth_root)
+from .quadrature import (REL_TOL, AbsPowerIntegrand, BlackBoxIntegrand, ProbeResult,
+                         QuadConfig, divergence_probe, integrate, pth_root)
 
 GRAM_COND_LIMIT = 1e12  # density_residual rejects a Gram matrix beyond it
 # the divergence ladder's node counts, the only part of a budget it reads
@@ -273,20 +273,19 @@ def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
     Runs the corner-cutoff refinement ladder of the quadrature module at
     ``PROBE_CFG`` on the closed-form kernel section; a diverging verdict
     reports the last (growing) estimate, a converging one the cutoff-free
-    value at the budget ``cfg``, refused as ``Inconclusive`` where its last
-    doubling misses ``cfg.rel_tol`` by ``cfg.agrees``, the test that
-    refinement stops on.  ``radius`` is ignored, kept for positional callers."""
+    value at the budget ``cfg``, refused as ``Inconclusive`` where the result
+    has not ``converged``.  ``radius`` is ignored, kept for positional callers."""
     p = check_exponent(p)
     z = _require_inside(d, z, "z")
     if cfg is None:
-        cfg = QuadConfig(radial_nodes=24, angular_nodes=32, rel_tol=1e-9)
+        cfg = QuadConfig(radial_nodes=24, angular_nodes=32)
     integrand = _kernel_integrand(d, z)
     probe: ProbeResult = divergence_probe(d, integrand, p, PROBE_CFG)
     if probe.diverging:
         return PNormEstimate(probe.sequence[-1], True, probe.sequence)
     # the ladder converged; report the cutoff-free value at full budget
     res = integrate(d, AbsPowerIntegrand(integrand, p), cfg)
-    if not cfg.agrees(res.value, res.error_estimate):
-        raise Inconclusive(f"the p={p} norm integral missed rel_tol={cfg.rel_tol:g}: its "
+    if not res.converged:
+        raise Inconclusive(f"the p={p} norm integral missed rel_tol={REL_TOL:g}: its "
                            f"last doubling moved {res.value:.6g} by {res.error_estimate:.2g}")
     return PNormEstimate(pth_root(res.value, p), False, probe.sequence)

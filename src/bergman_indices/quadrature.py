@@ -30,7 +30,7 @@ Both integrand kinds declare the two facts the rules read of them:
 unbounded).  The angular rule is the uniform trapezoid, exact for
 trigonometric polynomials below the node count, and |f|^p is one only for
 even p (at several exponents, only if all are).  One loop, ``_refine``,
-doubles every rule until two successive ones agree to ``rel_tol``: each
+doubles every rule until two successive ones agree to ``REL_TOL``: each
 separable axis and each tensor block, whose mesh sums take |f| once per
 slab and raise it to each exponent p.  One tiler, ``_tiles``, cuts a pass's
 mesh into chunks of about ``CHUNK_POINTS``, whose one ``np.sum`` each fixes
@@ -74,7 +74,8 @@ TWO_PI = 2.0 * math.pi
 TORUS_AXIS = {Family.BALL: math.pi}  # else 2 pi; the ball's simplex map carries 1/2
 LADDER_LEVELS = 3  # cutoffs the divergence ladder reads its first verdict at
 MAX_LADDER_LEVELS = 7  # the divergence ladder's deepest cutoff, 1e-14
-LADDER_TOL = 1e-4  # rel_tol of each tensor ladder level, at max_doublings = 1
+REL_TOL = 1e-9  # relative last difference at which every rule stops doubling
+LADDER_TOL = 1e-4  # the same for each tensor ladder level, at max_doublings = 1
 STABLE_TOL = 1e-6  # relative step at which the ladder reads as converged
 #: entries of the memo of separable axis sums: on a moment-oracle scan,
 #: 8,192 answer 85% of its calls (4,096: 77%; unbounded: 90%, in 21,533)
@@ -114,14 +115,13 @@ class QuadConfig:
     Each rule (a tensor block, or a box axis of a single monomial's
     ``integrate``) runs its base size and then up to ``max_doublings + 1``
     doubled sizes, a tensor pass doubling every radial and inexact angular
-    axis, until two successive ones agree to ``rel_tol`` at every exponent;
+    axis, until two successive ones agree to ``REL_TOL`` at every exponent;
     so ``max_doublings=0`` still doubles once.  Budgets out of range, and
     counts or doublings not ``int`` (``bool`` included), raise ``ParseError``,
     a ``ValueError``."""
 
     radial_nodes: int = 64
     angular_nodes: Optional[int] = None  # None: 32 through C^2, 12 beyond
-    rel_tol: float = 1e-9
     max_doublings: int = 3
 
     def __post_init__(self):
@@ -135,20 +135,25 @@ class QuadConfig:
             raise ParseError("radial_nodes must lie in [4, 256]")
         if self.angular_nodes is not None and not 4 <= self.angular_nodes <= 256:
             raise ParseError("angular_nodes must lie in [4, 256]")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ParseError("rel_tol must lie in (0, 1)")
         if self.max_doublings < 0:
             raise ParseError("max_doublings must be >= 0")
 
-    def agrees(self, value: float, error: float) -> bool:
-        """The test refinement stops on: a last difference within ``rel_tol``."""
-        return error <= self.rel_tol * max(abs(value), 1e-300)
+
+def _agrees(value: float, error: float, tol: float = REL_TOL) -> bool:
+    """The one stop rule of refinement: a last difference within ``tol``, relative."""
+    return error <= tol * max(abs(value), 1e-300)
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     value: float
     error_estimate: float
+
+    @property
+    def converged(self) -> bool:
+        """``_refine``'s stop rule at ``REL_TOL`` on the last difference.  No error
+        bound: ``value`` can be right where it fails, and off where it holds."""
+        return _agrees(self.value, self.error_estimate)
 
 
 @dataclass(frozen=True)
@@ -329,15 +334,15 @@ def _log_rule(n: int, pieces: int):
     return u, w
 
 
-def _refine(run: Callable[[int], list], cfg: QuadConfig) -> Tuple[list, list]:
+def _refine(run: Callable[[int], list], cfg: QuadConfig, tol=REL_TOL) -> Tuple[list, list]:
     """(values, errors) of ``run(k)``, the sums on a rule doubled k times, as
-    k climbs from 0 until two successive lists agree (``cfg.agrees``) or k
-    reaches ``cfg.max_doublings + 1``; an error is the last difference."""
+    k climbs from 0 until two successive lists agree to ``tol`` (``_agrees``)
+    or k reaches ``cfg.max_doublings + 1``; an error is the last difference."""
     values = run(0)
     for k in range(1, cfg.max_doublings + 2):
         values, coarse = run(k), values
         errs = [abs(a - b) for a, b in zip(values, coarse)]
-        if all(map(cfg.agrees, values, errs)):
+        if all(map(_agrees, values, errs, itertools.repeat(tol))):
             break
     return values, errs
 
@@ -580,11 +585,11 @@ def _tensor_integrate(d: DomainSpec, g: AbsPowerIntegrand, hints, n_radial: int,
 
 
 def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
-               blocks=(None,)):
+               blocks=(None,), tol: float = REL_TOL):
     """Per exponent of ``g``, the sums over ``blocks`` of the block integrals
     and error estimates; a block, per-axis log piece indices or None for all
-    of (0, 1)^dim, refines on its own: at doubling k, each radial and inexact
-    angular axis has its base count times 2^k nodes.  A pass of more than
+    of (0, 1)^dim, refines on its own to ``tol``: at doubling k, each radial
+    and inexact angular axis has its base count times 2^k nodes.  A pass over
     ``MAX_PASS_POINTS`` mesh points raises ``Inconclusive`` unevaluated, and
     one whose sums hold a NaN raises ``NaNOnGrid`` before the next runs."""
     ang_base, ang_exact = _angular_counts(g, cfg)
@@ -603,7 +608,7 @@ def _block_sum(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig,
 
     totals = err_totals = [0.0] * len(g.ps)
     for block in blocks:
-        values, errs = _refine(partial(run, block), cfg)
+        values, errs = _refine(partial(run, block), cfg, tol)
         totals = [t + v for t, v in zip(totals, values)]
         err_totals = [t + e for t, e in zip(err_totals, errs)]
     return totals, err_totals
@@ -614,11 +619,11 @@ def integrate(d: DomainSpec, g: AbsPowerIntegrand, cfg: QuadConfig = QuadConfig(
     (f, p); a list of results, one per exponent, when p is a list or tuple.
 
     Each rule refines as ``QuadConfig`` says; the error estimate is its
-    last difference.  The tensor mesh doubles its radial nodes and its
-    inexact angular ones, one per torus axis of f (k for a monomial sum, see
-    the module docstring).  |single monomial|^p takes the separable rule, once
-    per exponent, whose axes refine on their own and add their relative errors.
-    Any other integrand raises ``TypeError``.
+    last difference, which ``converged`` reads.  The tensor mesh doubles its
+    radial nodes and its inexact angular ones, one per torus axis of f (k for
+    a monomial sum, see the module docstring).  |single monomial|^p takes the
+    separable rule, once per exponent, whose axes refine on their own and add
+    their relative errors.  Any other integrand raises ``TypeError``.
     """
     if not isinstance(g, AbsPowerIntegrand):
         raise TypeError(f"integrate takes an AbsPowerIntegrand, not {type(g).__name__}")
@@ -653,7 +658,7 @@ def lp_norms(d: DomainSpec, f, ps: Sequence, cfg: QuadConfig = QuadConfig()) -> 
     """Quadrature L^p norms of an integrand at each exponent of ``ps`` (> 0).
 
     One ``integrate`` run sums every exponent on one mesh, refined until all
-    meet ``rel_tol``.  Its nodes and weights are shared and positive, so the
+    meet ``REL_TOL``.  Its nodes and weights are shared and positive, so the
     discrete Hoelder and log-convexity relations between the norms hold
     exactly (up to round-off) whatever the quadrature error: a verdict built
     on them cannot be tripped by integration noise.  A single monomial
@@ -698,7 +703,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
     separable = _separable(d, f, p, cfg.radial_nodes)  # levels differ in pieces only
     if not separable:
         g = AbsPowerIntegrand(f, p)
-        ladder_cfg = replace(cfg, rel_tol=LADDER_TOL, max_doublings=1)
+        ladder_cfg = replace(cfg, max_doublings=1)
 
     def extend_to(n_levels: int) -> None:
         for level in range(len(integrals), n_levels):
@@ -709,7 +714,7 @@ def divergence_probe(d: DomainSpec, f, p, cfg: QuadConfig = QuadConfig()) -> Pro
                 continue
             new = [b for b in itertools.product(range(level + 1), repeat=d.dim)
                    if level in b]
-            (added,), _err = _block_sum(d, g, ladder_cfg, new)
+            (added,), _err = _block_sum(d, g, ladder_cfg, new, LADDER_TOL)
             integrals.append((integrals[-1] if integrals else 0.0) + added)
 
     def increasing() -> bool:

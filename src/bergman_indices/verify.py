@@ -207,6 +207,12 @@ def _threshold_completeness(doms, rng, size):
     fails = []
     for d in doms:
         ts = ix.thresholds(d, Fraction(1), Fraction(8), radius)
+        # a flip at an end of the closed range is seen only from outside it;
+        # no other flip lies within 10^-6 of either end while m + n <= 2000
+        for end in (Fraction(1), Fraction(8)):
+            flip = any(t.value == end for t in ts)
+            if ix.sets_equal(d, end - Fraction(1, 10 ** 6), end, radius).equal == flip:
+                fails.append((str(d), end, "reported" if flip else "unreported"))
         # soundness is asserted inside thresholds(); completeness: no flips
         # strictly between consecutive reported values.  The drawn intervals
         # are about 1/2000 of a gap wide and rarely straddle a missing flip,
@@ -277,8 +283,11 @@ def _duality_self_conjugate(doms, rng, size):
         bound, _w = ix.duality_bound(d, rad, Fraction(64))
         if bound.kind != "exact":
             continue
-        for k in range(1, 8):
-            p = Fraction(2) + Fraction(k, 7)
+        # the grid 2 + k/7 misses (2, 15/7): also the points 10^-6 about the
+        # bound, each held at 2 or above
+        grid = [Fraction(2) + Fraction(k, 7) for k in range(1, 8)]
+        for p in grid + sorted({max(bound.value + e, Fraction(2))
+                                for e in (Fraction(-1, 10 ** 6), Fraction(1, 10 ** 6))}):
             q = dm.conjugate_exponent(p)
             cond_p = (ix.sets_equal(d, p, 2, rad).equal
                       and ix.sets_equal(d, q, 2, rad).equal)

@@ -601,22 +601,77 @@ def test_oracle_scan_fails_both_moment_rows_on_a_nan_estimate(monkeypatch):
 PLANTED_DOMAINS = [dm.polydisc(1), dm.ball(2), dm.hartogs(1, 1), dm.hartogs(3, 2)]
 
 
+def _shifted(delta):
+    """A fault for ``duality_bound`` or ``beta_upper``: each exact index
+    value moved by ``delta``."""
+    def fault(real):
+        def shifted(*args):
+            value, witness = real(*args)
+            if value.kind == "exact":
+                value = vf.ix.IndexValue.exact(value.value + delta)
+            return value, witness
+        return shifted
+    return fault
+
+
+def _finite_at_critical(real):
+    def ratio(d, alpha, gamma, p):
+        if p == vf.ix.hartogs_regularity_formula(d.m, d.n):
+            return vf.dp.ProjectionRatio(False, 1.0)
+        return real(d, alpha, gamma, p)
+    return ratio
+
+
+def _drop_last_term(real):
+    return lambda d, f: vf.dp.MixedMonomialSum(real(d, f).terms[:-1])
+
+
 @pytest.mark.parametrize("module, name, fault, check, detail", [
     (vf.kn, "kernel_closed_form", lambda real: lambda d, z, w: real(d, z, w) * (1 + 1e-6),
      vf._series_vs_closed, "worst rel 1.00e-06"),
     (vf.dm, "volume", lambda real: lambda d: dm.Moment(real(d).value * Fraction(1, 2)),
      vf._holder_inclusion, "[('polydisc:1', ("),
-    (vf.dp, "project", lambda real: lambda d, f: vf.dp.MixedMonomialSum(real(d, f).terms[:-1]),
-     vf._projection_algebra, "'idempotence'"),
-], ids=["series-vs-closed-form", "holder-inclusion", "algebra-exact-identities"])
+    (vf.dp, "project", _drop_last_term, vf._projection_algebra, "'idempotence'"),
+    (vf.ix, "member", lambda real: lambda d, alpha, p: real(d, alpha, 6 - p),
+     vf._anti_monotone, "[('hartogs:1/1', "),
+    (vf.dm, "moment_finite", lambda real: lambda d, c, p=1: p >= 5 or real(d, c, p),
+     vf._monotone_divergence, "[('polydisc:1', (-4,), Fraction(5, 1))"),
+    (vf.ix, "beta_upper", _shifted(Fraction(1, 100)), vf._chain_and_stability,
+     "[('hartogs:1/1', '2', '4', '401/100')"),
+    (vf.ix.IndexValue, "unbounded", lambda real: lambda: vf.ix.IndexValue.at_least(64),
+     vf._degenerate_unbounded, "[('ball:1', ('at_least', 'at_least', 'at_least'))"),
+    (vf.dp, "injectivity_witness_scan", lambda real: lambda *args: None,
+     vf._injectivity, "[('hartogs:1/1', 'no witness above the bound')"),
+    (vf.dp, "project", _drop_last_term, vf._identity_on_allowable, "[('polydisc:1', (0,))"),
+    (vf.dp, "projection_ratio", _finite_at_critical, vf._witness_criticality,
+     "'finite at critical')"),
+], ids=["series-vs-closed-form", "holder-inclusion", "algebra-exact-identities",
+        "anti-monotonicity", "monotone-divergence-in-p", "hartogs-chain-and-window-stability",
+        "ball-polydisc-unbounded", "injectivity-witness-scan", "identity-on-allowable",
+        "witness-criticality"])
 def test_verify_check_fails_on_its_planted_fault(monkeypatch, module, name, fault,
                                                  check, detail):
     """A check about one function fails when that function is planted with a
     plausible fault: a closed form off by 1e-6, a halved volume, a projection
-    that loses a term."""
+    that loses a term, membership read at 6 - p, moments finite for every
+    p >= 5, beta raised by 1/100, the unbounded index read as at least 64, no
+    injectivity witness, or a projection ratio finite at its critical
+    exponent."""
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     ok, text = check(PLANTED_DOMAINS, np.random.default_rng(1), vf.SIZES["quick"])
     assert not ok and detail in text
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 14), Fraction(1, 7), Fraction(-1, 14)],
+                         ids=["up-1/14", "up-1/7", "down-1/14"])
+def test_duality_self_conjugacy_fails_on_a_shifted_bound(monkeypatch, delta):
+    """The grid 2 + k/7 never lands in (2, 15/7), so a bound moved off 2 by
+    less than 2/7 is caught only by the points 10^-6 about it, the lower one
+    held at 2."""
+    monkeypatch.setattr(vf.ix, "duality_bound", _shifted(delta)(vf.ix.duality_bound))
+    ok, text = vf._duality_self_conjugate(PLANTED_DOMAINS, np.random.default_rng(1),
+                                          vf.SIZES["quick"])
+    assert not ok and text.startswith("[('hartogs:1/1', Fraction(")
 
 
 @pytest.mark.parametrize("row", [1, 2])
@@ -630,6 +685,19 @@ def test_threshold_completeness_fails_on_a_dropped_critical_row(monkeypatch, row
     ok, text = vf._threshold_completeness(PLANTED_DOMAINS, np.random.default_rng(1),
                                           vf.SIZES["quick"])
     assert not ok and text.startswith("[('hartogs:")
+
+
+@pytest.mark.parametrize("spec, end", [("hartogs:1/1", 1), ("hartogs:1/3", 8)])
+def test_threshold_completeness_fails_on_a_flip_dropped_at_an_end(monkeypatch, spec, end):
+    """A flip at an end of the closed range [1, 8], dropped from the critical
+    table, leaves no gap to compare: only the sets just below that end and at
+    it differ."""
+    real = vf.ix.critical_table
+    monkeypatch.setattr(vf.ix, "critical_table",
+                        lambda d, radius: tuple(r for r in real(d, radius) if r[0] != end))
+    ok, text = vf._threshold_completeness([dm.parse_domain(spec)], np.random.default_rng(1),
+                                          vf.SIZES["quick"])
+    assert not ok and text == f"[('{spec}', Fraction({end}, 1), 'unreported')]"
 
 
 def test_verify_cli_quick_passes(capsys):

@@ -12,7 +12,7 @@ from bergman_indices import index_sets as ix
 from bergman_indices import verify as vf
 from bergman_indices.errors import Inconclusive, NotIntegrable, ParseError
 from bergman_indices.exact import ExactValue, QComplex
-from bergman_indices.quadrature import QuadConfig, lp_norm
+from bergman_indices.quadrature import AbsPowerIntegrand, QuadConfig, integrate, lp_norm
 
 H11 = dm.hartogs(1, 1)
 B2 = dm.ball(2)
@@ -160,6 +160,22 @@ def test_witness_criticality_dense_grid():
         assert dp.projection_ratio(d, alpha, gamma, crit).divergent
 
 
+def test_converged_is_the_stop_rule_not_an_error_bound():
+    """``IntegralResult.converged`` reads the stop rule on the last difference
+    of a sum at ``NORM_CFG``: it holds on polydisc:2 and fails on H(7,5),
+    where the value is 1e-3 off, and it fails on H(1,1), where the value is
+    right to round-off.  The exact value is ||f^2||_2^2 = ||f||_4^4."""
+    c1, c2 = QComplex(Fraction(1, 4), Fraction(-1, 8)), QComplex(Fraction(-1), Fraction(-1, 4))
+    f = dp.laurent([(c1, (1, 2)), (c2, (3, 4))])
+    square = dp.laurent([(c1 * c1, (2, 4)), (2 * c1 * c2, (4, 6)), (c2 * c2, (6, 8))])
+    for d, p, converged in [(dm.polydisc(2), 4, True), (dm.hartogs(7, 5), 6, False),
+                            (H11, 4, False)]:
+        res = integrate(d, AbsPowerIntegrand(f.as_integrand(), p), dp.NORM_CFG)
+        assert res.converged is converged
+    assert res.value == pytest.approx(complex(dp.pairing(H11, square, square)).real,
+                                      rel=1e-12)
+
+
 def test_laurent_norm_exact_paths():
     f = dp.MixedMonomialSum.monomial(2, (1, -1))
     for p in (Fraction(3, 2), 2, 3):
@@ -215,6 +231,23 @@ def test_a_sum_whose_norm_leaves_the_float_range_is_inconclusive(c):
         with pytest.raises(Inconclusive, match="floating-point range") as info:
             call()
         assert len(str(info.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-161])
+def test_a_subnormal_pairing_is_inconclusive(c):
+    """c (1 + z) on the disc has the normal norm c sqrt(3 pi / 2), but its
+    pairing with itself is subnormal, short of its bits: the p = 2 norm read
+    1e-6 and 7e-3 off, and Hoelder compared two equal subnormals and held.
+    Both now raise the one-line ``Inconclusive``; at c = 1e-150 nothing moves."""
+    d = dm.polydisc(1)
+    f = dp.laurent([(c, (0,)), (c, (1,))])
+    for call in (lambda: dp.laurent_norm(d, f, 2), lambda: dp.holder_check(d, f, f, 2)):
+        with pytest.raises(Inconclusive, match="floating-point range"):
+            call()
+    f = dp.laurent([(1e-150, (0,)), (1e-150, (1,))])
+    assert dp.laurent_norm(d, f, 2) == 2.170803763674803e-150
+    assert dp.holder_check(d, f, f, 2) == dp.InequalityCheck(
+        4.7123889803846904e-300, 4.71238898038469e-300, True)
 
 
 def test_zero_function_has_norm_zero():

@@ -342,7 +342,7 @@ def test_pnorm_ladder_diverges_where_the_series_does(n, p):
 @pytest.mark.parametrize("x", [0.9, 0.95, 0.98, 0.99])
 def test_pnorm_near_the_boundary_matches_series_or_refuses(x, p, cfg):
     # the trapezoid rule's error on |1 - r x e^(i theta)|^(-2p) decays only
-    # like x^N; a final integral whose last doubling misses rel_tol is refused,
+    # like x^N; a final integral whose last doubling misses REL_TOL is refused,
     # and none may return a wrong value (polydisc:1 at 0.99, p = 2 read 31.92
     # with an angular rule capped at 256 nodes, where sqrt(K(z, z)) = 28.35)
     d, z = dm.polydisc(1), (x,)

@@ -529,11 +529,10 @@ def test_a_rule_above_the_node_bound_is_refused_unbuilt():
 def test_other_budgets_on_the_same_rules_reuse_every_axis_sum(monkeypatch,
                                                               clear_separable_caches):
     """The axis memo holds no budget: a second ``integrate`` of a monomial
-    under another ``rel_tol`` or ``max_doublings`` that runs the same rule
-    sizes computes no axis sum, and reads the bits of a cold run."""
+    under another ``max_doublings`` that runs the same rule sizes computes no
+    axis sum, and reads the bits of a cold run."""
     g = qd.AbsPowerIntegrand(_monomial((1, -1), 2), 3)  # exact maps: stop at 2n
-    budgets = [CFG, qd.QuadConfig(max_doublings=0), qd.QuadConfig(rel_tol=1e-6),
-               qd.QuadConfig(rel_tol=1e-12, max_doublings=5)]
+    budgets = [CFG, qd.QuadConfig(max_doublings=0), qd.QuadConfig(max_doublings=5)]
 
     def run(cfg):
         res = qd.integrate(H11, g, cfg)
@@ -582,19 +581,17 @@ def test_every_doubling_doubles_each_inexact_angular_axis(monkeypatch):
 
 def test_ladder_reads_node_counts_only():
     # the ladder runs at LADDER_TOL with one doubling, whatever the budget's
-    # rel_tol and max_doublings; it reads only the node counts
+    # max_doublings; it reads only the node counts
     for f, p in [(_monomial((0, -1), 2), 3),
                  (qd.MonomialSumIntegrand([(1.0, (0, -1), (0, 0)),
                                            (0.5, (1, 0), (0, 0))]), 4)]:
         deep = qd.divergence_probe(H11, f, p, qd.QuadConfig(max_doublings=3))
         capped = qd.divergence_probe(H11, f, p, qd.QuadConfig(max_doublings=1))
-        tight = qd.divergence_probe(H11, f, p, qd.QuadConfig(rel_tol=1e-12))
-        assert deep == capped == tight
-    # a tensor ladder on ball:2, where rel_tol 1e-2 and 1e-12 once differed
+        assert deep == capped
+    # a tensor ladder on ball:2, at three max_doublings
     f = qd.MonomialSumIntegrand([(1.0, (1, 0), (0, 0)), (0.9, (0, 1), (0, 0))])
     probes = {qd.divergence_probe(dm.ball(2), f, 3, qd.QuadConfig(
-                  radial_nodes=16, angular_nodes=16, rel_tol=tol, max_doublings=k))
-              for tol in (1e-2, 1e-9, 1e-12) for k in (0, 1, 3)}
+                  radial_nodes=16, angular_nodes=16, max_doublings=k)) for k in (0, 1, 3)}
     assert len(probes) == 1
 
 

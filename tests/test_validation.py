@@ -19,7 +19,6 @@ POLE = dp.laurent([(1, (0, -2))])
 CASES = {
     "angular-nodes-range": (lambda: qd.QuadConfig(angular_nodes=3),
                             ParseError, "angular_nodes must lie in"),
-    "rel-tol-range": (lambda: qd.QuadConfig(rel_tol=1.0), ParseError, "rel_tol must lie in"),
     "empty-integrand": (lambda: qd.MonomialSumIntegrand([]),
                         ValueError, "at least one term"),
     "lp-norms-exponent": (lambda: qd.lp_norms(dm.polydisc(1), None, [2, 0]),
