@@ -3,9 +3,10 @@
 Subcommands: info, index-set, thresholds, indices, kernel, density, project,
 probe, verify.  Each takes --seed and --threads plus only the flags its
 handler reads, 43 in all (README "CLI" has the table); kernel --pnorm runs
-at the default ``QuadConfig()`` budget, with no quadrature flag.  --format
-exists only for density and probe (csv | json) and verify (table | json),
-and everything else prints a JSON report under the envelope
+at the default ``QuadConfig()`` budget, with no quadrature flag, and its
+dimension rule is ``kernel_pnorm_estimate``'s, which library calls meet too.
+--format exists only for density and probe (csv | json) and verify (table |
+json), and everything else prints a JSON report under the envelope
 
     {"schema": "bergman-indices/1", "version": ..., "command": ...,
      "seed": ..., "domain": ..., "result": {...}}
@@ -50,9 +51,6 @@ MAX_EXPONENT = 1000  # |alpha_i| and gamma_i of a monomial
 MAX_PROBE_P = 64
 MAX_PROBE_STEPS = 256
 MAX_DENSITY_POINTS = 256  # per Gram matrix, from --ks or --points
-# above this dimension a kernel p-norm at z != 0 meets six-axis meshes and has
-# no work bound; at z = 0 the section is constant and answers in seconds
-MAX_PNORM_DIM = 2
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -162,9 +160,6 @@ def cmd_indices(args, d) -> int:
 def cmd_kernel(args, d) -> int:
     z = _parse_point(args.z, d.dim)
     w = _parse_point(args.w, d.dim)
-    if args.pnorm is not None and d.dim > MAX_PNORM_DIM and any(z):
-        raise ParseError(f"--pnorm in dimension {d.dim} needs z = 0 (dimensions "
-                         f"above {MAX_PNORM_DIM} have no work bound at z != 0)")
     ix.check_radius(args.window, dim=d.dim)  # bad input (exit 2) before any refusal
     # the closed form first: beyond the float range it refuses before any series
     closed = kn.kernel_closed_form(d, z, w)

@@ -213,10 +213,14 @@ def projection_ratio(d: DomainSpec, alpha, gamma, p) -> ProjectionRatio:
     if not mdp.is_finite:
         return ProjectionRatio(True, None)
     # in logarithms: for large exponents the moments leave the float range
-    # although the ratio does not
+    # although the ratio mostly does not
     log_ratio = (ExactValue(ratio * ratio).log() / 2
                  + (mdp.value.log() - normp.value.log()) / float(p))
-    return ProjectionRatio(False, math.exp(log_ratio))
+    try:
+        return ProjectionRatio(False, math.exp(log_ratio))
+    except OverflowError:
+        raise Inconclusive(f"the projection ratio at p={p} leaves the "
+                           "floating-point range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ from .quadrature import (REL_TOL, AbsPowerIntegrand, BlackBoxIntegrand, ProbeRes
 GRAM_COND_LIMIT = 1e12  # density_residual rejects a Gram matrix beyond it
 # the divergence ladder's node counts, the only part of a budget it reads
 PROBE_CFG = QuadConfig(radial_nodes=16, angular_nodes=16)
+PNORM_CFG = QuadConfig(radial_nodes=24)  # the final integral's budget by default
+# above this dimension a kernel p-norm at z != 0 meets six-axis meshes and has
+# no work bound; at z = 0 the section is constant and answers in seconds
+MAX_PNORM_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -267,18 +271,20 @@ def _kernel_integrand(d: DomainSpec, z) -> BlackBoxIntegrand:
 
 
 def kernel_pnorm_estimate(d: DomainSpec, z, p, radius: int = 40,
-                          cfg: Optional[QuadConfig] = None) -> PNormEstimate:
+                          cfg: QuadConfig = PNORM_CFG) -> PNormEstimate:
     """Quadrature estimate of ||K(., z)||_p with divergence detection.
 
     Runs the corner-cutoff refinement ladder of the quadrature module at
     ``PROBE_CFG`` on the closed-form kernel section; a diverging verdict
     reports the last (growing) estimate, a converging one the cutoff-free
     value at the budget ``cfg``, refused as ``Inconclusive`` where the result
-    has not ``converged``.  ``radius`` is ignored, kept for positional callers."""
+    has not ``converged``; above ``MAX_PNORM_DIM`` a z != 0 raises ``ParseError``
+    unrun.  ``radius`` is ignored, kept for positional callers."""
     p = check_exponent(p)
     z = _require_inside(d, z, "z")
-    if cfg is None:
-        cfg = QuadConfig(radial_nodes=24, angular_nodes=32)
+    if d.dim > MAX_PNORM_DIM and any(z):
+        raise ParseError(f"--pnorm in dimension {d.dim} needs z = 0 (dimensions "
+                         f"above {MAX_PNORM_DIM} have no work bound at z != 0)")
     integrand = _kernel_integrand(d, z)
     probe: ProbeResult = divergence_probe(d, integrand, p, PROBE_CFG)
     if probe.diverging:

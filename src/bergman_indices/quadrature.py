@@ -62,7 +62,7 @@ import sys
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -121,19 +121,17 @@ class QuadConfig:
     a ``ValueError``."""
 
     radial_nodes: int = 64
-    angular_nodes: Optional[int] = None  # None: 32 through C^2, 12 beyond
+    angular_nodes: int = 32
     max_doublings: int = 3
 
     def __post_init__(self):
         for name in ("radial_nodes", "angular_nodes", "max_doublings"):
             value = getattr(self, name)
-            if name == "angular_nodes" and value is None:
-                continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParseError(f"{name} must be an integer")
         if not 4 <= self.radial_nodes <= 256:
             raise ParseError("radial_nodes must lie in [4, 256]")
-        if self.angular_nodes is not None and not 4 <= self.angular_nodes <= 256:
+        if not 4 <= self.angular_nodes <= 256:
             raise ParseError("angular_nodes must lie in [4, 256]")
         if self.max_doublings < 0:
             raise ParseError("max_doublings must be >= 0")
@@ -410,8 +408,7 @@ def _angular_counts(g: AbsPowerIntegrand, cfg: QuadConfig) -> Tuple[list, list]:
     even = all(p.denominator == 1 and p.numerator % 2 == 0 for p in g.ps)
     bands = [None if b is None or (b and not even) else b * (g.p.numerator // 2)
              for b in g.base.angular_bandwidth]
-    default = cfg.angular_nodes or (32 if g.dim <= 2 else 12)  # cost grows past C^2
-    return ([default if b is None else b + 2 for b in bands],
+    return ([cfg.angular_nodes if b is None else b + 2 for b in bands],
             [b is not None for b in bands])
 
 

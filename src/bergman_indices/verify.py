@@ -62,7 +62,7 @@ class Size(NamedTuple):
     index_radius: int       # index-set windows and threshold scans
     chain_top: int          # index chain on coprime H(m, n), m + n <= this
     kernel_pairs: int       # random point pairs per domain
-    kernel_radius: int      # series window compared with the closed form
+    kernel_radius: int      # series window vs the closed form (m + n if more)
     max_mod: float          # modulus bound of those points (tail margin)
     algebra_trials: int     # random sum pairs per domain
     witness_top: int        # witness criticality on H(m, n), m + n <= this
@@ -309,10 +309,12 @@ def _sample_point(d: DomainSpec, rng: np.random.Generator,
     """Random interior point with componentwise modulus below max_mod.
 
     On the triangle, moduli keep |z1| <= 0.6^max(1, n/m) |z2|^(n/m).  For two
-    such points the kernel window of radius R then leaves a tail of order
-    0.6^(2R) on every triangle: the ratio |x| / |y|^(n/m) of x = w1 conj(z1)
-    and y = w2 conj(z2) is at most 0.6^(2 max(1, n/m)), and the window keeps
-    its powers up to about R min(1, m/n).
+    such points a kernel window of radius R >= m + n (``_kernel_window``) then
+    leaves a tail of order 0.6^(2R) on every triangle: the ratio
+    |x| / |y|^(n/m) of x = w1 conj(z1) and y = w2 conj(z2) is at most
+    0.6^(2 max(1, n/m)), and the window keeps its powers up to about
+    R min(1, m/n).  A window below m + n cuts the alpha_1 = 0 row, allowable
+    down to alpha_2 > -(m + n)/m, whose terms are not small.
     """
     phases = np.exp(2j * math.pi * rng.random(d.dim))
     if d.family is Family.POLYDISC:
@@ -328,6 +330,12 @@ def _sample_point(d: DomainSpec, rng: np.random.Generator,
     return tuple(radii * phases)
 
 
+def _kernel_window(d: DomainSpec, size: Size) -> int:
+    """The series window compared with the closed form: ``kernel_radius``,
+    and at least m + n on H(m, n) (``_sample_point``)."""
+    return max(size.kernel_radius, ix.default_window(d))
+
+
 def _series_vs_closed(doms, rng, size):
     worst = 0.0
     where = None
@@ -335,7 +343,7 @@ def _series_vs_closed(doms, rng, size):
         for _ in range(size.kernel_pairs):
             z = _sample_point(d, rng, size.max_mod)
             w = _sample_point(d, rng, size.max_mod)
-            s = kn.kernel_truncated(d, z, w, size.kernel_radius)
+            s = kn.kernel_truncated(d, z, w, _kernel_window(d, size))
             c = kn.kernel_closed_form(d, z, w)
             rel = abs(s - c) / abs(c)
             if rel > worst:
@@ -609,7 +617,7 @@ def run_verify(doms: Sequence[DomainSpec], level: str = "quick",
         raise ParseError(f"seed must be >= 0, not {seed}")
     size = SIZES[level]
     for d in doms:
-        ix.check_radius(size.kernel_radius, dim=d.dim)
+        ix.check_radius(_kernel_window(d, size), dim=d.dim)
         ix.check_radius(size.moment_radius, dim=d.dim)
     bootstrap = [("bootstrap", f"moments-vs-quadrature[{d}]",
                   functools.partial(_moments_vs_quadrature, d)) for d in doms]

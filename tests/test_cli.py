@@ -461,6 +461,21 @@ def test_probe_ratio_of_large_exponents(capsys):
     assert all(float(r) == pytest.approx(1.0, rel=1e-12) for _p, r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe", "polydisc:2", "--alpha", "1000,0", "--gamma", "1000,0",
+     "--plo", "1/1000000", "--phi", "1", "--steps", "1"],
+    ["probe", "ball:3", "--alpha", "1000,0,0", "--gamma", "1000,0,0",
+     "--plo", "1/256", "--phi", "1/128", "--steps", "1"],
+], ids=["polydisc:2", "ball:3"])
+def test_probe_ratio_beyond_float_range_is_inconclusive(capsys, argv):
+    """At a tiny p the ratio itself leaves the float range: one line, exit 3."""
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("inconclusive: the projection ratio at p=1/")
+
+
 def test_bad_seed_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("BERGMAN_SEED", "abc")
     code = cli.run(["info", "ball:1"])
@@ -626,6 +641,13 @@ def _drop_last_term(real):
     return lambda d, f: vf.dp.MixedMonomialSum(real(d, f).terms[:-1])
 
 
+def _first_norm_up(real):
+    def norms(*args):
+        first, *rest = real(*args)
+        return [first * 1.01, *rest]
+    return norms
+
+
 @pytest.mark.parametrize("module, name, fault, check, detail", [
     (vf.kn, "kernel_closed_form", lambda real: lambda d, z, w: real(d, z, w) * (1 + 1e-6),
      vf._series_vs_closed, "worst rel 1.00e-06"),
@@ -645,21 +667,49 @@ def _drop_last_term(real):
     (vf.dp, "project", _drop_last_term, vf._identity_on_allowable, "[('polydisc:1', (0,))"),
     (vf.dp, "projection_ratio", _finite_at_critical, vf._witness_criticality,
      "'finite at critical')"),
+    (vf.dm, "conjugate_exponent", lambda real: lambda p: real(p) + Fraction(1, 10 ** 9),
+     vf._conjugate_involution, "195/4"),
+    (vf.kn, "kernel_truncated", lambda real: lambda *args: real(*args) * (1 + 1e-9j),
+     vf._hermitian_and_diagonal, "[('polydisc:1', 'hermitian', "),
+    (vf.kn.KernelSeries, "inverse_norm", lambda real: lambda *args: real(*args) * 2,
+     vf._reproduce_window, "[('polydisc:1', (0,)), "),
+    (vf.kn, "moment",
+     lambda real: lambda *args: dm.Moment(real(*args).value * Fraction(101, 100)),
+     vf._density_monotone, "final residual too large"),
+    (vf.dp, "lp_norms", _first_norm_up, vf._inequalities, "'lyapunov'"),
+    (vf.dp, "laurent_norm", lambda real: lambda *args: real(*args) * 0.5,
+     vf._inequalities, "'holder'"),
+    (vf.kn, "kernel_pnorm_estimate",
+     lambda real: lambda *args: vf.kn.PNormEstimate(float("inf"), True, ()),
+     vf._pnorm_brackets, "diverging verdict below regularity"),
 ], ids=["series-vs-closed-form", "holder-inclusion", "algebra-exact-identities",
         "anti-monotonicity", "monotone-divergence-in-p", "hartogs-chain-and-window-stability",
         "ball-polydisc-unbounded", "injectivity-witness-scan", "identity-on-allowable",
-        "witness-criticality"])
+        "witness-criticality", "conjugate-involution", "hermitian-symmetry-and-diagonal",
+        "reproducing-property-exact-zero", "density-residual-monotone",
+        "lyapunov-and-holder-lyapunov", "lyapunov-and-holder-holder",
+        "pnorm-probe-brackets-beta"])
 def test_verify_check_fails_on_its_planted_fault(monkeypatch, module, name, fault,
                                                  check, detail):
     """A check about one function fails when that function is planted with a
     plausible fault: a closed form off by 1e-6, a halved volume, a projection
     that loses a term, membership read at 6 - p, moments finite for every
     p >= 5, beta raised by 1/100, the unbounded index read as at least 64, no
-    injectivity witness, or a projection ratio finite at its critical
-    exponent."""
+    injectivity witness, a projection ratio finite at its critical exponent,
+    a conjugate exponent off by 1e-9, a truncated kernel times 1 + 1e-9 i,
+    doubled inverse norms, moments 1% high, a first Lyapunov norm 1% high,
+    halved Hoelder norms, or a kernel p-norm diverging at every p."""
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     ok, text = check(PLANTED_DOMAINS, np.random.default_rng(1), vf.SIZES["quick"])
     assert not ok and detail in text
+
+
+def test_series_vs_closed_form_holds_on_a_steep_triangle():
+    """On H(1, 31) the alpha_1 = 0 row reaches alpha_2 = -31, past the quick
+    radius 30: the compared window is at least m + n."""
+    ok, text = vf._series_vs_closed([dm.hartogs(1, 31)], np.random.default_rng(1),
+                                    vf.SIZES["quick"])
+    assert ok, text
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 14), Fraction(1, 7), Fraction(-1, 14)],

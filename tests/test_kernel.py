@@ -1,6 +1,7 @@
 """Kernel series, closed forms, reproduction, density, and p-norm probes."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -241,6 +242,15 @@ def test_pnorm_beyond_float_range_is_inconclusive():
         kn.kernel_pnorm_estimate(dm.hartogs(1, 25), (0, 0.5), 2)
 
 
+def test_pnorm_above_dimension_two_needs_z_zero():
+    """The library call meets the rule the CLI does, before any pass."""
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match=r"^--pnorm in dimension 3 needs z = 0 "
+                       r"\(dimensions above 2 have no work bound at z != 0\)$"):
+        kn.kernel_pnorm_estimate(dm.ball(3), (0.2, 0.1, 0.3), 2)
+    assert time.perf_counter() - t0 < 0.1
+
+
 # ---------------------------------------------------------------------------
 # series oracles for ||K(., z)||_p^p, independent of the quadrature
 # ---------------------------------------------------------------------------
@@ -337,7 +347,8 @@ def test_pnorm_ladder_diverges_where_the_series_does(n, p):
     assert kn.kernel_pnorm_estimate(d, z, p).diverging
 
 
-@pytest.mark.parametrize("cfg", [None, QuadConfig()], ids=["library", "QuadConfig()"])
+@pytest.mark.parametrize("cfg", [kn.PNORM_CFG, QuadConfig()],
+                         ids=["library", "QuadConfig()"])
 @pytest.mark.parametrize("p", [Fraction(3, 2), 2, 3], ids=str)
 @pytest.mark.parametrize("x", [0.9, 0.95, 0.98, 0.99])
 def test_pnorm_near_the_boundary_matches_series_or_refuses(x, p, cfg):

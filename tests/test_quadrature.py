@@ -705,6 +705,7 @@ def test_random_moment_probes_quarter_grid():
 
 
 def test_config_validation():
+    assert qd.QuadConfig().angular_nodes == 32  # one default in every dimension
     with pytest.raises(ValueError):
         qd.QuadConfig(radial_nodes=2)
     with pytest.raises(ParseError):
